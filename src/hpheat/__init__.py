@@ -26,7 +26,7 @@ from .assembly import (
     assemble,
     apply_initial_conditions,
 )
-from .timeint import ThetaScheme, BandedFactorization, TransientSolution, build_factorization, step, integrate
+from .timeint import ThetaScheme, BandedFactorization, TransientSolution, build_factorization, integrate
 from .scenario import (
     PulseParams,
     Scenario,
@@ -35,7 +35,6 @@ from .scenario import (
     benchmark_material,
     benchmark_scenario,
     solve_transient,
-    evaluate_field,
     dimensionless_temperature,
     steady_temperature_rise,
     wavefront_arrival_estimate,

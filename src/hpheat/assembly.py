@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +99,11 @@ class Mesh:
     def length(self) -> float:
         return float(self.nodes[-1] - self.nodes[0])
 
+    @property
+    def jacobians(self) -> np.ndarray:
+        """dx/deta of every element, the ElementMap.jacobian values."""
+        return 0.5 * (self.nodes[1:] - self.nodes[:-1])
+
     def element_map(self, e: int) -> ElementMap:
         return ElementMap(float(self.nodes[e]), float(self.nodes[e + 1]))
 
@@ -161,7 +165,7 @@ class DofMap:
     model: ModelKind
     p: int
     spaces: tuple[SpaceSpec, SpaceSpec]
-    element_dofs: dict[Field, list[np.ndarray]]
+    element_dofs: dict[Field, np.ndarray]
     vertex_dofs: dict[Field, np.ndarray | None]
     full_dim: int
     constrained: tuple[ConstrainedDof, ...]
@@ -189,8 +193,7 @@ class DofMap:
 
     def field_dofs(self, field: Field) -> np.ndarray:
         """All full-numbering DOFs of one field, sorted."""
-        dofs = np.unique(np.concatenate(self.element_dofs[field]))
-        return dofs
+        return np.unique(self.element_dofs[field])
 
 
 def _effective_essential(bc: PrescribedFlux, q_space: SpaceSpec) -> bool:
@@ -217,43 +220,22 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
     q_c0 = q_space.continuity is Continuity.C0
     n = mesh.n_elements
 
-    vertex_t = np.empty(n + 1, dtype=int)
-    vertex_q = np.empty(n + 1, dtype=int) if q_c0 else None
-    bubbles_t: list[np.ndarray] = []
-    interior_q: list[np.ndarray] = []
-
-    counter = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal counter
-        block = np.arange(counter, counter + count)
-        counter += count
-        return block
-
-    vertex_t[0] = take(1)[0]
+    # Each vertex holds its T DOF (then its q DOF when q is continuous); the
+    # T bubbles and the q interior DOFs of the element to its right follow.
+    per_vertex = 2 if q_c0 else 1
+    q_interior = degQ - 1 if q_c0 else degQ + 1
+    stride = per_vertex + degT - 1 + q_interior
+    vertex_t = np.arange(n + 1) * stride
+    vertex_q = vertex_t + 1 if q_c0 else None
+    first = vertex_t[:-1, None] + per_vertex
+    elem_t = np.hstack(
+        (vertex_t[:-1, None], vertex_t[1:, None], first + np.arange(degT - 1))
+    )
+    interior_q = first + degT - 1 + np.arange(q_interior)
     if q_c0:
-        vertex_q[0] = take(1)[0]
-    for e in range(n):
-        bubbles_t.append(take(degT - 1))
-        if q_c0:
-            interior_q.append(take(degQ - 1))
-        else:
-            interior_q.append(take(degQ + 1))
-        vertex_t[e + 1] = take(1)[0]
-        if q_c0:
-            vertex_q[e + 1] = take(1)[0]
-
-    elem_t = [
-        np.concatenate(([vertex_t[e], vertex_t[e + 1]], bubbles_t[e]))
-        for e in range(n)
-    ]
-    if q_c0:
-        elem_q = [
-            np.concatenate(([vertex_q[e], vertex_q[e + 1]], interior_q[e]))
-            for e in range(n)
-        ]
+        elem_q = np.hstack((vertex_q[:-1, None], vertex_q[1:, None], interior_q))
     else:
-        elem_q = list(interior_q)
+        elem_q = interior_q
 
     constrained: list[ConstrainedDof] = []
     natural: list[NaturalFluxTerm] = []
@@ -278,7 +260,7 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
         spaces=(t_space, q_space),
         element_dofs={Field.TEMPERATURE: elem_t, Field.HEAT_FLUX: elem_q},
         vertex_dofs={Field.TEMPERATURE: vertex_t, Field.HEAT_FLUX: vertex_q},
-        full_dim=counter,
+        full_dim=n * stride + per_vertex,
         constrained=tuple(constrained),
         natural_terms=tuple(natural),
     )
@@ -415,38 +397,30 @@ def assemble(
     dofmap = build_dofmap(mesh, model, p, bcs)
     degT, degQ = dofmap.spaces[0].degree, dofmap.spaces[1].degree
 
-    rows_a: list[np.ndarray] = []
-    cols_a: list[np.ndarray] = []
-    vals_a: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-    cols_b: list[np.ndarray] = []
-    vals_b: list[np.ndarray] = []
+    blocks = element_matrices(mesh.jacobians, mat, model, degT, degQ)
+    t_dofs = dofmap.element_dofs[Field.TEMPERATURE]
+    q_dofs = dofmap.element_dofs[Field.HEAT_FLUX]
 
-    def scatter(rows, cols, vals, r_dofs, c_dofs, block):
-        rr, cc = np.meshgrid(r_dofs, c_dofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(block.ravel())
+    def coo(*placed):
+        """Sum of (row DOFs, column DOFs, blocks) triples, every element at once."""
+        rows, cols, vals = [], [], []
+        for r_dofs, c_dofs, block in placed:
+            shape = (r_dofs.shape[0], r_dofs.shape[1], c_dofs.shape[1])
+            rows.append(np.broadcast_to(r_dofs[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(c_dofs[:, None, :], shape).ravel())
+            vals.append(np.broadcast_to(block, shape).ravel())
+        full = dofmap.full_dim
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(full, full),
+        ).tocsr()
 
-    for e in range(mesh.n_elements):
-        blocks = element_matrices(mesh.element_map(e), mat, model, degT, degQ)
-        t_dofs = dofmap.element_dofs[Field.TEMPERATURE][e]
-        q_dofs = dofmap.element_dofs[Field.HEAT_FLUX][e]
-        scatter(rows_a, cols_a, vals_a, t_dofs, t_dofs, blocks.C)
-        scatter(rows_a, cols_a, vals_a, q_dofs, q_dofs, blocks.T)
-        scatter(rows_b, cols_b, vals_b, q_dofs, q_dofs, blocks.K)
-        scatter(rows_b, cols_b, vals_b, q_dofs, t_dofs, blocks.Q)
-        scatter(rows_b, cols_b, vals_b, t_dofs, q_dofs, -blocks.Qt)
-
-    full = dofmap.full_dim
-    a_full = sp.coo_matrix(
-        (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-        shape=(full, full),
-    ).tocsr()
-    b_full = sp.coo_matrix(
-        (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-        shape=(full, full),
-    ).tocsr()
+    a_full = coo((t_dofs, t_dofs, blocks.C), (q_dofs, q_dofs, blocks.T))
+    b_full = coo(
+        (q_dofs, q_dofs, blocks.K),
+        (q_dofs, t_dofs, blocks.Q),
+        (t_dofs, q_dofs, -blocks.Qt),
+    )
 
     free = dofmap.free_to_full
     cons = np.array([c.dof for c in dofmap.constrained], dtype=int)
@@ -475,11 +449,11 @@ def assemble(
     )
 
 
-def _as_function(f) -> Callable[[float], float]:
-    if callable(f):
-        return f
-    value = float(f)
-    return lambda x: value
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    """A scalar function, or a constant, at every point of x."""
+    if not callable(f):
+        return np.full(x.shape, float(f))
+    return np.array([float(f(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
 def apply_initial_conditions(sys: SemiDiscreteSystem, T0, q0) -> np.ndarray:
@@ -489,31 +463,30 @@ def apply_initial_conditions(sys: SemiDiscreteSystem, T0, q0) -> np.ndarray:
     flux space).  Bubble coefficients come from the element-wise L2 projection
     of the residual left after the vertex part, so any field inside the local
     polynomial span is reproduced exactly and constants produce exact zeros.
+    The Jacobian scales both sides of the projection, so one reference bubble
+    mass serves every element.
     """
     dofmap = sys.dofmap
-    mesh = dofmap.mesh
+    nodes = dofmap.mesh.nodes
+    centers = 0.5 * (nodes[:-1] + nodes[1:])[:, None]
+    jac = dofmap.mesh.jacobians[:, None]
     full = np.zeros(dofmap.full_dim)
     for fld, fun in ((Field.TEMPERATURE, T0), (Field.HEAT_FLUX, q0)):
-        fun = _as_function(fun)
         deg = dofmap.space(fld).degree
-        shapes = ShapeSet(deg)
-        rule = gauss_rule(deg + 2)
-        values = shapes.values(rule.points)
-        for e in range(mesh.n_elements):
-            emap = mesh.element_map(e)
-            dofs = dofmap.element_dofs[fld][e]
-            left = float(fun(emap.x_left))
-            right = float(fun(emap.x_right))
-            full[dofs[0]] = left
-            full[dofs[1]] = right
-            if deg >= 2:
-                x_g = emap.map_to_physical(rule.points)
-                f_g = np.array([float(fun(x)) for x in np.atleast_1d(x_g)])
-                resid = f_g - left * values[0] - right * values[1]
-                bub = values[2:]
-                mass = emap.jacobian * ((bub * rule.weights) @ bub.T)
-                rhs = emap.jacobian * (bub @ (rule.weights * resid))
-                full[dofs[2:]] = np.linalg.solve(mass, rhs)
+        dofs = dofmap.element_dofs[fld]
+        vertex = _sample(fun, nodes)
+        full[dofs[:, 0]] = vertex[:-1]
+        full[dofs[:, 1]] = vertex[1:]
+        if deg >= 2:
+            rule = gauss_rule(deg + 2)
+            values = ShapeSet(deg).values(rule.points)
+            bub = values[2:]
+            f_g = _sample(fun, centers + jac * rule.points)
+            # N_1 = 1 - N_2 written out, so a constant leaves an exact zero.
+            left, right = vertex[:-1, None], vertex[1:, None]
+            resid = (f_g - left) - (right - left) * values[1]
+            mass = (bub * rule.weights) @ bub.T
+            full[dofs[:, 2:]] = np.linalg.solve(mass, bub @ (rule.weights * resid).T).T
     return full[dofmap.free_to_full]
 
 
@@ -599,8 +572,8 @@ def field_integral_weights(dofmap: DofMap, field: Field) -> np.ndarray:
     shapes = ShapeSet(space.degree)
     rule = gauss_rule(space.degree + 1)
     shape_integrals = shapes.values(rule.points) @ rule.weights
-    w = np.zeros(dofmap.full_dim)
-    for e in range(dofmap.mesh.n_elements):
-        emap = dofmap.mesh.element_map(e)
-        np.add.at(w, dofmap.element_dofs[field][e], emap.jacobian * shape_integrals)
-    return w
+    dofs = dofmap.element_dofs[field]
+    contributions = dofmap.mesh.jacobians[:, None] * shape_integrals
+    return np.bincount(
+        dofs.ravel(), weights=contributions.ravel(), minlength=dofmap.full_dim
+    )

@@ -102,20 +102,6 @@ class ShapeSet:
         return table
 
 
-def shape_eval(shapes: ShapeSet, k: int, eta: float) -> float:
-    """Value of shape function k (1-based: 1, 2 vertices, then bubbles)."""
-    if not 1 <= k <= shapes.count:
-        raise IndexError(f"shape index must be in 1..{shapes.count}, got {k}")
-    return float(shapes.values(np.array([eta]))[k - 1, 0])
-
-
-def shape_deriv(shapes: ShapeSet, k: int, eta: float) -> float:
-    """Master-coordinate derivative of shape function k (1-based)."""
-    if not 1 <= k <= shapes.count:
-        raise IndexError(f"shape index must be in 1..{shapes.count}, got {k}")
-    return float(shapes.derivatives(np.array([eta]))[k - 1, 0])
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre points and weights on (-1, 1)."""

@@ -1,4 +1,4 @@
-"""Per-element matrix blocks of the two-field mixed weak form.
+"""Element blocks of the two-field mixed weak form, for every element at once.
 
 The semi-discrete system couples the temperature coefficients t and the heat
 flux coefficients q through
@@ -6,21 +6,23 @@ flux coefficients q through
     C dt/dt' - G^T q = d        (balance of internal energy)
     T dq/dt' + lam G t + K q = 0   (flux evolution law)
 
-where G is the unweighted coupling integral int N^q (N^T)' deta.  This module
-computes the element-level contributions:
+where G is the unweighted coupling integral int N^q (N^T)' deta.  The element
+map is affine, so every block is a reference-element integral times a power
+of the element's Jacobian J.  The reference integrals are computed once per
+degree pair and scaled by the array of Jacobians:
 
-    element_C   -> rho c_v mass block of the T shape set
-    element_T   -> tau mass block of the q shape set
-    element_K   -> mass block of q, plus the kappa2 gradient block for the
-                   nonlocal model
-    element_Q   -> lam-weighted coupling block (q test x T trial)
-    element_Qt  -> raw coupling block (T test x q trial), equal to the
-                   transpose of element_Q up to the factor lam; the assembly
-                   negates it when placing the T-row block, which is what
-                   makes the skew coupling dissipative
+    C  -> rho c_v J  * (T mass)
+    T  -> tau J      * (q mass)
+    K  -> J * (q mass), plus (kappa2 / J) * (q gradient Gram) for the
+          nonlocal model
+    Q  -> lam-weighted coupling block (q test x T trial)
+    Qt -> raw coupling block (T test x q trial), equal to the transpose of Q
+          up to the factor lam; the assembly negates it when placing the
+          T-row block, which is what makes the skew coupling dissipative
 
-All blocks are exact: the quadrature rule has max(degT, degQ) + 1 points,
-enough for every integrand here (the element map is affine).
+Q and Qt carry no Jacobian (dx = J deta against d/dx = J^-1 d/deta), so every
+element shares them.  All blocks are exact: the mass rules have degree + 1
+points and the coupling rule max(degT, degQ) + 1, enough for every integrand.
 """
 
 from __future__ import annotations
@@ -29,77 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ElementMap, ShapeSet, gauss_rule
+from .basis import ShapeSet, gauss_rule
 from .materials import MaterialParams, ModelKind
 
 
-def _tables(degree: int, n_points: int):
-    """Shape values, derivatives and weights at a shared Gauss rule."""
-    rule = gauss_rule(n_points)
-    shapes = ShapeSet(degree)
-    return shapes.values(rule.points), shapes.derivatives(rule.points), rule.weights
-
-
-def element_C(emap: ElementMap, mat: MaterialParams, degT: int) -> np.ndarray:
-    """Heat-capacity mass block: (j,k) -> int rho c_v N_j N_k J deta."""
-    values, _, w = _tables(degT, degT + 1)
-    return mat.rho * mat.c_v * emap.jacobian * ((values * w) @ values.T)
-
-
-def element_T(emap: ElementMap, mat: MaterialParams, degQ: int) -> np.ndarray:
-    """Flux relaxation mass block: (j,k) -> int tau N_j N_k J deta."""
-    values, _, w = _tables(degQ, degQ + 1)
-    return mat.tau * emap.jacobian * ((values * w) @ values.T)
-
-
-def element_K(
-    emap: ElementMap, mat: MaterialParams, degQ: int, model: ModelKind
-) -> np.ndarray:
-    """Flux self-coupling block: int N_j N_k J deta, plus the nonlocal term
-    (kappa2 / J) int N_j' N_k' deta when the model carries it.
-
-    The gradient term is controlled by the model, not by the stored kappa2:
-    the local models never see it regardless of the parameter value.
-    """
-    values, derivs, w = _tables(degQ, degQ + 1)
-    block = emap.jacobian * ((values * w) @ values.T)
-    if model is ModelKind.GK:
-        block = block + (mat.kappa2 / emap.jacobian) * ((derivs * w) @ derivs.T)
-    return block
-
-
-def element_Q(
-    emap: ElementMap, mat: MaterialParams, degT: int, degQ: int
-) -> np.ndarray:
-    """Temperature-gradient coupling: (j,k) -> int lam N_j^q (N_k^T)' deta.
-
-    The Jacobians cancel: dx = J deta against d/dx = J^-1 d/deta.
-    """
-    n_g = max(degT, degQ) + 1
-    rule = gauss_rule(n_g)
-    vq = ShapeSet(degQ).values(rule.points)
-    dt = ShapeSet(degT).derivatives(rule.points)
-    return mat.conductivity * ((vq * rule.weights) @ dt.T)
-
-
-def element_Qt(
-    emap: ElementMap, mat: MaterialParams, degT: int, degQ: int
-) -> np.ndarray:
-    """Flux-divergence coupling: (j,k) -> int (N_j^T)' N_k^q deta.
-
-    Unweighted; independent of every material parameter.  Equals
-    element_Q^T / lam, which the structure tests assert rather than assume.
-    """
-    n_g = max(degT, degQ) + 1
-    rule = gauss_rule(n_g)
-    dt = ShapeSet(degT).derivatives(rule.points)
-    vq = ShapeSet(degQ).values(rule.points)
-    return (dt * rule.weights) @ vq.T
+def _gram(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(j, k) -> sum_g a_j(g) b_k(g) w_g."""
+    return (a * weights) @ b.T
 
 
 @dataclass(frozen=True)
 class ElementMatrices:
-    """All blocks of one element, in shape-function ordering."""
+    """All blocks in shape-function ordering.
+
+    C, T and K are stacked per element, shape (n_elements, k, k); Q and Qt
+    are shared by every element.
+    """
 
     C: np.ndarray
     T: np.ndarray
@@ -109,16 +56,36 @@ class ElementMatrices:
 
 
 def element_matrices(
-    emap: ElementMap,
+    jacobians: np.ndarray,
     mat: MaterialParams,
     model: ModelKind,
     degT: int,
     degQ: int,
 ) -> ElementMatrices:
+    """Blocks of the elements with the given Jacobians dx/deta.
+
+    The gradient term of K is controlled by the model, not by the stored
+    kappa2: the local models never see it regardless of the parameter value.
+    """
+    shapes_t, shapes_q = ShapeSet(degT), ShapeSet(degQ)
+    rule_t = gauss_rule(degT + 1)
+    vt = shapes_t.values(rule_t.points)
+    rule_q = gauss_rule(degQ + 1)
+    vq = shapes_q.values(rule_q.points)
+    rule = gauss_rule(max(degT, degQ) + 1)
+    vq_g = shapes_q.values(rule.points)
+    dt_g = shapes_t.derivatives(rule.points)
+
+    jac = np.asarray(jacobians, dtype=float)[:, None, None]
+    mass_q = _gram(vq, vq, rule_q.weights)
+    K = jac * mass_q
+    if model is ModelKind.GK:
+        dq = shapes_q.derivatives(rule_q.points)
+        K = K + (mat.kappa2 / jac) * _gram(dq, dq, rule_q.weights)
     return ElementMatrices(
-        C=element_C(emap, mat, degT),
-        T=element_T(emap, mat, degQ),
-        K=element_K(emap, mat, degQ, model),
-        Q=element_Q(emap, mat, degT, degQ),
-        Qt=element_Qt(emap, mat, degT, degQ),
+        C=mat.rho * mat.c_v * jac * _gram(vt, vt, rule_t.weights),
+        T=mat.tau * jac * mass_q,
+        K=K,
+        Q=mat.conductivity * _gram(vq_g, dt_g, rule.weights),
+        Qt=_gram(dt_g, vq_g, rule.weights),
     )

@@ -119,12 +119,18 @@ def fd_step(
     q_left: float,
     q_right: float,
 ) -> StaggeredGrid:
-    """One backward Euler step with the boundary fluxes at the new time level."""
+    """One backward Euler step with the boundary fluxes at the new time level.
+
+    Like fd_solve, it steps the temperature relative to a uniform background,
+    here the first cell's value: a uniform temperature is an exact
+    equilibrium, so the background only costs roundoff inside the solve.
+    """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     m = grid.cells
     mass, stiff, b_left, b_right = _operator(m, grid.dx, mat)
-    z0 = np.concatenate((grid.T, grid.q[1:-1]))
+    background = grid.T[0]
+    z0 = np.concatenate((grid.T - background, grid.q[1:-1]))
     lhs = sp.diags(mass) + dt * stiff
     rhs = mass * z0 - dt * (b_left * q_left + b_right * q_right)
     z1 = splu(lhs.tocsc()).solve(rhs)
@@ -132,7 +138,7 @@ def fd_step(
     q_new[0] = q_left
     q_new[-1] = q_right
     q_new[1:-1] = z1[m:]
-    return StaggeredGrid(length=grid.length, T=z1[:m], q=q_new)
+    return StaggeredGrid(length=grid.length, T=z1[:m] + background, q=q_new)
 
 
 def _temperature_probe_weights(cells: int, dx: float, x: float) -> tuple[int, int, float]:
@@ -147,10 +153,14 @@ def _temperature_probe_weights(cells: int, dx: float, x: float) -> tuple[int, in
 
 @dataclass
 class FdSolution:
+    """Probe histories and final grid.  temperature_rise holds the marched
+    histories of T - T0; temperature_probes and final.T are absolute."""
+
     times: np.ndarray
     temperature_probes: dict[float, np.ndarray]
     flux_probes: dict[float, np.ndarray]
     final: StaggeredGrid
+    temperature_rise: dict[float, np.ndarray]
 
 
 def fd_solve(
@@ -172,6 +182,12 @@ def fd_solve(
     Temperature probes interpolate (or extrapolate, at the faces) linearly
     between cell centers; flux probes snap to the nearest face and read the
     boundary data when that face is a boundary.
+
+    As in the element solver, the unknown is the rise T - T0 over the
+    uniform initial temperature, so the millikelvin signal is not rounded at
+    the last place of a 293 K background every step.  A uniform temperature
+    with zero flux is an exact equilibrium of the staggered system, so the
+    rise starts from zero; T0 is added once, after the loop.
     """
     if cells < 3:
         raise ValueError(f"need at least three cells, got {cells}")
@@ -197,7 +213,7 @@ def fd_solve(
     t_hist = {x: np.empty(n_steps + 1) for x in probe_temperatures}
     q_hist = {x: np.empty(n_steps + 1) for x in probe_fluxes}
 
-    z = np.concatenate((np.full(m, float(initial_temperature)), np.zeros(m - 1)))
+    z = np.zeros(2 * m - 1)
 
     def record(k: int, t: float) -> None:
         for x, (i0, i1, w1) in t_probe_rules.items():
@@ -227,10 +243,12 @@ def fd_solve(
     q_final[0] = q_left.value(times[-1])
     q_final[-1] = q_right.value(times[-1])
     q_final[1:-1] = z[m:]
-    final = StaggeredGrid(length=length, T=z[:m].copy(), q=q_final)
+    t0 = float(initial_temperature)
+    final = StaggeredGrid(length=length, T=z[:m] + t0, q=q_final)
     return FdSolution(
         times=times,
-        temperature_probes=t_hist,
+        temperature_probes={x: rise + t0 for x, rise in t_hist.items()},
         flux_probes=q_hist,
         final=final,
+        temperature_rise=t_hist,
     )

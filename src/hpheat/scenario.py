@@ -23,7 +23,6 @@ from .assembly import (
     apply_initial_conditions,
     assemble,
     field_integral_weights,
-    probe_row,
 )
 from .materials import MaterialParams, ModelKind
 from .timefun import TimeFunction, constant
@@ -75,13 +74,6 @@ def flash_pulse(params: PulseParams = PulseParams()) -> TimeFunction:
         )
 
     return TimeFunction(value=value, derivative=derivative, integral=integral)
-
-
-def pulse_flux(params: PulseParams, t: float) -> float:
-    """Pointwise pulse value; see flash_pulse for the full signal object."""
-    if t < 0.0:
-        raise ValueError(f"pulse is defined for t >= 0, got {t}")
-    return flash_pulse(params).value(t)
 
 
 @dataclass(frozen=True)
@@ -269,17 +261,6 @@ def solve_transient(
         solution=solution,
         series=series,
     )
-
-
-def evaluate_field(
-    sys: SemiDiscreteSystem,
-    alpha: np.ndarray,
-    x: float,
-    fld: Field,
-    t: float = 0.0,
-) -> float:
-    """Point value of a field from a free coefficient vector."""
-    return probe_row(sys.dofmap, x, fld).evaluate(sys, alpha, t)
 
 
 def net_boundary_energy(scenario: Scenario, t: float) -> float:

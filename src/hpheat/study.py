@@ -10,9 +10,10 @@ isolates the spatial discretization.  Temperature histories are compared
 as rises over the initial temperature (equivalently, on the dimensionless
 rescaling): the signal of interest is a few millikelvin on a 293 K
 background, and measuring against the raw magnitude would deflate every
-error by the offset ratio.  solve_transient marches that rise itself and
-its series keep it as computed, so the measure reads it directly instead of
-rounding it through the 293 K background and back.
+error by the offset ratio.  solve_transient and the difference oracle
+march that rise themselves and their series keep it as computed, so the
+measure reads it directly instead of rounding it through the 293 K
+background and back.
 
 The benchmark sweeps run at STUDY_CONDUCTIVITY rather than the physical
 suggestion: convergence rates are only observable when the thermal signal is
@@ -157,17 +158,14 @@ def fd_oracle(
     )
     series = {}
     for probe in scenario.probes:
-        values = (
-            sol.temperature_probes[probe.x]
-            if probe.quantity is Field.TEMPERATURE
-            else sol.flux_probes[probe.x]
-        )
+        temperature = probe.quantity is Field.TEMPERATURE
         series[probe.label] = ProbeSeries(
             label=probe.label,
             location=probe.x,
             quantity=probe.quantity,
             times=sol.times,
-            rise=values,
+            rise=(sol.temperature_rise if temperature else sol.flux_probes)[probe.x],
+            offset=scenario.initial_temperature if temperature else 0.0,
         )
     return ReferenceSolution(
         provenance="finite_difference_oracle",

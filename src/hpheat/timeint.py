@@ -110,21 +110,6 @@ def _back_substitute(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     return fact.col_scale * x[:, 0]
 
 
-def step(
-    sys: SemiDiscreteSystem,
-    scheme: ThetaScheme,
-    fact: BandedFactorization,
-    alpha_n: np.ndarray,
-    t_n: float,
-) -> np.ndarray:
-    """One theta step with endpoint-sampled loads."""
-    dt, theta = scheme.dt, scheme.theta
-    rhs = fact.m_expl @ alpha_n + dt * (
-        theta * sys.load(t_n + dt) + (1.0 - theta) * sys.load(t_n)
-    )
-    return _back_substitute(fact, rhs)
-
-
 @dataclass
 class TransientSolution:
     """Probe histories on the uniform time grid, plus the final state."""

@@ -19,7 +19,9 @@ from hpheat.assembly import (
     field_integral_weights,
     probe_row,
 )
-from hpheat.basis import MAX_DEGREE
+import hpheat.assembly
+import hpheat.elemmat
+from hpheat.basis import MAX_DEGREE, ShapeSet, gauss_rule
 from hpheat.elemmat import element_matrices
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.timefun import ZERO, constant
@@ -201,13 +203,13 @@ def test_scatter_gather_on_random_meshes(seed, model_name, n, p):
     degT, degQ = dofmap.spaces[0].degree, dofmap.spaces[1].degree
     A = np.zeros((dofmap.full_dim, dofmap.full_dim))
     B = np.zeros_like(A)
+    blocks = element_matrices(mesh.jacobians, mat, model, degT, degQ)
     for e in range(mesh.n_elements):
-        blocks = element_matrices(mesh.element_map(e), mat, model, degT, degQ)
         td = dofmap.element_dofs[Field.TEMPERATURE][e]
         qd = dofmap.element_dofs[Field.HEAT_FLUX][e]
-        A[np.ix_(td, td)] += blocks.C
-        A[np.ix_(qd, qd)] += blocks.T
-        B[np.ix_(qd, qd)] += blocks.K
+        A[np.ix_(td, td)] += blocks.C[e]
+        A[np.ix_(qd, qd)] += blocks.T[e]
+        B[np.ix_(qd, qd)] += blocks.K[e]
         B[np.ix_(qd, td)] += blocks.Q
         B[np.ix_(td, qd)] -= blocks.Qt
 
@@ -215,6 +217,89 @@ def test_scatter_gather_on_random_meshes(seed, model_name, n, p):
     scale_b = max(np.max(np.abs(B)), 1.0)
     assert np.max(np.abs(sys.A_full.toarray() - A)) <= 1e-12 * scale_a
     assert np.max(np.abs(sys.B_full.toarray() - B)) <= 1e-12 * scale_b
+
+
+def _dense_reference(mesh, mat, model, dofmap):
+    """A_full and B_full accumulated element by element from the block formulas."""
+    degT, degQ = dofmap.spaces[0].degree, dofmap.spaces[1].degree
+    rule_t, rule_q = gauss_rule(degT + 1), gauss_rule(degQ + 1)
+    rule = gauss_rule(max(degT, degQ) + 1)
+    vt = ShapeSet(degT).values(rule_t.points)
+    vq = ShapeSet(degQ).values(rule_q.points)
+    dq = ShapeSet(degQ).derivatives(rule_q.points)
+    vq_g = ShapeSet(degQ).values(rule.points)
+    dt_g = ShapeSet(degT).derivatives(rule.points)
+    wt, wq, w = rule_t.weights, rule_q.weights, rule.weights
+    A = np.zeros((dofmap.full_dim, dofmap.full_dim))
+    B = np.zeros_like(A)
+    for e in range(mesh.n_elements):
+        J = mesh.element_map(e).jacobian
+        td = dofmap.element_dofs[Field.TEMPERATURE][e]
+        qd = dofmap.element_dofs[Field.HEAT_FLUX][e]
+        K = J * ((vq * wq) @ vq.T)
+        if model is ModelKind.GK:
+            K = K + (mat.kappa2 / J) * ((dq * wq) @ dq.T)
+        A[np.ix_(td, td)] += mat.rho * mat.c_v * J * ((vt * wt) @ vt.T)
+        A[np.ix_(qd, qd)] += mat.tau * J * ((vq * wq) @ vq.T)
+        B[np.ix_(qd, qd)] += K
+        B[np.ix_(qd, td)] += mat.conductivity * ((vq_g * w) @ dt_g.T)
+        B[np.ix_(td, qd)] -= (dt_g * w) @ vq_g.T
+    return A, B
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_assembly_equals_dense_per_element_accumulation_exactly(model):
+    # Two addends meet at most at a shared vertex, and their sum does not
+    # depend on order, so the broadcast assembly must reproduce the
+    # element-by-element accumulation to the last bit, not just to roundoff.
+    mat = {
+        ModelKind.FOURIER: MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0),
+        ModelKind.MCV: MCV_MAT,
+        ModelKind.GK: GK_MAT,
+    }[model]
+    rng = np.random.default_rng(11)
+    graded = Mesh(0.001 * np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.8, size=5)))))
+    held = BoundarySpec(left=DirichletTemperature(constant(300.0)), right=PrescribedFlux(ZERO))
+    for p in range(1, MAX_DEGREE):
+        for mesh in (Mesh.uniform(4, 0.005), graded):
+            for bcs in (FLUX_BCS, held):
+                sys = assemble(mesh, mat, model, p, bcs)
+                A, B = _dense_reference(mesh, mat, model, sys.dofmap)
+                free = sys.dofmap.free_to_full
+                cons = [c.dof for c in sys.dofmap.constrained]
+                assert np.array_equal(sys.A.toarray(), A[np.ix_(free, free)])
+                assert np.array_equal(sys.B.toarray(), B[np.ix_(free, free)])
+                assert np.array_equal(sys.A_fc, A[np.ix_(free, cons)])
+                assert np.array_equal(sys.B_fc, B[np.ix_(free, cons)])
+
+
+def test_setup_table_work_does_not_grow_with_element_count(monkeypatch):
+    # Reference tables are built once per field and degree pair, however
+    # many elements the mesh has.
+    calls = {"rules": 0, "tables": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (hpheat.elemmat, hpheat.assembly):
+        monkeypatch.setattr(module, "gauss_rule", counted("rules", module.gauss_rule))
+    for name in ("values", "derivatives"):
+        monkeypatch.setattr(ShapeSet, name, counted("tables", getattr(ShapeSet, name)))
+
+    def setup_calls(model, mat, n):
+        calls.update(rules=0, tables=0)
+        sys = assemble(Mesh.uniform(n, 0.005), mat, model, 3, FLUX_BCS)
+        apply_initial_conditions(sys, lambda x: 293.0 + x, 0.0)
+        return dict(calls)
+
+    for model, mat in ((ModelKind.MCV, MCV_MAT), (ModelKind.GK, GK_MAT)):
+        few = setup_calls(model, mat, 5)
+        assert few["rules"] > 0 and few["tables"] > 0
+        assert setup_calls(model, mat, 100) == few
 
 
 def test_half_bandwidth_matches_pattern():
@@ -270,6 +355,7 @@ def test_initial_conditions_reproduce_constants_exactly():
     assert np.allclose(full[vertex_t], 293.0, rtol=0.0, atol=1e-12)
     bubbles = np.setdiff1d(t_dofs, vertex_t)
     assert np.max(np.abs(full[bubbles])) <= 1e-12 * 293.0
+    assert not np.any(full[bubbles])
 
 
 def test_initial_conditions_exact_for_in_span_polynomials():

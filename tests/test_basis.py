@@ -11,8 +11,6 @@ from hpheat.basis import (
     ShapeSet,
     gauss_rule,
     legendre_eval,
-    shape_deriv,
-    shape_eval,
 )
 
 # Hand-computed reference values, independent of the implementation:
@@ -22,6 +20,20 @@ from hpheat.basis import (
 LEGENDRE_2_AT_HALF = -0.125
 BUBBLE_3_AT_ZERO = -1.5 / np.sqrt(6.0)  # -0.6123724356957945
 BUBBLE_4_DERIV_AT_HALF = np.sqrt(2.5) * -0.125  # -0.19764235376052372
+
+
+def shape_eval(shapes: ShapeSet, k: int, eta: float) -> float:
+    """Value of shape function k (1-based: 1, 2 vertices, then bubbles)."""
+    if not 1 <= k <= shapes.count:
+        raise IndexError(f"shape index must be in 1..{shapes.count}, got {k}")
+    return float(shapes.values(np.array([eta]))[k - 1, 0])
+
+
+def shape_deriv(shapes: ShapeSet, k: int, eta: float) -> float:
+    """Master-coordinate derivative of shape function k (1-based)."""
+    if not 1 <= k <= shapes.count:
+        raise IndexError(f"shape index must be in 1..{shapes.count}, got {k}")
+    return float(shapes.derivatives(np.array([eta]))[k - 1, 0])
 
 
 def test_legendre_frozen_values():

@@ -7,14 +7,22 @@ imports instead of its behavior.
 
 import ast
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hpheat.fdoracle
 from hpheat.fdoracle import FdSolution, StaggeredGrid, fd_solve, fd_step
-from hpheat.materials import MaterialParams
-from hpheat.scenario import PulseParams, flash_pulse
+from hpheat.assembly import Field
+from hpheat.materials import MaterialParams, ModelKind
+from hpheat.scenario import (
+    PulseParams,
+    benchmark_scenario,
+    dimensionless_temperature,
+    flash_pulse,
+)
+from hpheat.study import STUDY_CONDUCTIVITY, fd_oracle
 from hpheat.timefun import ZERO, constant
 
 FOURIER_MAT = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0)
@@ -181,3 +189,34 @@ def test_probe_bookkeeping():
     # Front heats, rear still cold after 5 ms of a 5 mm relaxational bar.
     assert sol.temperature_probes[0.0][-1] > 293.0
     assert sol.temperature_probes[0.005][-1] == pytest.approx(293.0, abs=1e-6)
+
+
+def test_rise_does_not_depend_on_initial_temperature():
+    # Over-diffuse GK flash slab, 500 cells, 10^3 backward Euler steps.
+    # Marching the absolute temperature rounds the 7.7 mK signal at
+    # ulp(293 K) every step, which left the rise histories at T0 = 293 K and
+    # T0 = 0 apart by 1.4e-8 (T_rear) and 9.4e-9 (T_front) relative; the
+    # marched rise does not see T0 at all.
+    base = benchmark_scenario(
+        ModelKind.GK, tau=0.3, kappa2=0.8, conductivity=STUDY_CONDUCTIVITY, n_steps=1000
+    )
+
+    def rises_at(t0):
+        scenario = replace(base, initial_temperature=t0)
+        ref = fd_oracle(scenario, cells=500, theta=1.0)
+        return {
+            label: dimensionless_temperature(series, scenario).values
+            if series.quantity is Field.TEMPERATURE
+            else series.values
+            for label, series in ref.series.items()
+        }
+
+    warm, cold = rises_at(293.0), rises_at(0.0)
+    for label in warm:
+        gap = np.max(np.abs(warm[label] - cold[label]))
+        assert gap <= 1e-10 * np.max(np.abs(cold[label])), label
+    sol = fd_solve(
+        base.material, base.length, 293.0, base.bcs.left.value, base.bcs.right.value,
+        cells=20, dt=base.dt, n_steps=3, probe_temperatures=(0.0,),
+    )
+    assert np.array_equal(sol.temperature_probes[0.0], sol.temperature_rise[0.0] + 293.0)

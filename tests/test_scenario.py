@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpheat.assembly import BoundarySpec, DirichletTemperature, Field
+from hpheat.assembly import (
+    BoundarySpec,
+    DirichletTemperature,
+    Field,
+    SemiDiscreteSystem,
+    probe_row,
+)
 from hpheat.materials import ModelKind
 from hpheat.scenario import (
     SUGGESTED_CONDUCTIVITY,
@@ -15,10 +21,8 @@ from hpheat.scenario import (
     benchmark_material,
     benchmark_scenario,
     dimensionless_temperature,
-    evaluate_field,
     flash_pulse,
     net_boundary_energy,
-    pulse_flux,
     solve_transient,
     standard_probes,
     steady_temperature_rise,
@@ -37,6 +41,20 @@ PULSE_PEAK_TIME = 8.71099304964841757e-4
 PULSE_PEAK_VALUE = 31218.7877013350385
 TOTAL_FLUENCE = 80.0
 STEADY_RISE = 0.007692307692307693  # 80 / (2600 * 800 * 0.005)
+
+
+def pulse_flux(params: PulseParams, t: float) -> float:
+    """Pointwise pulse value; see flash_pulse for the full signal object."""
+    if t < 0.0:
+        raise ValueError(f"pulse is defined for t >= 0, got {t}")
+    return flash_pulse(params).value(t)
+
+
+def evaluate_field(
+    sys: SemiDiscreteSystem, alpha: np.ndarray, x: float, fld: Field, t: float = 0.0
+) -> float:
+    """Point value of a field from a free coefficient vector."""
+    return probe_row(sys.dofmap, x, fld).evaluate(sys, alpha, t)
 
 
 def test_pulse_frozen_values():
