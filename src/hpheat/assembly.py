@@ -298,10 +298,8 @@ class SemiDiscreteSystem:
     def model(self) -> ModelKind:
         return self.dofmap.model
 
-    def constrained_values(self, t: float) -> np.ndarray:
-        return np.array([c.value.value(t) for c in self.dofmap.constrained])
-
-    def _natural_free(self) -> list[tuple[int, float, TimeFunction]]:
+    def natural_free(self) -> list[tuple[int, float, TimeFunction]]:
+        """(free row, sign, flux data) of every natural flux term."""
         terms = []
         for term in self.dofmap.natural_terms:
             free = self.dofmap.full_to_free[term.dof]
@@ -312,16 +310,13 @@ class SemiDiscreteSystem:
     def load(self, t: float) -> np.ndarray:
         """Pointwise load vector f(t)."""
         f = np.zeros(self.dim)
-        for idx, sign, fn in self._natural_free():
+        for idx, sign, fn in self.natural_free():
             f[idx] += sign * fn.value(t)
         if self.dofmap.constrained:
             g = np.array([c.value.value(t) for c in self.dofmap.constrained])
             g_rate = np.array([c.value.derivative(t) for c in self.dofmap.constrained])
             f -= self.A_fc @ g_rate + self.B_fc @ g
         return f
-
-    def constraint_averages(self, t0: float, t1: float) -> np.ndarray:
-        return np.array([c.value.average(t0, t1) for c in self.dofmap.constrained])
 
     def load_average(
         self, t0: float, t1: float, prev_average: np.ndarray | None = None
@@ -342,12 +337,12 @@ class SemiDiscreteSystem:
         within a step.
         """
         f = np.zeros(self.dim)
-        for idx, sign, fn in self._natural_free():
+        for idx, sign, fn in self.natural_free():
             f[idx] += sign * fn.average(t0, t1)
         if self.dofmap.constrained:
-            g_avg = self.constraint_averages(t0, t1)
+            g_avg = np.array([c.value.average(t0, t1) for c in self.dofmap.constrained])
             if prev_average is None:
-                prev_average = self.constrained_values(t0)
+                prev_average = np.array([c.value.value(t0) for c in self.dofmap.constrained])
             f -= self.A_fc @ ((g_avg - prev_average) / (t1 - t0)) + self.B_fc @ g_avg
         return f
 

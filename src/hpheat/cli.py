@@ -409,10 +409,10 @@ def _render_cell(cell) -> str:
 
 def write_table(table: OutputTable, path: Path, fmt: str) -> None:
     sep = "," if fmt == "csv" else " "
-    lines = [sep.join(table.columns)]
-    for row in table.rows:
-        lines.append(sep.join(_render_cell(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(sep.join(table.columns) + "\n")
+        for row in table.rows:
+            out.write(sep.join(_render_cell(cell) for cell in row) + "\n")
 
 
 def _probe_value_column(probe: Probe) -> str:
@@ -428,11 +428,11 @@ def _run_transient(config: RunConfig, out: Path, fmt: str) -> None:
             dim = dimensionless_temperature(series, scenario)
             columns = ("t_s", _probe_value_column(probe), "dimensionless")
             rows = tuple(
-                (t, v, d) for t, v, d in zip(series.times, series.values, dim.values)
+                zip(series.times.tolist(), series.values.tolist(), dim.values.tolist())
             )
         else:
             columns = ("t_s", _probe_value_column(probe))
-            rows = tuple(zip(series.times, series.values))
+            rows = tuple(zip(series.times.tolist(), series.values.tolist()))
         name = f"{config.mode}_{probe.label}_{config.model}.{fmt}"
         write_table(OutputTable(columns, rows), out / name, fmt)
 
@@ -487,7 +487,7 @@ def _run_oracle_check(config: RunConfig, out: Path, fmt: str) -> None:
         fem = run.series[probe.label]
         fd = oracle.series[probe.label]
         columns = ("t_s", "fem", "fd")
-        rows = tuple(zip(fem.times, fem.values, fd.values))
+        rows = tuple(zip(fem.times.tolist(), fem.values.tolist(), fd.values.tolist()))
         name = f"{config.mode}_{probe.label}_{config.model}.{fmt}"
         write_table(OutputTable(columns, rows), out / name, fmt)
         discrepancy = history_error(fem, fd, scenario)

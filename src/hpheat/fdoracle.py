@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .materials import MaterialParams
-from .timefun import TimeFunction
+from .timefun import TimeFunction, on_grid, step_averages
 
 
 @dataclass
@@ -226,15 +226,13 @@ def fd_solve(
             else:
                 q_hist[x][k] = z[m + j - 1]
 
+    if load_mode == "average":
+        boundary = step_averages((q_left, q_right), times)
+    else:
+        at = on_grid((q_left, q_right), times, "value")
+        boundary = theta * at[1:] + (1.0 - theta) * at[:-1]
     record(0, 0.0)
-    for n in range(n_steps):
-        t0, t1 = times[n], times[n + 1]
-        if load_mode == "average":
-            ql = q_left.average(t0, t1)
-            qr = q_right.average(t0, t1)
-        else:
-            ql = theta * q_left.value(t1) + (1.0 - theta) * q_left.value(t0)
-            qr = theta * q_right.value(t1) + (1.0 - theta) * q_right.value(t0)
+    for n, (ql, qr) in enumerate(boundary):
         rhs = m_expl @ z - dt * (b_left * ql + b_right * qr)
         z = solver.solve(rhs)
         record(n + 1, times[n + 1])

@@ -11,7 +11,9 @@ leaving differentiation and quadrature to the consumer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,3 +52,20 @@ def constant(value: float) -> TimeFunction:
 
 
 ZERO = constant(0.0)
+
+
+def on_grid(signals: Sequence[TimeFunction], times: np.ndarray, part: str) -> np.ndarray:
+    """One part ("value", "derivative" or "integral") of every signal at
+    every time, as a (len(times), len(signals)) array."""
+    out = np.empty((times.size, len(signals)))
+    for j, signal in enumerate(signals):
+        out[:, j] = np.fromiter(map(getattr(signal, part), times), float, times.size)
+    return out
+
+
+def step_averages(signals: Sequence[TimeFunction], times: np.ndarray) -> np.ndarray:
+    """Mean of every signal over every step [times[n], times[n + 1]], as a
+    (len(times) - 1, len(signals)) array, with the arithmetic of
+    TimeFunction.average but one running-integral evaluation per time."""
+    running = on_grid(signals, times, "integral")
+    return (running[1:] - running[:-1]) / (times[1:] - times[:-1])[:, None]

@@ -4,11 +4,16 @@ The theta scheme applied to A alpha' + B alpha = f(t) reads
 
     (A + dt theta B) alpha_{n+1} = (A - dt (1 - theta) B) alpha_n + dt f_n*
 
-The left matrix is fixed for a fixed discretization and step size, so it is
-factorized once in LAPACK band storage and every step reduces to a sparse
-matrix-vector product plus one banded back-substitution.
+Everything that does not depend on the state is prepared once per run: the
+equilibrated banded LU of the left matrix, the boundary data at every grid
+time, the rows of A_fc and B_fc that the data touch, and the evaluation rows
+of the probes.  A step is then one sparse matrix-vector product with the
+right matrix, an update of the few load rows, one banded back-substitution
+and one short dot product per probe; the prescribed part of the probe
+values is added on the whole time grid after the loop.
 
-Two treatments of the load are available.  "sampled" uses the classical
+The load is f = natural fluxes - A_fc g' - B_fc g, with g the constrained
+values.  Two treatments of it are available.  "sampled" uses the classical
 theta-weighted endpoint values.  "average" (the default of integrate) uses
 the exact per-step mean of f from the closed-form running integrals of the
 boundary data; with it the discrete energy balance telescopes exactly even
@@ -18,12 +23,14 @@ when the excitation varies fast compared to the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
+from .timefun import on_grid, step_averages
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,65 @@ class TransientSolution:
     states: np.ndarray | None = None
 
 
+class NonFiniteStateError(RuntimeError):
+    """Boundary data or a marched state that is not finite.
+
+    step k names the step from t_(k-1) to t_k, the first whose data or
+    result is not finite; step 0 is the initial state.
+    """
+
+    def __init__(self, step: int, what: str):
+        super().__init__(f"non-finite {what} at step {step}")
+        self.step = step
+
+
+def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray, theta: float, load_mode: str):
+    """The free rows the boundary data touch, and the load on them per step.
+
+    The data are kept per signal, never as a load table.  "average" steps
+    read the step means, with the constrained rate taken from the previous
+    step's mean (from g(0) at the first step); "sampled" steps mix the
+    pointwise loads at both ends, as SemiDiscreteSystem.load_average and
+    SemiDiscreteSystem.load do.
+    """
+    natural = sys.natural_free()
+    signals = [c.value for c in sys.dofmap.constrained]
+    fluxes = [fn for _, _, fn in natural]
+    signs = np.array([sign for _, sign, _ in natural])
+    natural_rows = np.array([idx for idx, _, _ in natural], dtype=int)
+    touched = sys.A_fc.any(axis=1) | sys.B_fc.any(axis=1)
+    touched[natural_rows] = True
+    rows = np.flatnonzero(touched)
+    natural_pos = np.searchsorted(rows, natural_rows)
+    a_fc, b_fc = sys.A_fc[rows], sys.B_fc[rows]
+    if load_mode == "average":
+        flux = signs * step_averages(fluxes, times)
+        value = step_averages(signals, times)
+        previous = np.vstack((on_grid(signals, times[:1], "value"), value[:-1]))
+        rate = (value - previous) / (times[1:] - times[:-1])[:, None]
+    else:
+        flux = signs * on_grid(fluxes, times, "value")
+        rate = on_grid(signals, times, "derivative")
+        value = on_grid(signals, times, "value")
+    bad = ~np.isfinite(np.hstack((flux, rate, value))).all(axis=1)
+    if load_mode == "sampled":
+        bad = bad[1:] | bad[:-1]
+    if bad.any():
+        raise NonFiniteStateError(int(np.argmax(bad)) + 1, "boundary data")
+
+    def at(n: int) -> np.ndarray:
+        f = np.zeros(rows.size)
+        f[natural_pos] += flux[n]
+        if signals:
+            f -= a_fc @ rate[n] + b_fc @ value[n]
+        return f
+
+    loads = map(at, range(len(flux)))
+    if load_mode == "average":
+        return rows, loads
+    return rows, (theta * f1 + (1.0 - theta) * f0 for f0, f1 in pairwise(loads))
+
+
 def integrate(
     sys: SemiDiscreteSystem,
     scheme: ThetaScheme,
@@ -129,13 +195,17 @@ def integrate(
     record_states: bool = False,
     load_mode: str = "average",
 ) -> TransientSolution:
-    """Factor once, then march n_steps steps recording the probe values."""
+    """Factor once, then march n_steps steps recording the probe values.
+
+    Raises NonFiniteStateError, before marching, when the boundary data of a
+    step are not finite, and after it when a probe history or the final
+    state is.
+    """
     if load_mode not in ("average", "sampled"):
         raise ValueError(f"load_mode must be 'average' or 'sampled', got {load_mode!r}")
     rows: list[ProbeRow] = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
     fact = build_factorization(sys, scheme)
-    dt, theta = scheme.dt, scheme.theta
-    n_steps = scheme.n_steps
+    dt, n_steps = scheme.dt, scheme.n_steps
 
     times = np.arange(n_steps + 1) * dt
     values = np.empty((len(rows), n_steps + 1))
@@ -144,29 +214,31 @@ def integrate(
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (sys.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({sys.dim},)")
-    for i, row in enumerate(rows):
-        values[i, 0] = row.evaluate(sys, alpha, 0.0)
+    load_rows, loads = _step_loads(sys, times, scheme.theta, load_mode)
+    # The dot product of ProbeRow.evaluate; one matrix product over all
+    # probes would sum in another order and move the last bits.
+    values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in rows]
     if record_states:
         states[0] = alpha
 
     m_expl = fact.m_expl
-    prev_avg: np.ndarray | None = None
-    for n in range(n_steps):
-        t0 = times[n]
-        t1 = times[n + 1]
-        if load_mode == "average":
-            rhs = m_expl @ alpha + dt * sys.load_average(t0, t1, prev_avg)
-            if sys.dofmap.constrained:
-                prev_avg = sys.constraint_averages(t0, t1)
-        else:
-            rhs = m_expl @ alpha + dt * (
-                theta * sys.load(t1) + (1.0 - theta) * sys.load(t0)
-            )
+    for n, f_rows in enumerate(loads):
+        rhs = m_expl @ alpha
+        rhs[load_rows] += dt * f_rows
         alpha = _back_substitute(fact, rhs)
-        for i, row in enumerate(rows):
-            values[i, n + 1] = row.evaluate(sys, alpha, t1)
+        values[:, n + 1] = [r.free_w @ alpha[r.free_idx] for r in rows]
         if record_states:
             states[n + 1] = alpha
+
+    if any(r.cons_idx.size for r in rows):
+        prescribed = on_grid([c.value for c in sys.dofmap.constrained], times, "value")
+        for i, r in enumerate(rows):
+            for pos, w in zip(r.cons_idx, r.cons_w):
+                values[i] += w * prescribed[:, pos]
+    bad = ~np.isfinite(values).all(axis=0)
+    bad[-1] |= not np.isfinite(alpha).all()
+    if bad.any():
+        raise NonFiniteStateError(int(np.argmax(bad)), "state")
 
     return TransientSolution(
         times=times,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hpheat.cli
 from hpheat.cli import (
     ConfigError,
     OutputTable,
@@ -14,6 +15,8 @@ from hpheat.cli import (
     serialize_config,
     write_table,
 )
+from hpheat.scenario import flash_pulse
+from hpheat.timefun import TimeFunction
 
 MINIMAL_FOURIER = """
 mode = transient
@@ -295,6 +298,26 @@ def test_main_success_and_error_paths(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.conf")]) == 4
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "io"
+
+
+def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch):
+    # The pulse turns NaN from the third of five 1 ms steps on.
+    def cut(fn):
+        return lambda t: fn(t) if t < 2.5e-3 else float("nan")
+
+    def broken_pulse(params):
+        pulse = flash_pulse(params)
+        return TimeFunction(cut(pulse.value), cut(pulse.derivative), cut(pulse.integral))
+
+    monkeypatch.setattr(hpheat.cli, "flash_pulse", broken_pulse)
+    config = tmp_path / "nan.conf"
+    config.write_text(FAST_TRANSIENT)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "step 3" in record["message"]
+    assert list(out.glob("*")) == []
 
 
 def test_main_csv_format(tmp_path):

@@ -1,11 +1,14 @@
 """Unit tests for the convergence study driver and its error bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hpheat.assembly import Field
+from hpheat.assembly import BoundarySpec, Field, PrescribedFlux
 from hpheat.materials import ModelKind
 from hpheat.scenario import ProbeSeries, benchmark_scenario
+from hpheat.timefun import ZERO, TimeFunction
 from hpheat.study import (
     PRE_FLOOR_FACTOR,
     STUDY_CONDUCTIVITY,
@@ -188,6 +191,39 @@ def test_run_sweep_records_failures_and_continues():
     assert report.dofs[1] == -1
     good = report.errors[(0.3, "T_rear")]
     assert np.isfinite(good[0]) and np.isnan(good[1])
+
+
+def test_run_sweep_records_non_finite_data_as_a_failure():
+    # At tau = 0.05 the pulse turns NaN from step 4 on; tau = 0.3 is intact.
+    def make(tau):
+        return benchmark_scenario(
+            ModelKind.MCV, tau=tau, conductivity=STUDY_CONDUCTIVITY,
+            dt=1e-3, n_steps=10,
+        )
+
+    def broken(tau):
+        scenario = make(tau)
+        if tau != 0.05:
+            return scenario
+
+        def cut(fn):
+            return lambda t: fn(t) if t < 3.5e-3 else float("nan")
+
+        pulse = scenario.bcs.left.value
+        nan_late = TimeFunction(cut(pulse.value), cut(pulse.derivative), cut(pulse.integral))
+        bcs = BoundarySpec(PrescribedFlux(nan_late), PrescribedFlux(ZERO))
+        return replace(scenario, bcs=bcs)
+
+    spec = SweepSpec(
+        family="mcv", kind="h", values=(4, 6), fixed=2, taus=(0.3, 0.05),
+        scenario_factory=broken,
+    )
+    refs = {tau: compute_reference(make(tau), 8, 2, theta=1.0) for tau in spec.taus}
+    report = run_sweep(spec, refs, theta=1.0)
+    assert [(value, tau) for value, tau, _ in report.failures] == [(4, 0.05), (6, 0.05)]
+    assert all("step 4" in message for _, _, message in report.failures)
+    assert np.all(np.isfinite(report.errors[(0.3, "T_rear")]))
+    assert np.all(np.isnan(report.errors[(0.05, "T_rear")]))
 
 
 def test_run_sweep_threaded_matches_serial():

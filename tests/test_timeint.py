@@ -1,14 +1,22 @@
 """Unit tests for the theta scheme, the banded solver, and load handling.
 
-The closed-form oracle at the bottom pins down the averaged-load treatment of
-essential constraints: after one backward Euler step from rest, the nonlocal
-flux profile is exponential with rate mu, mu^2 = (1 + tau/dt)/(kappa2 + a dt),
-a the diffusivity, and the front temperature rise is dt mu gbar / (rho c_v)
-with gbar the first-step mean of the boundary flux.  Endpoint sampling of the
-constraint trajectory would miss this value by over ten percent.
+The closed-form boundary-layer oracle pins down the averaged-load treatment
+of essential constraints: after one backward Euler step from rest, the
+nonlocal flux profile is exponential with rate mu,
+mu^2 = (1 + tau/dt)/(kappa2 + a dt), a the diffusivity, and the front
+temperature rise is dt mu gbar / (rho c_v) with gbar the first-step mean of
+the boundary flux.  Endpoint sampling of the constraint trajectory would miss
+this value by over ten percent.
+
+integrate prepares its boundary data and probe rows once per run; the tests
+at the bottom hold it bit for bit to a loop that recomputes the load and the
+probe values at every step from SemiDiscreteSystem.load_average / load and
+ProbeRow.evaluate.
 """
 
 import types
+from collections import Counter
+from math import exp
 
 import numpy as np
 import pytest
@@ -16,17 +24,22 @@ import scipy.sparse as sp
 
 from hpheat.assembly import (
     BoundarySpec,
+    DirichletTemperature,
     Field,
     Mesh,
     PrescribedFlux,
+    ProbeRow,
+    SemiDiscreteSystem,
     apply_initial_conditions,
     assemble,
+    probe_row,
 )
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.scenario import PulseParams, flash_pulse
-from hpheat.timefun import ZERO, constant
+from hpheat.timefun import ZERO, TimeFunction, constant
 from hpheat.timeint import (
     FactorizationError,
+    NonFiniteStateError,
     ThetaScheme,
     _back_substitute,
     build_factorization,
@@ -237,3 +250,143 @@ def test_first_step_matches_closed_form_boundary_layer():
         sys, scheme, a0, probes=((0.0, Field.TEMPERATURE),), load_mode="sampled"
     )
     assert abs(sampled.probe_values[0, 1] - 293.0 - predicted) > 0.05 * predicted
+
+
+# A prescribed temperature that climbs 10 mK within a few steps, so per-step
+# averages, their rates and endpoint samples all differ.
+RISING = TimeFunction(
+    value=lambda t: 293.0 + 0.01 * (1.0 - exp(-t / 0.004)),
+    derivative=lambda t: 0.01 / 0.004 * exp(-t / 0.004),
+    integral=lambda t: 293.0 * t + 0.01 * (t - 0.004 * (1.0 - exp(-t / 0.004))),
+)
+STUDY_MATERIALS = {
+    "fourier": (MaterialParams(2600.0, 800.0, 3e3), ModelKind.FOURIER),
+    "mcv": (MaterialParams(2600.0, 800.0, 3e3, tau=0.05), ModelKind.MCV),
+    "gk_wave": (MaterialParams(2600.0, 800.0, 3e3, tau=0.05, kappa2=8e-6), ModelKind.GK),
+    "gk_diffuse": (MaterialParams(2600.0, 800.0, 3e3, tau=0.05, kappa2=0.8), ModelKind.GK),
+}
+BOUNDARY_DATA = {
+    "flux": PULSE_BCS,
+    "dirichlet": BoundarySpec(left=DirichletTemperature(RISING), right=PrescribedFlux(ZERO)),
+}
+ALL_PROBES = (
+    (0.0, Field.TEMPERATURE),
+    (0.005, Field.TEMPERATURE),
+    (0.0025, Field.HEAT_FLUX),
+    (0.0, Field.HEAT_FLUX),
+)
+
+
+def march_step_by_step(sys, scheme, alpha0, probes, load_mode):
+    """The step loop with the load and the probe values recomputed at every
+    step from the system's pointwise and averaged loads."""
+    rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
+    fact = build_factorization(sys, scheme)
+    dt, theta = scheme.dt, scheme.theta
+    times = np.arange(scheme.n_steps + 1) * dt
+    alpha = alpha0.copy()
+    values = np.empty((len(rows), times.size))
+    values[:, 0] = [row.evaluate(sys, alpha, 0.0) for row in rows]
+    states = [alpha]
+    prev_average = None
+    for n in range(scheme.n_steps):
+        t0, t1 = times[n], times[n + 1]
+        if load_mode == "average":
+            load = sys.load_average(t0, t1, prev_average)
+            prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
+        else:
+            load = theta * sys.load(t1) + (1.0 - theta) * sys.load(t0)
+        alpha = _back_substitute(fact, fact.m_expl @ alpha + dt * load)
+        values[:, n + 1] = [row.evaluate(sys, alpha, t1) for row in rows]
+        states.append(alpha)
+    return values, np.array(states)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("data", sorted(BOUNDARY_DATA))
+@pytest.mark.parametrize("family", sorted(STUDY_MATERIALS))
+def test_integrate_is_bitwise_the_step_by_step_loop(family, data, load_mode, theta):
+    mat, model = STUDY_MATERIALS[family]
+    sys = assemble(Mesh.uniform(5, 0.005), mat, model, 3, BOUNDARY_DATA[data])
+    a0 = apply_initial_conditions(sys, 293.0, 0.0)
+    scheme = ThetaScheme(theta=theta, dt=1e-3, n_steps=40)
+    sol = integrate(
+        sys, scheme, a0, probes=ALL_PROBES, record_states=True, load_mode=load_mode
+    )
+    values, states = march_step_by_step(sys, scheme, a0, ALL_PROBES, load_mode)
+    assert np.array_equal(sol.probe_values, values)
+    assert np.array_equal(sol.states, states)
+    assert np.array_equal(sol.final_state, states[-1])
+
+
+def test_per_step_helpers_are_not_called_per_step(monkeypatch):
+    calls = Counter()
+    for owner, name in (
+        (TimeFunction, "average"),
+        (SemiDiscreteSystem, "load_average"),
+        (ProbeRow, "evaluate"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 2, BOUNDARY_DATA["dirichlet"])
+    a0 = apply_initial_conditions(sys, 293.0, 0.0)
+
+    def calls_at(n_steps):
+        calls.clear()
+        integrate(sys, ThetaScheme(0.5, 1e-3, n_steps), a0, probes=ALL_PROBES)
+        return dict(calls)
+
+    assert calls_at(10) == calls_at(200)
+
+
+def nan_from(signal: TimeFunction, t_bad: float) -> TimeFunction:
+    """The signal, with value, rate and running integral NaN from t_bad on."""
+
+    def cut(fn):
+        return lambda t: fn(t) if t < t_bad else float("nan")
+
+    return TimeFunction(cut(signal.value), cut(signal.derivative), cut(signal.integral))
+
+
+@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("data", ["flux", "dirichlet"])
+def test_non_finite_boundary_data_name_their_step(data, load_mode):
+    # Step k runs from t_(k-1) to t_k, the first grid time where the data are NaN.
+    k, dt = 7, 1e-3
+    if data == "flux":
+        bad = nan_from(flash_pulse(PulseParams()), (k - 0.5) * dt)
+        bcs = BoundarySpec(left=PrescribedFlux(bad), right=PrescribedFlux(ZERO))
+    else:
+        bad = nan_from(RISING, (k - 0.5) * dt)
+        bcs = BoundarySpec(left=DirichletTemperature(bad), right=PrescribedFlux(ZERO))
+    sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 2, bcs)
+    a0 = apply_initial_conditions(sys, 293.0, 0.0)
+    with pytest.raises(NonFiniteStateError) as info:
+        integrate(sys, ThetaScheme(0.5, dt, 20), a0, probes=ALL_PROBES, load_mode=load_mode)
+    assert info.value.step == k
+    assert f"step {k}" in str(info.value)
+    # The data of the first k - 1 steps are finite, so that many steps march.
+    ok = integrate(sys, ThetaScheme(0.5, dt, k - 1), a0, load_mode=load_mode)
+    assert np.all(np.isfinite(ok.final_state))
+
+
+def test_non_finite_state_names_its_first_column():
+    sys = assemble(Mesh.uniform(4, 0.005), MCV_MAT, ModelKind.MCV, 2, QUIET_BCS)
+    probes = ((0.0025, Field.TEMPERATURE),)
+    with pytest.raises(NonFiniteStateError) as info:
+        integrate(sys, ThetaScheme(0.5, 1e-3, 5), np.full(sys.dim, np.nan), probes=probes)
+    assert info.value.step == 0
+    # Finite at the start, overflowing in the first explicit product.
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as info:
+        integrate(sys, ThetaScheme(0.5, 1e-3, 5), np.full(sys.dim, 1e308), probes=probes)
+    assert info.value.step == 1
+    # Without probes the final state is the one checked.
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as info:
+        integrate(sys, ThetaScheme(0.5, 1e-3, 5), np.full(sys.dim, 1e308))
+    assert info.value.step == 5
