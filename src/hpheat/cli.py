@@ -546,7 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(_error_record("io", str(exc)), file=_sys.stderr)
         return 4
-    except (FactorizationError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+    except (
+        FactorizationError, np.linalg.LinAlgError, ValueError, RuntimeError, OverflowError
+    ) as exc:
         print(_error_record("numerical", str(exc)), file=_sys.stderr)
         return 3
     return 0

@@ -6,6 +6,10 @@ averages of the load (used by the time integrator to conserve the supplied
 energy to machine precision) additionally need the running integral.  A
 TimeFunction therefore bundles all three as closed-form callables instead of
 leaving differentiation and quadrature to the consumer.
+
+NonFiniteStateError lives here, with the boundary data, because both time
+steppers raise it: the element solver and the finite difference oracle, which
+must not import the element solver.
 """
 
 from __future__ import annotations
@@ -14,6 +18,18 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+class NonFiniteStateError(RuntimeError):
+    """Boundary data or a marched state that is not finite.
+
+    step k names the step from t_(k-1) to t_k, the first whose data or
+    result is not finite; step 0 is the initial state.
+    """
+
+    def __init__(self, step: int, what: str):
+        super().__init__(f"non-finite {what} at step {step}")
+        self.step = step
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
-from .timefun import on_grid, step_averages
+from .timefun import NonFiniteStateError, on_grid, step_averages
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,6 @@ class TransientSolution:
     probe_values: np.ndarray
     final_state: np.ndarray
     states: np.ndarray | None = None
-
-
-class NonFiniteStateError(RuntimeError):
-    """Boundary data or a marched state that is not finite.
-
-    step k names the step from t_(k-1) to t_k, the first whose data or
-    result is not finite; step 0 is the initial state.
-    """
-
-    def __init__(self, step: int, what: str):
-        super().__init__(f"non-finite {what} at step {step}")
-        self.step = step
 
 
 def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray, theta: float, load_mode: str):

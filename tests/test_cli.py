@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end and its config dialect."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hpheat.cli import (
     serialize_config,
     write_table,
 )
+from hpheat.assembly import PrescribedFlux
 from hpheat.scenario import flash_pulse
 from hpheat.timefun import TimeFunction
 
@@ -317,6 +319,65 @@ def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
     assert "step 3" in record["message"]
+    assert list(out.glob("*")) == []
+
+
+def test_oracle_check_reports_non_finite_oracle_data(tmp_path, capsys, monkeypatch):
+    # Only the oracle sees the pulse turn NaN, from the third of five 1 ms
+    # steps on; the element solution is fine.
+    def cut(fn):
+        return lambda t: fn(t) if t < 2.5e-3 else float("nan")
+
+    real_oracle = hpheat.cli.fd_oracle
+
+    def oracle_with_broken_pulse(scenario, **kwargs):
+        pulse = scenario.bcs.left.value
+        broken = TimeFunction(cut(pulse.value), cut(pulse.derivative), cut(pulse.integral))
+        bcs = replace(scenario.bcs, left=PrescribedFlux(broken))
+        return real_oracle(replace(scenario, bcs=bcs), **kwargs)
+
+    monkeypatch.setattr(hpheat.cli, "fd_oracle", oracle_with_broken_pulse)
+    config = tmp_path / "nan.conf"
+    config.write_text(
+        FAST_TRANSIENT.replace("mode = transient", "mode = oracle_check") + "oracle_cells = 50\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "step 3" in record["message"]
+    assert list(out.glob("*")) == []
+
+
+# The README transient config with negative pulse rates: they pass config
+# validation, and the pulse's running integral overflows math.exp.
+OVERFLOWING_PULSE = """
+mode = transient
+model = gk
+conductivity_w_per_m_k = 3.0
+density_kg_per_m3 = 2600
+specific_heat_j_per_kg_k = 800
+relaxation_time_s = 0.3
+kappa2_m2 = 8e-6
+length_m = 0.005
+dt_s = 1e-3
+n_steps = 20
+elements = 20
+degree = 4
+theta = 0.5
+pulse_c1 = -1.0
+pulse_c2 = -2.0
+pulse_t_p_s = 0.00001
+"""
+
+
+def test_main_reports_overflow_as_numerical_failure(tmp_path, capsys):
+    config = tmp_path / "overflow.conf"
+    config.write_text(OVERFLOWING_PULSE)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
     assert list(out.glob("*")) == []
 
 

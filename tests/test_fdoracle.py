@@ -13,17 +13,19 @@ import numpy as np
 import pytest
 
 import hpheat.fdoracle
-from hpheat.fdoracle import FdSolution, StaggeredGrid, fd_solve, fd_step
+import hpheat.timeint
+from hpheat.fdoracle import FdSolution, StaggeredGrid, _operator, fd_solve, fd_step
 from hpheat.assembly import Field
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.scenario import (
     PulseParams,
+    benchmark_material,
     benchmark_scenario,
     dimensionless_temperature,
     flash_pulse,
 )
 from hpheat.study import STUDY_CONDUCTIVITY, fd_oracle
-from hpheat.timefun import ZERO, constant
+from hpheat.timefun import ZERO, NonFiniteStateError, TimeFunction, constant
 
 FOURIER_MAT = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0)
 MCV_MAT = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0, tau=0.3)
@@ -220,3 +222,104 @@ def test_rise_does_not_depend_on_initial_temperature():
         cells=20, dt=base.dt, n_steps=3, probe_temperatures=(0.0,),
     )
     assert np.array_equal(sol.temperature_probes[0.0], sol.temperature_rise[0.0] + 293.0)
+
+
+def _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load_mode):
+    """The full block system of _operator, one dense solve per step: the
+    stepping fd_solve must reproduce up to roundoff, without its elimination."""
+    dx = length / cells
+    mass, stiff, b_left, b_right = _operator(cells, dx, mat)
+    stiff = stiff.toarray()
+    lhs = np.diag(mass) + dt * theta * stiff
+    explicit = np.diag(mass) - dt * (1.0 - theta) * stiff
+    states = [np.zeros(2 * cells - 1)]
+    for n in range(n_steps):
+        t0, t1 = n * dt, (n + 1) * dt
+        if load_mode == "average":
+            ql, qr = q_left.average(t0, t1), q_right.average(t0, t1)
+        else:
+            ql = theta * q_left.value(t1) + (1.0 - theta) * q_left.value(t0)
+            qr = theta * q_right.value(t1) + (1.0 - theta) * q_right.value(t0)
+        rhs = explicit @ states[-1] - dt * (b_left * ql + b_right * qr)
+        states.append(np.linalg.solve(lhs, rhs))
+    return np.array(states)
+
+
+DENSE_MATERIALS = {
+    "fourier": benchmark_material(tau=0.0, kappa2=0.0, conductivity=STUDY_CONDUCTIVITY),
+    "mcv": benchmark_material(tau=0.3, kappa2=0.0, conductivity=STUDY_CONDUCTIVITY),
+    "gk_wave": benchmark_material(tau=0.3, kappa2=8e-6, conductivity=STUDY_CONDUCTIVITY),
+    "gk_diffuse": benchmark_material(tau=0.3, kappa2=0.8, conductivity=STUDY_CONDUCTIVITY),
+}
+
+
+@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("model", sorted(DENSE_MATERIALS))
+@pytest.mark.parametrize("cells", [3, 12, 40])
+def test_march_matches_dense_solve_of_the_block_system(cells, model, theta, load_mode):
+    # fd_solve eliminates the cell temperatures and factors the flux Schur
+    # complement; that must change nothing but roundoff.  Flux data on both
+    # faces exercise both boundary columns.
+    mat, length, dt, n_steps = DENSE_MATERIALS[model], 0.005, 1e-3, 400
+    q_left, q_right = flash_pulse(PulseParams()), constant(-250.0)
+    dx = length / cells
+    t_probes, q_probes = (0.0, 0.37 * length, length), (0.0, 0.5 * length, length)
+    sol = fd_solve(
+        mat, length, 293.0, q_left, q_right, cells=cells, dt=dt, n_steps=n_steps,
+        theta=theta, probe_temperatures=t_probes, probe_fluxes=q_probes, load_mode=load_mode,
+    )
+    states = _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load_mode)
+    expected = {}
+    for x in t_probes:
+        s = (x - 0.5 * dx) / dx
+        i = min(max(int(np.floor(s)), 0), cells - 2)
+        expected[("T", x)] = (1.0 - (s - i)) * states[:, i] + (s - i) * states[:, i + 1]
+    for x in q_probes:
+        j = min(max(int(round(x / dx)), 0), cells)
+        if j == 0 or j == cells:
+            data = q_left if j == 0 else q_right
+            expected[("q", x)] = np.array([data.value(t) for t in sol.times])
+        else:
+            expected[("q", x)] = states[:, cells + j - 1]
+    got = {("T", x): h for x, h in sol.temperature_rise.items()}
+    got.update({("q", x): h for x, h in sol.flux_probes.items()})
+    for key, want in expected.items():
+        gap = np.max(np.abs(got[key] - want))
+        assert gap <= 1e-12 * np.max(np.abs(want)), (key, gap / np.max(np.abs(want)))
+
+
+def _nan_from(fn, t_cut):
+    return lambda t: fn(t) if t < t_cut else float("nan")
+
+
+@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_non_finite_boundary_data_name_their_step(k, load_mode):
+    # Data NaN from t_k on (cut halfway into step k) poison step k first,
+    # and are caught before the march.
+    pulse = flash_pulse(PulseParams())
+    dt = 1e-3
+    cut = (k - 0.5) * dt
+    broken = TimeFunction(*(_nan_from(f, cut) for f in (pulse.value, pulse.derivative, pulse.integral)))
+    with pytest.raises(NonFiniteStateError) as info:
+        fd_solve(MCV_MAT, 0.005, 293.0, broken, ZERO, cells=10, dt=dt, n_steps=5,
+                 theta=1.0, probe_temperatures=(0.0,), load_mode=load_mode)
+    assert info.value.step == k
+    assert "boundary data" in str(info.value)
+
+
+def test_non_finite_history_names_its_step():
+    # Finite step means but a NaN pointwise value from t_3 on: the march is
+    # fine, the boundary flux probe that reads the data is not.
+    pulse = flash_pulse(PulseParams())
+    broken = TimeFunction(_nan_from(pulse.value, 2.5e-3), pulse.derivative, pulse.integral)
+    with pytest.raises(NonFiniteStateError) as info:
+        fd_solve(MCV_MAT, 0.005, 293.0, broken, ZERO, cells=10, dt=1e-3, n_steps=5,
+                 probe_fluxes=(0.0,))
+    assert info.value.step == 3
+    assert "state" in str(info.value)
+
+
+def test_non_finite_state_error_is_shared_with_the_element_solver():
+    assert hpheat.timeint.NonFiniteStateError is NonFiniteStateError
