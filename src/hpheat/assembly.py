@@ -116,6 +116,12 @@ class DirichletTemperature:
     uniform initial temperature T0 lowers it by T0 on its copy of the system
     (SemiDiscreteSystem.lowered_temperatures); the system handed back to the
     caller keeps the absolute data, so full_state fills absolute values.
+
+    Absolute data of the form 293 K + s(t) round before the solver sees
+    them: the value at ulp(293 K) and the running integral at ulp(293 K * t).
+    On gk_diffuse 8x8, 10^3 steps and a 10 mK signal this costs 1.7e-9
+    relative in T_rear and 5.5e-8 in q_mid.  Where that matters, pass the
+    data relative to a zero T0.
     """
 
     value: TimeFunction

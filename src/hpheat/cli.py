@@ -28,17 +28,23 @@ from .assembly import BoundarySpec, Field, PrescribedFlux
 from .basis import MAX_DEGREE
 from .materials import MaterialParams, ModelKind
 from .scenario import (
+    SUGGESTED_CONDUCTIVITY,
     Probe,
     PulseParams,
     Scenario,
+    benchmark_scenario,
     dimensionless_temperature,
     flash_pulse,
     solve_transient,
     standard_probes,
 )
 from .study import (
+    ORACLE_CELLS,
+    REFERENCE_DEGREE,
+    REFERENCE_ELEMENTS,
     ReferenceSolution,
     SweepSpec,
+    benchmark_sweep_families,
     compute_reference,
     fd_oracle,
     history_error,
@@ -50,9 +56,10 @@ from .timeint import FactorizationError
 MODES = ("transient", "h_sweep", "p_sweep", "oracle_check")
 MODELS = {"fourier": ModelKind.FOURIER, "mcv": ModelKind.MCV, "gk": ModelKind.GK}
 
-# The conductivity is never defaulted; this value is only named in the error
-# message so a benchmark user knows what a reasonable rock-like choice is.
-CONDUCTIVITY_SUGGESTION = 3.0
+# Unset keys fall back to the benchmark: its scenario, its pulse, and the
+# study's reference resolution and sweep families.
+_BENCHMARK = benchmark_scenario(ModelKind.FOURIER)
+_PULSE = PulseParams()
 
 
 class ConfigError(ValueError):
@@ -134,27 +141,19 @@ def _parse_int(key: str, text: str) -> int:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
 
 
-def _default_sweep_values(mode: str, model: str, kappa2: float | None) -> tuple[int, ...]:
-    if mode == "p_sweep":
-        return (2, 3, 4, 5, 6, 7, 8)
+def _benchmark_family(mode: str, model: str, kappa2: float) -> SweepSpec:
+    """The study's benchmark sweep that a sweep config falls back to."""
     if model in ("fourier", "mcv"):
-        return (20, 24, 28, 32, 36, 40, 44)
-    if kappa2 is not None and kappa2 >= 0.1:
-        return (8, 10, 12, 14, 16, 18, 20)
-    return (52, 58, 64, 70, 76, 82, 88)
-
-
-def _default_fixed(mode: str, model: str, kappa2: float | None) -> tuple[int, int]:
-    """(elements, degree) defaults per mode; sweeps fix the counterpart low."""
-    if mode == "h_sweep":
-        return 100, 2
-    if mode == "p_sweep":
-        if model in ("fourier", "mcv"):
-            return 20, 10
-        if kappa2 is not None and kappa2 >= 0.1:
-            return 8, 10
-        return 52, 10
-    return 100, 10
+        family = "mcv"
+    elif kappa2 >= 0.1:
+        family = "gk_diffuse"
+    else:
+        family = "gk_wave"
+    kind = "h" if mode == "h_sweep" else "p"
+    return next(
+        spec for spec in benchmark_sweep_families()
+        if spec.family == family and spec.kind == kind
+    )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -220,7 +219,7 @@ def parse_config(text: str) -> RunConfig:
     if "conductivity" not in floats:
         raise ConfigError(
             "missing required key 'conductivity_w_per_m_k'; it has no default "
-            f"(a rock-like benchmark value is {CONDUCTIVITY_SUGGESTION})"
+            f"(a rock-like benchmark value is {SUGGESTED_CONDUCTIVITY})"
         )
     if "density" not in floats:
         raise ConfigError("missing required key 'density_kg_per_m3'")
@@ -235,8 +234,6 @@ def parse_config(text: str) -> RunConfig:
                 "sweep modes take their relaxation times from 'sweep_taus_s'; "
                 "remove 'relaxation_time_s'"
             )
-        if sweep_taus is None:
-            sweep_taus = (0.05, 0.15, 0.3)
     else:
         if sweep_taus is not None or sweep_values is not None:
             raise ConfigError("sweep keys are only valid in the sweep modes")
@@ -256,6 +253,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"model '{model}' requires kappa2_m2 = 0")
         kappa2 = 0.0
 
+    elements = ints.get("elements", REFERENCE_ELEMENTS)
+    degree = ints.get("degree", REFERENCE_DEGREE)
+    if sweep_mode:
+        family = _benchmark_family(mode, model, kappa2)
+        if family.kind == "h":
+            degree = ints.get("degree", family.fixed)
+        else:
+            elements = ints.get("elements", family.fixed)
+        if sweep_taus is None:
+            sweep_taus = family.taus
+        if sweep_values is None:
+            sweep_values = family.values
+
     tau_candidates = list(sweep_taus) if sweep_mode else [relaxation_time or 0.0]
     for tau in tau_candidates:
         try:
@@ -269,12 +279,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid material parameters: {exc}") from None
 
-    default_elements, default_degree = _default_fixed(mode, model, kappa2)
-    elements = ints.get("elements", default_elements)
-    degree = ints.get("degree", default_degree)
-    if sweep_mode and sweep_values is None:
-        sweep_values = _default_sweep_values(mode, model, kappa2)
-
     config = RunConfig(
         mode=mode,
         model=model,
@@ -283,22 +287,22 @@ def parse_config(text: str) -> RunConfig:
         specific_heat=floats["specific_heat"],
         relaxation_time=relaxation_time,
         kappa2=kappa2,
-        length=floats.get("length", 0.005),
-        initial_temperature=floats.get("initial_temperature", 293.0),
-        dt=floats.get("dt", 1e-3),
-        n_steps=ints.get("n_steps", 10000),
+        length=floats.get("length", _BENCHMARK.length),
+        initial_temperature=floats.get("initial_temperature", _BENCHMARK.initial_temperature),
+        dt=floats.get("dt", _BENCHMARK.dt),
+        n_steps=ints.get("n_steps", _BENCHMARK.n_steps),
         elements=elements,
         degree=degree,
         theta=floats.get("theta", 0.5),
-        pulse_amplitude=floats.get("pulse_amplitude", 10000.0),
-        pulse_c1=floats.get("pulse_c1", 1.0 / 0.075),
-        pulse_c2=floats.get("pulse_c2", 6.0),
-        pulse_t_p=floats.get("pulse_t_p", 0.008),
+        pulse_amplitude=floats.get("pulse_amplitude", _PULSE.amplitude),
+        pulse_c1=floats.get("pulse_c1", _PULSE.c1),
+        pulse_c2=floats.get("pulse_c2", _PULSE.c2),
+        pulse_t_p=floats.get("pulse_t_p", _PULSE.t_p),
         sweep_taus=sweep_taus,
         sweep_values=sweep_values,
-        reference_elements=ints.get("reference_elements", 100),
-        reference_degree=ints.get("reference_degree", 10),
-        oracle_cells=ints.get("oracle_cells", 2000),
+        reference_elements=ints.get("reference_elements", REFERENCE_ELEMENTS),
+        reference_degree=ints.get("reference_degree", REFERENCE_DEGREE),
+        oracle_cells=ints.get("oracle_cells", ORACLE_CELLS),
     )
     _validate_numbers(config)
     return config
@@ -437,7 +441,7 @@ def _run_transient(config: RunConfig, out: Path, fmt: str) -> None:
         write_table(OutputTable(columns, rows), out / name, fmt)
 
 
-def _run_sweep_mode(config: RunConfig, out: Path, fmt: str, threads: int) -> None:
+def _run_sweep_mode(config: RunConfig, out: Path, fmt: str) -> None:
     kind = "h" if config.mode == "h_sweep" else "p"
     fixed = config.degree if kind == "h" else config.elements
     spec = SweepSpec(
@@ -457,7 +461,7 @@ def _run_sweep_mode(config: RunConfig, out: Path, fmt: str, threads: int) -> Non
         )
         for tau in config.sweep_taus
     }
-    report = run_sweep(spec, references, theta=config.theta, max_workers=threads)
+    report = run_sweep(spec, references, theta=config.theta)
     for value, tau, message in report.failures:
         print(
             json.dumps(
@@ -497,7 +501,7 @@ def _run_oracle_check(config: RunConfig, out: Path, fmt: str) -> None:
     write_table(summary, out / f"oracle_check_summary_{config.model}.{fmt}", fmt)
 
 
-def run(config: RunConfig, out_dir: str = ".", fmt: str = "dat", threads: int = 1) -> None:
+def run(config: RunConfig, out_dir: str = ".", fmt: str = "dat") -> None:
     """Execute one configured mode, writing tables into out_dir."""
     if fmt not in ("dat", "csv"):
         raise ConfigError(f"format must be 'dat' or 'csv', got {fmt!r}")
@@ -506,7 +510,7 @@ def run(config: RunConfig, out_dir: str = ".", fmt: str = "dat", threads: int = 
     if config.mode == "transient":
         _run_transient(config, out, fmt)
     elif config.mode in ("h_sweep", "p_sweep"):
-        _run_sweep_mode(config, out, fmt, threads)
+        _run_sweep_mode(config, out, fmt)
     else:
         _run_oracle_check(config, out, fmt)
 
@@ -525,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("config", help="path to the key = value config document")
     run_parser.add_argument("--out", default=".", help="output directory")
     run_parser.add_argument("--format", default="dat", choices=("dat", "csv"))
-    run_parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -539,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_record("config", str(exc)), file=_sys.stderr)
         return 2
     try:
-        run(config, out_dir=args.out, fmt=args.format, threads=args.threads)
+        run(config, out_dir=args.out, fmt=args.format)
     except ConfigError as exc:
         print(_error_record("config", str(exc)), file=_sys.stderr)
         return 2

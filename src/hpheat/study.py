@@ -23,7 +23,6 @@ sqrt(conductivity / (rho c_v tau)) against the mesh spacing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -39,6 +38,12 @@ from .scenario import ProbeSeries, Scenario, benchmark_scenario, solve_transient
 # integrator actually propagates stays resolvable on the coarsest study
 # meshes; see the sweep definitions below.
 STUDY_CONDUCTIVITY = 3.0e3
+
+# Overkill resolution of the element reference, and the cell count of the
+# difference oracle.
+REFERENCE_ELEMENTS = 100
+REFERENCE_DEGREE = 10
+ORACLE_CELLS = 2000
 
 # A curve is considered to have reached its error floor once it drops within
 # this factor of its own minimum; convergence-rate fits stop there.
@@ -111,8 +116,8 @@ def history_error(series: ProbeSeries, ref: ProbeSeries, scenario: Scenario) -> 
 
 def compute_reference(
     scenario: Scenario,
-    n_elements: int = 100,
-    degree: int = 10,
+    n_elements: int = REFERENCE_ELEMENTS,
+    degree: int = REFERENCE_DEGREE,
     theta: float = 0.5,
 ) -> ReferenceSolution:
     """Overkill element reference at the plotting resolution, same time grid."""
@@ -127,7 +132,7 @@ def compute_reference(
 
 def fd_oracle(
     scenario: Scenario,
-    cells: int = 2000,
+    cells: int = ORACLE_CELLS,
     dt: float | None = None,
     theta: float = 0.5,
 ) -> ReferenceSolution:
@@ -179,85 +184,51 @@ def run_sweep(
     spec: SweepSpec,
     references: Mapping[float, ReferenceSolution],
     theta: float = 0.5,
-    max_workers: int = 1,
 ) -> ErrorReport:
     """Solve every sweep point for every tau and report the error curves.
 
+    Points are solved one at a time, in sweep order: by value, then by tau.
     A failed point is recorded and left as NaN in its error columns; the rest
-    of the sweep still completes.  A point whose discretization cannot even
-    be built (say a degree above the basis cap) keeps -1 as its DOF entry.
+    of the sweep still completes, and the failures come in that same order.
+    A point whose discretization cannot even be built (say a degree above the
+    basis cap) keeps -1 as its DOF entry and fails for every tau.
     """
     for tau in spec.taus:
         if tau not in references:
             raise KeyError(f"missing reference for tau = {tau}")
 
-    probe_labels = [p.label for p in spec.scenario_factory(spec.taus[0]).probes]
-    failures: list[tuple[int, float, str]] = []
-    bad_values: set[int] = set()
-    dofs = np.empty(len(spec.values), dtype=int)
-    for i, value in enumerate(spec.values):
-        n, p = spec.discretization(value)
-        scenario = spec.scenario_factory(spec.taus[0])
-        try:
-            dofmap = build_dofmap(
-                Mesh.uniform(n, scenario.length), scenario.model, p, scenario.bcs
-            )
-        except (ValueError, TypeError) as exc:
-            dofs[i] = -1
-            bad_values.add(value)
-            for tau in spec.taus:
-                failures.append((value, tau, str(exc)))
-            continue
-        dofs[i] = dofmap.total_dofs
-
+    base = spec.scenario_factory(spec.taus[0])
+    probe_labels = [p.label for p in base.probes]
     errors = {
         (tau, label): np.full(len(spec.values), np.nan)
         for tau in spec.taus
         for label in probe_labels
     }
-
-    def solve_point(task):
-        i, value, tau = task
+    failures: list[tuple[int, float, str]] = []
+    dofs = np.empty(len(spec.values), dtype=int)
+    for i, value in enumerate(spec.values):
         n, p = spec.discretization(value)
-        scenario = spec.scenario_factory(tau)
-        run = solve_transient(scenario, n, p, theta=theta)
-        return i, tau, scenario, run
-
-    tasks = [
-        (i, value, tau)
-        for i, value in enumerate(spec.values)
-        for tau in spec.taus
-        if value not in bad_values
-    ]
-    results = []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(solve_point, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    failures.append((task[1], task[2], str(exc)))
-    else:
-        for task in tasks:
+        try:
+            dofmap = build_dofmap(Mesh.uniform(n, base.length), base.model, p, base.bcs)
+        except (ValueError, TypeError) as exc:
+            dofs[i] = -1
+            failures.extend((value, tau, str(exc)) for tau in spec.taus)
+            continue
+        dofs[i] = dofmap.total_dofs
+        for tau in spec.taus:
             try:
-                results.append(solve_point(task))
+                scenario = spec.scenario_factory(tau)
+                run = solve_transient(scenario, n, p, theta=theta)
             except Exception as exc:
-                failures.append((task[1], task[2], str(exc)))
+                failures.append((value, tau, str(exc)))
+                continue
+            ref = references[tau]
+            for label in probe_labels:
+                errors[(tau, label)][i] = history_error(
+                    run.series[label], ref.series[label], scenario
+                )
 
-    for i, tau, scenario, run in results:
-        ref = references[tau]
-        for label in probe_labels:
-            errors[(tau, label)][i] = history_error(
-                run.series[label], ref.series[label], scenario
-            )
-
-    return ErrorReport(
-        spec=spec,
-        dofs=dofs,
-        errors=errors,
-        failures=tuple(failures),
-    )
+    return ErrorReport(spec=spec, dofs=dofs, errors=errors, failures=tuple(failures))
 
 
 def pre_floor_count(errors: np.ndarray) -> int:

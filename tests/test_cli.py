@@ -18,6 +18,7 @@ from hpheat.cli import (
 )
 from hpheat.assembly import PrescribedFlux
 from hpheat.scenario import flash_pulse
+from hpheat.study import benchmark_sweep_families
 from hpheat.timefun import TimeFunction
 
 MINIMAL_FOURIER = """
@@ -97,6 +98,35 @@ specific_heat_j_per_kg_k = 800
     assert wave.sweep_values == (52, 58, 64, 70, 76, 82, 88)
     diffuse = parse_config(base.format(model="gk", extra="kappa2_m2 = 0.8"))
     assert diffuse.sweep_values == (8, 10, 12, 14, 16, 18, 20)
+
+
+@pytest.mark.parametrize("mode", ["h_sweep", "p_sweep"])
+@pytest.mark.parametrize(
+    "model,extra,family",
+    [
+        ("fourier", "", "mcv"),
+        ("mcv", "", "mcv"),
+        ("gk", "kappa2_m2 = 8e-6", "gk_wave"),
+        ("gk", "kappa2_m2 = 0.8", "gk_diffuse"),
+    ],
+)
+def test_sweep_defaults_follow_the_study_families(mode, model, extra, family):
+    config = parse_config(f"""
+mode = {mode}
+model = {model}
+conductivity_w_per_m_k = 3000
+density_kg_per_m3 = 2600
+specific_heat_j_per_kg_k = 800
+{extra}
+""")
+    kind = mode[0]
+    (spec,) = [
+        s for s in benchmark_sweep_families() if s.family == family and s.kind == kind
+    ]
+    assert config.sweep_taus == spec.taus
+    assert config.sweep_values == spec.values
+    fixed = config.degree if kind == "h" else config.elements
+    assert fixed == spec.fixed
 
 
 @pytest.mark.parametrize(

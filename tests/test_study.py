@@ -226,18 +226,6 @@ def test_run_sweep_records_non_finite_data_as_a_failure():
     assert np.all(np.isnan(report.errors[(0.05, "T_rear")]))
 
 
-def test_run_sweep_threaded_matches_serial():
-    spec = tiny_spec(taus=(0.3, 0.05))
-    refs = {
-        tau: compute_reference(spec.scenario_factory(tau), 10, 4, theta=1.0)
-        for tau in spec.taus
-    }
-    serial = run_sweep(spec, refs, theta=1.0, max_workers=1)
-    threaded = run_sweep(spec, refs, theta=1.0, max_workers=4)
-    for key, curve in serial.errors.items():
-        assert np.allclose(curve, threaded.errors[key], rtol=1e-12, atol=0.0)
-
-
 def test_reference_dofs_come_from_the_sweep_model():
     spec = tiny_spec("h")
     refs = {0.3: compute_reference(spec.scenario_factory(0.3), 10, 4, theta=1.0)}
