@@ -12,7 +12,8 @@ always essential.  Prescribed fluxes are natural data in the energy-balance
 row (they load the boundary T vertex) and, when the flux field is continuous
 (the nonlocal model), additionally essential on the boundary q vertex.
 Essential constraints are eliminated: constrained columns of A and B move to
-the load together with the analytic time derivative of the prescribed value.
+the load, applied to the step means of the prescribed values and to their
+rate, the change between consecutive step means.
 """
 
 from __future__ import annotations
@@ -312,17 +313,6 @@ class SemiDiscreteSystem:
             if free >= 0:
                 terms.append((int(free), term.sign, term.value))
         return terms
-
-    def load(self, t: float) -> np.ndarray:
-        """Pointwise load vector f(t)."""
-        f = np.zeros(self.dim)
-        for idx, sign, fn in self.natural_free():
-            f[idx] += sign * fn.value(t)
-        if self.dofmap.constrained:
-            g = np.array([c.value.value(t) for c in self.dofmap.constrained])
-            g_rate = np.array([c.value.derivative(t) for c in self.dofmap.constrained])
-            f -= self.A_fc @ g_rate + self.B_fc @ g
-        return f
 
     def load_average(
         self, t0: float, t1: float, prev_average: np.ndarray | None = None

@@ -129,9 +129,12 @@ _ALL_KEYS = (
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(key: str, text: str) -> int:

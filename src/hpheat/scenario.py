@@ -51,7 +51,7 @@ class PulseParams:
 
 
 def flash_pulse(params: PulseParams = PulseParams()) -> TimeFunction:
-    """The pulse as a TimeFunction with analytic derivative and running integral.
+    """The pulse as a TimeFunction with its closed-form running integral.
 
         q(t) = amplitude * (c1 c2 / (c2 - c1)) * (exp(-c1 t / t_p) - exp(-c2 t / t_p))
 
@@ -64,16 +64,13 @@ def flash_pulse(params: PulseParams = PulseParams()) -> TimeFunction:
     def value(t: float) -> float:
         return scale * (exp(-c1 * t / t_p) - exp(-c2 * t / t_p))
 
-    def derivative(t: float) -> float:
-        return scale * (-c1 / t_p * exp(-c1 * t / t_p) + c2 / t_p * exp(-c2 * t / t_p))
-
     def integral(t: float) -> float:
         return scale * (
             t_p / c1 * (1.0 - exp(-c1 * t / t_p))
             - t_p / c2 * (1.0 - exp(-c2 * t / t_p))
         )
 
-    return TimeFunction(value=value, derivative=derivative, integral=integral)
+    return TimeFunction(value=value, integral=integral)
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,6 @@ def solve_transient(
     n_elements: int,
     degree: int,
     theta: float = 0.5,
-    load_mode: str = "average",
     record_states: bool = False,
 ) -> TransientRun:
     """March the scenario on a uniform mesh of the given element count and degree.
@@ -236,7 +232,6 @@ def solve_transient(
         np.zeros(sys.dim),
         probes=[(probe.x, probe.quantity) for probe in scenario.probes],
         record_states=record_states,
-        load_mode=load_mode,
     )
     solution.final_state += background
     if solution.states is not None:

@@ -1,11 +1,10 @@
-"""Time signals with analytic derivative and running integral.
+"""Time signals with a closed-form running integral.
 
-Boundary data enters the semi-discrete system both directly and, for
-essential flux constraints, through its time derivative.  Exact per-step
-averages of the load (used by the time integrator to conserve the supplied
-energy to machine precision) additionally need the running integral.  A
-TimeFunction therefore bundles all three as closed-form callables instead of
-leaving differentiation and quadrature to the consumer.
+Both time steppers load every step with the exact mean of the boundary data
+over that step, which conserves the supplied energy to machine precision
+however fast the data varies within a step.  The means come from differences
+of the running integral, so a TimeFunction bundles the value with its
+closed-form integral instead of leaving quadrature to the consumer.
 
 NonFiniteStateError lives here, with the boundary data, because both time
 steppers raise it: the element solver and the finite difference oracle, which
@@ -34,14 +33,13 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeFunction:
-    """A scalar signal t -> value(t) with its derivative and running integral.
+    """A scalar signal t -> value(t) with its running integral.
 
     integral(t) must return the definite integral from 0 to t, so that
     integral(0) == 0 and per-step averages follow from differences.
     """
 
     value: Callable[[float], float]
-    derivative: Callable[[float], float]
     integral: Callable[[float], float]
 
     def average(self, t0: float, t1: float) -> float:
@@ -51,10 +49,9 @@ class TimeFunction:
         return (self.integral(t1) - self.integral(t0)) / (t1 - t0)
 
     def shifted(self, offset: float) -> "TimeFunction":
-        """The signal plus a constant: same derivative, integral plus offset * t."""
+        """The signal plus a constant: integral plus offset * t."""
         return TimeFunction(
             value=lambda t: self.value(t) + offset,
-            derivative=self.derivative,
             integral=lambda t: self.integral(t) + offset * t,
         )
 
@@ -62,7 +59,6 @@ class TimeFunction:
 def constant(value: float) -> TimeFunction:
     return TimeFunction(
         value=lambda t: value,
-        derivative=lambda t: 0.0,
         integral=lambda t: value * t,
     )
 
@@ -71,7 +67,7 @@ ZERO = constant(0.0)
 
 
 def on_grid(signals: Sequence[TimeFunction], times: np.ndarray, part: str) -> np.ndarray:
-    """One part ("value", "derivative" or "integral") of every signal at
+    """One part ("value" or "integral") of every signal at
     every time, as a (len(times), len(signals)) array."""
     out = np.empty((times.size, len(signals)))
     for j, signal in enumerate(signals):

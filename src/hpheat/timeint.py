@@ -13,17 +13,15 @@ and one short dot product per probe; the prescribed part of the probe
 values is added on the whole time grid after the loop.
 
 The load is f = natural fluxes - A_fc g' - B_fc g, with g the constrained
-values.  Two treatments of it are available.  "sampled" uses the classical
-theta-weighted endpoint values.  "average" (the default of integrate) uses
-the exact per-step mean of f from the closed-form running integrals of the
-boundary data; with it the discrete energy balance telescopes exactly even
-when the excitation varies fast compared to the step.
+values.  f_n* is its exact mean over the step, from the closed-form running
+integrals of the boundary data, so the discrete energy balance telescopes
+exactly even when the excitation varies fast compared to the step.  The rate
+g' is the change between consecutive step means of g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -128,14 +126,13 @@ class TransientSolution:
     states: np.ndarray | None = None
 
 
-def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray, theta: float, load_mode: str):
+def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray):
     """The free rows the boundary data touch, and the load on them per step.
 
-    The data are kept per signal, never as a load table.  "average" steps
-    read the step means, with the constrained rate taken from the previous
-    step's mean (from g(0) at the first step); "sampled" steps mix the
-    pointwise loads at both ends, as SemiDiscreteSystem.load_average and
-    SemiDiscreteSystem.load do.
+    The data are kept per signal, never as a load table.  Each step reads
+    the step means, with the constrained rate taken from the previous step's
+    mean (from g(0) at the first step), as SemiDiscreteSystem.load_average
+    does.
     """
     natural = sys.natural_free()
     signals = [c.value for c in sys.dofmap.constrained]
@@ -147,18 +144,11 @@ def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray, theta: float, load_m
     rows = np.flatnonzero(touched)
     natural_pos = np.searchsorted(rows, natural_rows)
     a_fc, b_fc = sys.A_fc[rows], sys.B_fc[rows]
-    if load_mode == "average":
-        flux = signs * step_averages(fluxes, times)
-        value = step_averages(signals, times)
-        previous = np.vstack((on_grid(signals, times[:1], "value"), value[:-1]))
-        rate = (value - previous) / (times[1:] - times[:-1])[:, None]
-    else:
-        flux = signs * on_grid(fluxes, times, "value")
-        rate = on_grid(signals, times, "derivative")
-        value = on_grid(signals, times, "value")
+    flux = signs * step_averages(fluxes, times)
+    value = step_averages(signals, times)
+    previous = np.vstack((on_grid(signals, times[:1], "value"), value[:-1]))
+    rate = (value - previous) / (times[1:] - times[:-1])[:, None]
     bad = ~np.isfinite(np.hstack((flux, rate, value))).all(axis=1)
-    if load_mode == "sampled":
-        bad = bad[1:] | bad[:-1]
     if bad.any():
         raise NonFiniteStateError(int(np.argmax(bad)) + 1, "boundary data")
 
@@ -169,10 +159,7 @@ def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray, theta: float, load_m
             f -= a_fc @ rate[n] + b_fc @ value[n]
         return f
 
-    loads = map(at, range(len(flux)))
-    if load_mode == "average":
-        return rows, loads
-    return rows, (theta * f1 + (1.0 - theta) * f0 for f0, f1 in pairwise(loads))
+    return rows, map(at, range(len(flux)))
 
 
 def integrate(
@@ -181,7 +168,6 @@ def integrate(
     alpha0: np.ndarray,
     probes: Sequence[tuple[float, Field]] = (),
     record_states: bool = False,
-    load_mode: str = "average",
 ) -> TransientSolution:
     """Factor once, then march n_steps steps recording the probe values.
 
@@ -189,8 +175,6 @@ def integrate(
     step are not finite, and after it when a probe history or the final
     state is.
     """
-    if load_mode not in ("average", "sampled"):
-        raise ValueError(f"load_mode must be 'average' or 'sampled', got {load_mode!r}")
     rows: list[ProbeRow] = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
     fact = build_factorization(sys, scheme)
     dt, n_steps = scheme.dt, scheme.n_steps
@@ -202,7 +186,7 @@ def integrate(
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (sys.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({sys.dim},)")
-    load_rows, loads = _step_loads(sys, times, scheme.theta, load_mode)
+    load_rows, loads = _step_loads(sys, times)
     # The dot product of ProbeRow.evaluate; one matrix product over all
     # probes would sum in another order and move the last bits.
     values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in rows]

@@ -332,6 +332,31 @@ def test_main_success_and_error_paths(tmp_path, capsys):
     assert record["error"] == "io"
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("initial_temperature_k", "nan"),
+        ("density_kg_per_m3", "nan"),
+        ("length_m", "inf"),
+        ("dt_s", "-inf"),
+        ("sweep_taus_s", "0.1 nan"),
+    ],
+)
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    kept = [line for line in FAST_TRANSIENT.splitlines() if not line.startswith(key)]
+    text = "\n".join(kept) + f"\n{key} = {value}\n"
+    if key == "sweep_taus_s":
+        text = text.replace("mode = transient", "mode = p_sweep")
+    config = tmp_path / "non_finite.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert key in record["message"]
+    assert not out.exists() or list(out.glob("*")) == []
+
+
 def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch):
     # The pulse turns NaN from the third of five 1 ms steps on.
     def cut(fn):
@@ -339,7 +364,7 @@ def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch):
 
     def broken_pulse(params):
         pulse = flash_pulse(params)
-        return TimeFunction(cut(pulse.value), cut(pulse.derivative), cut(pulse.integral))
+        return TimeFunction(cut(pulse.value), cut(pulse.integral))
 
     monkeypatch.setattr(hpheat.cli, "flash_pulse", broken_pulse)
     config = tmp_path / "nan.conf"
@@ -362,7 +387,7 @@ def test_oracle_check_reports_non_finite_oracle_data(tmp_path, capsys, monkeypat
 
     def oracle_with_broken_pulse(scenario, **kwargs):
         pulse = scenario.bcs.left.value
-        broken = TimeFunction(cut(pulse.value), cut(pulse.derivative), cut(pulse.integral))
+        broken = TimeFunction(cut(pulse.value), cut(pulse.integral))
         bcs = replace(scenario.bcs, left=PrescribedFlux(broken))
         return real_oracle(replace(scenario, bcs=bcs), **kwargs)
 

@@ -72,18 +72,6 @@ def test_solver_argument_validation():
             FOURIER_MAT, 0.005, 293.0, ZERO, ZERO, cells=10, dt=1e-3, n_steps=1, theta=0.3
         )
     with pytest.raises(ValueError):
-        fd_solve(
-            FOURIER_MAT,
-            0.005,
-            293.0,
-            ZERO,
-            ZERO,
-            cells=10,
-            dt=1e-3,
-            n_steps=1,
-            load_mode="midpoint",
-        )
-    with pytest.raises(ValueError):
         fd_step(StaggeredGrid.uniform(4, 1.0, 293.0), FOURIER_MAT, 0.0, 0.0, 0.0)
 
 
@@ -143,26 +131,54 @@ def test_energy_balance_with_averaged_pulse():
 
 
 def test_single_step_consistency_between_interfaces():
-    # fd_solve with one backward Euler step and endpoint sampling must agree
-    # with the standalone step on the same new-level boundary values.
-    pulse = flash_pulse(PulseParams())
+    # fd_solve with one backward Euler step must agree with the standalone
+    # step on constant flux data, whose step mean is the new-level value.
     dt = 1e-3
     grid0 = StaggeredGrid.uniform(12, 0.005, 293.0)
-    stepped = fd_step(grid0, GK_MAT, dt, pulse.value(dt), 0.0)
+    stepped = fd_step(grid0, GK_MAT, dt, 5e3, 0.0)
     solved = fd_solve(
         GK_MAT,
         0.005,
         293.0,
-        pulse,
+        constant(5e3),
         ZERO,
         cells=12,
         dt=dt,
         n_steps=1,
         theta=1.0,
-        load_mode="sampled",
     )
     assert np.allclose(solved.final.T, stepped.T, rtol=1e-12, atol=1e-12)
     assert np.allclose(solved.final.q, stepped.q, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "probes",
+    [
+        {"probe_temperatures": (-0.02,)},
+        {"probe_temperatures": (0.005 * (1.0 + 1e-9),)},
+        {"probe_fluxes": (0.5,)},
+        {"probe_fluxes": (-1.0,)},
+        {"probe_fluxes": (float("nan"),)},
+    ],
+)
+def test_probes_outside_the_slab_are_rejected(probes, monkeypatch):
+    # Out-of-slab temperature probes would extrapolate and flux probes would
+    # snap to a boundary face; both fail before any step is taken.
+    monkeypatch.setattr(hpheat.fdoracle, "dpttrs", None)
+    with pytest.raises(ValueError, match="outside the domain"):
+        fd_solve(MCV_MAT, 0.005, 293.0, ZERO, ZERO, cells=10, dt=1e-3, n_steps=5, **probes)
+
+
+def test_probes_on_the_faces_within_roundoff_are_accepted():
+    # The tolerance of the element solver's probe_row, 1e-12 of the length.
+    length = 0.005
+    sol = fd_solve(
+        MCV_MAT, length, 293.0, ZERO, ZERO, cells=10, dt=1e-3, n_steps=2,
+        probe_temperatures=(-1e-13 * length, length * (1.0 + 1e-13)),
+        probe_fluxes=(-1e-13 * length,),
+    )
+    assert len(sol.temperature_probes) == 2
+    assert np.array_equal(sol.flux_probes[-1e-13 * length], np.zeros(3))
 
 
 def test_probe_bookkeeping():
@@ -224,9 +240,11 @@ def test_rise_does_not_depend_on_initial_temperature():
     assert np.array_equal(sol.temperature_probes[0.0], sol.temperature_rise[0.0] + 293.0)
 
 
-def _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load_mode):
+def _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load):
     """The full block system of _operator, one dense solve per step: the
-    stepping fd_solve must reproduce up to roundoff, without its elimination."""
+    stepping fd_solve must reproduce up to roundoff, without its elimination.
+    load "average" takes each step's exact data mean, "sampled" the data value
+    at the step end, which is the step mean of data held at step-end samples."""
     dx = length / cells
     mass, stiff, b_left, b_right = _operator(cells, dx, mat)
     stiff = stiff.toarray()
@@ -235,11 +253,10 @@ def _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load_m
     states = [np.zeros(2 * cells - 1)]
     for n in range(n_steps):
         t0, t1 = n * dt, (n + 1) * dt
-        if load_mode == "average":
+        if load == "average":
             ql, qr = q_left.average(t0, t1), q_right.average(t0, t1)
         else:
-            ql = theta * q_left.value(t1) + (1.0 - theta) * q_left.value(t0)
-            qr = theta * q_right.value(t1) + (1.0 - theta) * q_right.value(t0)
+            ql, qr = q_left.value(t1), q_right.value(t1)
         rhs = explicit @ states[-1] - dt * (b_left * ql + b_right * qr)
         states.append(np.linalg.solve(lhs, rhs))
     return np.array(states)
@@ -253,23 +270,28 @@ DENSE_MATERIALS = {
 }
 
 
-@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("load", ["average", "sampled"])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("model", sorted(DENSE_MATERIALS))
 @pytest.mark.parametrize("cells", [3, 12, 40])
-def test_march_matches_dense_solve_of_the_block_system(cells, model, theta, load_mode):
+def test_march_matches_dense_solve_of_the_block_system(
+    cells, model, theta, load, held_at_step_ends
+):
     # fd_solve eliminates the cell temperatures and factors the flux Schur
     # complement; that must change nothing but roundoff.  Flux data on both
-    # faces exercise both boundary columns.
+    # faces exercise both boundary columns.  With load "sampled" the data are
+    # held at their step-end samples and the reference loads those samples.
     mat, length, dt, n_steps = DENSE_MATERIALS[model], 0.005, 1e-3, 400
     q_left, q_right = flash_pulse(PulseParams()), constant(-250.0)
+    if load == "sampled":
+        q_left, q_right = held_at_step_ends(q_left, dt), held_at_step_ends(q_right, dt)
     dx = length / cells
     t_probes, q_probes = (0.0, 0.37 * length, length), (0.0, 0.5 * length, length)
     sol = fd_solve(
         mat, length, 293.0, q_left, q_right, cells=cells, dt=dt, n_steps=n_steps,
-        theta=theta, probe_temperatures=t_probes, probe_fluxes=q_probes, load_mode=load_mode,
+        theta=theta, probe_temperatures=t_probes, probe_fluxes=q_probes,
     )
-    states = _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load_mode)
+    states = _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load)
     expected = {}
     for x in t_probes:
         s = (x - 0.5 * dx) / dx
@@ -293,18 +315,21 @@ def _nan_from(fn, t_cut):
     return lambda t: fn(t) if t < t_cut else float("nan")
 
 
-@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("load", ["average", "sampled"])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_non_finite_boundary_data_name_their_step(k, load_mode):
+def test_non_finite_boundary_data_name_their_step(k, load, held_at_step_ends):
     # Data NaN from t_k on (cut halfway into step k) poison step k first,
-    # and are caught before the march.
+    # and are caught before the march; so do data held at their step-end
+    # samples, whose first NaN sample is the one at t_k.
     pulse = flash_pulse(PulseParams())
     dt = 1e-3
     cut = (k - 0.5) * dt
-    broken = TimeFunction(*(_nan_from(f, cut) for f in (pulse.value, pulse.derivative, pulse.integral)))
+    broken = TimeFunction(_nan_from(pulse.value, cut), _nan_from(pulse.integral, cut))
+    if load == "sampled":
+        broken = held_at_step_ends(broken, dt)
     with pytest.raises(NonFiniteStateError) as info:
         fd_solve(MCV_MAT, 0.005, 293.0, broken, ZERO, cells=10, dt=dt, n_steps=5,
-                 theta=1.0, probe_temperatures=(0.0,), load_mode=load_mode)
+                 theta=1.0, probe_temperatures=(0.0,))
     assert info.value.step == k
     assert "boundary data" in str(info.value)
 
@@ -313,7 +338,7 @@ def test_non_finite_history_names_its_step():
     # Finite step means but a NaN pointwise value from t_3 on: the march is
     # fine, the boundary flux probe that reads the data is not.
     pulse = flash_pulse(PulseParams())
-    broken = TimeFunction(_nan_from(pulse.value, 2.5e-3), pulse.derivative, pulse.integral)
+    broken = TimeFunction(_nan_from(pulse.value, 2.5e-3), pulse.integral)
     with pytest.raises(NonFiniteStateError) as info:
         fd_solve(MCV_MAT, 0.005, 293.0, broken, ZERO, cells=10, dt=1e-3, n_steps=5,
                  probe_fluxes=(0.0,))

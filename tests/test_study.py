@@ -210,7 +210,7 @@ def test_run_sweep_records_non_finite_data_as_a_failure():
             return lambda t: fn(t) if t < 3.5e-3 else float("nan")
 
         pulse = scenario.bcs.left.value
-        nan_late = TimeFunction(cut(pulse.value), cut(pulse.derivative), cut(pulse.integral))
+        nan_late = TimeFunction(cut(pulse.value), cut(pulse.integral))
         bcs = BoundarySpec(PrescribedFlux(nan_late), PrescribedFlux(ZERO))
         return replace(scenario, bcs=bcs)
 

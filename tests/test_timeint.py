@@ -5,17 +5,17 @@ of essential constraints: after one backward Euler step from rest, the
 nonlocal flux profile is exponential with rate mu,
 mu^2 = (1 + tau/dt)/(kappa2 + a dt), a the diffusivity, and the front
 temperature rise is dt mu gbar / (rho c_v) with gbar the first-step mean of
-the boundary flux.  Endpoint sampling of the constraint trajectory would miss
-this value by over ten percent.
+the boundary flux.
 
 integrate prepares its boundary data and probe rows once per run; the tests
 at the bottom hold it bit for bit to a loop that recomputes the load and the
-probe values at every step from SemiDiscreteSystem.load_average / load and
+probe values at every step from SemiDiscreteSystem.load_average and
 ProbeRow.evaluate.
 """
 
 import types
 from collections import Counter
+from dataclasses import replace
 from math import exp
 
 import numpy as np
@@ -36,7 +36,7 @@ from hpheat.assembly import (
 )
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.scenario import PulseParams, flash_pulse
-from hpheat.timefun import ZERO, TimeFunction, constant
+from hpheat.timefun import ZERO, TimeFunction
 from hpheat.timeint import (
     FactorizationError,
     NonFiniteStateError,
@@ -57,11 +57,9 @@ QUIET_BCS = BoundarySpec(left=PrescribedFlux(ZERO), right=PrescribedFlux(ZERO))
 
 
 def step(sys, scheme, fact, alpha_n, t_n):
-    """One theta step with endpoint-sampled loads, written out by hand."""
-    dt, theta = scheme.dt, scheme.theta
-    rhs = fact.m_expl @ alpha_n + dt * (
-        theta * sys.load(t_n + dt) + (1.0 - theta) * sys.load(t_n)
-    )
+    """One theta step with the averaged load, written out by hand."""
+    dt = scheme.dt
+    rhs = fact.m_expl @ alpha_n + dt * sys.load_average(t_n, t_n + dt)
     return _back_substitute(fact, rhs)
 
 
@@ -76,13 +74,6 @@ def test_scheme_validation():
         ThetaScheme(theta=0.5, dt=0.0, n_steps=1)
     with pytest.raises(ValueError):
         ThetaScheme(theta=0.5, dt=1e-3, n_steps=-1)
-
-
-def test_load_mode_validation():
-    sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
-    a0 = apply_initial_conditions(sys, 293.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate(sys, ThetaScheme(0.5, 1e-3, 1), a0, load_mode="exact")
 
 
 def test_initial_state_shape_validation():
@@ -114,7 +105,7 @@ def test_one_step_matches_dense_solve():
     B = sys.B.toarray()
     dt, th = scheme.dt, scheme.theta
     m_impl = A + dt * th * B
-    rhs = (A - dt * (1 - th) * B) @ a0 + dt * (th * sys.load(dt) + (1 - th) * sys.load(0.0))
+    rhs = (A - dt * (1 - th) * B) @ a0 + dt * sys.load_average(0.0, dt)
 
     # Backward stability: the banded solution satisfies the implicit equation
     # to roundoff at the matrix and solution scale.
@@ -137,36 +128,9 @@ def test_equilibration_agrees_with_sparse_solve_when_badly_scaled():
     got = step(sys, scheme, fact, a0, 0.0)
 
     m_impl = (sys.A + scheme.dt * sys.B).tocsc()
-    rhs = sys.A @ a0 + scheme.dt * sys.load(scheme.dt)
+    rhs = sys.A @ a0 + scheme.dt * sys.load_average(0.0, scheme.dt)
     want = sp.linalg.spsolve(m_impl, rhs)
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
-
-
-def test_integrate_sampled_reproduces_manual_stepping():
-    sys = assemble(Mesh.uniform(5, 0.005), GK_MAT, ModelKind.GK, 2, PULSE_BCS)
-    a0 = apply_initial_conditions(sys, 293.0, 0.0)
-    scheme = ThetaScheme(theta=0.5, dt=1e-3, n_steps=4)
-    sol = integrate(sys, scheme, a0, record_states=True, load_mode="sampled")
-
-    fact = build_factorization(sys, scheme)
-    alpha = a0.copy()
-    for n in range(scheme.n_steps):
-        alpha = step(sys, scheme, fact, alpha, n * scheme.dt)
-        assert np.allclose(sol.states[n + 1], alpha, rtol=0.0, atol=1e-12 * np.max(np.abs(alpha)))
-
-
-def test_average_equals_sampled_for_constant_data():
-    bcs = BoundarySpec(
-        left=PrescribedFlux(constant(500.0)), right=PrescribedFlux(constant(20.0))
-    )
-    for mat, model in ((MCV_MAT, ModelKind.MCV), (GK_MAT, ModelKind.GK)):
-        sys = assemble(Mesh.uniform(5, 0.005), mat, model, 2, bcs)
-        a0 = apply_initial_conditions(sys, 293.0, 0.0)
-        scheme = ThetaScheme(theta=1.0, dt=1e-3, n_steps=5)
-        avg = integrate(sys, scheme, a0, record_states=True, load_mode="average")
-        smp = integrate(sys, scheme, a0, record_states=True, load_mode="sampled")
-        scale = np.max(np.abs(smp.states))
-        assert np.max(np.abs(avg.states - smp.states)) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize(
@@ -244,19 +208,11 @@ def test_first_step_matches_closed_form_boundary_layer():
     predicted = dt * mu * gbar / rho_c
     assert rise == pytest.approx(predicted, rel=1e-8)
 
-    # Endpoint sampling of the constraints lands far away; the agreement
-    # above is not vacuous.
-    sampled = integrate(
-        sys, scheme, a0, probes=((0.0, Field.TEMPERATURE),), load_mode="sampled"
-    )
-    assert abs(sampled.probe_values[0, 1] - 293.0 - predicted) > 0.05 * predicted
-
 
 # A prescribed temperature that climbs 10 mK within a few steps, so per-step
 # averages, their rates and endpoint samples all differ.
 RISING = TimeFunction(
     value=lambda t: 293.0 + 0.01 * (1.0 - exp(-t / 0.004)),
-    derivative=lambda t: 0.01 / 0.004 * exp(-t / 0.004),
     integral=lambda t: 293.0 * t + 0.01 * (t - 0.004 * (1.0 - exp(-t / 0.004))),
 )
 STUDY_MATERIALS = {
@@ -277,12 +233,12 @@ ALL_PROBES = (
 )
 
 
-def march_step_by_step(sys, scheme, alpha0, probes, load_mode):
+def march_step_by_step(sys, scheme, alpha0, probes):
     """The step loop with the load and the probe values recomputed at every
-    step from the system's pointwise and averaged loads."""
+    step from the system's averaged load."""
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
     fact = build_factorization(sys, scheme)
-    dt, theta = scheme.dt, scheme.theta
+    dt = scheme.dt
     times = np.arange(scheme.n_steps + 1) * dt
     alpha = alpha0.copy()
     values = np.empty((len(rows), times.size))
@@ -291,30 +247,38 @@ def march_step_by_step(sys, scheme, alpha0, probes, load_mode):
     prev_average = None
     for n in range(scheme.n_steps):
         t0, t1 = times[n], times[n + 1]
-        if load_mode == "average":
-            load = sys.load_average(t0, t1, prev_average)
-            prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
-        else:
-            load = theta * sys.load(t1) + (1.0 - theta) * sys.load(t0)
+        load = sys.load_average(t0, t1, prev_average)
+        prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
         alpha = _back_substitute(fact, fact.m_expl @ alpha + dt * load)
         values[:, n + 1] = [row.evaluate(sys, alpha, t1) for row in rows]
         states.append(alpha)
     return values, np.array(states)
 
 
+def held_spec(bcs, dt, held_at_step_ends):
+    """The boundary spec with both sides' data held at their step-end samples."""
+    return BoundarySpec(
+        left=replace(bcs.left, value=held_at_step_ends(bcs.left.value, dt)),
+        right=replace(bcs.right, value=held_at_step_ends(bcs.right.value, dt)),
+    )
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("load", ["average", "sampled"])
 @pytest.mark.parametrize("data", sorted(BOUNDARY_DATA))
 @pytest.mark.parametrize("family", sorted(STUDY_MATERIALS))
-def test_integrate_is_bitwise_the_step_by_step_loop(family, data, load_mode, theta):
+def test_integrate_is_bitwise_the_step_by_step_loop(family, data, load, theta, held_at_step_ends):
+    # load "sampled" holds the data at their step-end samples: values that
+    # jump at every grid time, and step means that are the samples.
     mat, model = STUDY_MATERIALS[family]
-    sys = assemble(Mesh.uniform(5, 0.005), mat, model, 3, BOUNDARY_DATA[data])
-    a0 = apply_initial_conditions(sys, 293.0, 0.0)
     scheme = ThetaScheme(theta=theta, dt=1e-3, n_steps=40)
-    sol = integrate(
-        sys, scheme, a0, probes=ALL_PROBES, record_states=True, load_mode=load_mode
-    )
-    values, states = march_step_by_step(sys, scheme, a0, ALL_PROBES, load_mode)
+    bcs = BOUNDARY_DATA[data]
+    if load == "sampled":
+        bcs = held_spec(bcs, scheme.dt, held_at_step_ends)
+    sys = assemble(Mesh.uniform(5, 0.005), mat, model, 3, bcs)
+    a0 = apply_initial_conditions(sys, 293.0, 0.0)
+    sol = integrate(sys, scheme, a0, probes=ALL_PROBES, record_states=True)
+    values, states = march_step_by_step(sys, scheme, a0, ALL_PROBES)
     assert np.array_equal(sol.probe_values, values)
     assert np.array_equal(sol.states, states)
     assert np.array_equal(sol.final_state, states[-1])
@@ -346,18 +310,19 @@ def test_per_step_helpers_are_not_called_per_step(monkeypatch):
 
 
 def nan_from(signal: TimeFunction, t_bad: float) -> TimeFunction:
-    """The signal, with value, rate and running integral NaN from t_bad on."""
+    """The signal, with value and running integral NaN from t_bad on."""
 
     def cut(fn):
         return lambda t: fn(t) if t < t_bad else float("nan")
 
-    return TimeFunction(cut(signal.value), cut(signal.derivative), cut(signal.integral))
+    return TimeFunction(cut(signal.value), cut(signal.integral))
 
 
-@pytest.mark.parametrize("load_mode", ["average", "sampled"])
+@pytest.mark.parametrize("load", ["average", "sampled"])
 @pytest.mark.parametrize("data", ["flux", "dirichlet"])
-def test_non_finite_boundary_data_name_their_step(data, load_mode):
-    # Step k runs from t_(k-1) to t_k, the first grid time where the data are NaN.
+def test_non_finite_boundary_data_name_their_step(data, load, held_at_step_ends):
+    # Step k runs from t_(k-1) to t_k, the first grid time where the data are
+    # NaN; data held at their step-end samples first hold the NaN over step k.
     k, dt = 7, 1e-3
     if data == "flux":
         bad = nan_from(flash_pulse(PulseParams()), (k - 0.5) * dt)
@@ -365,14 +330,16 @@ def test_non_finite_boundary_data_name_their_step(data, load_mode):
     else:
         bad = nan_from(RISING, (k - 0.5) * dt)
         bcs = BoundarySpec(left=DirichletTemperature(bad), right=PrescribedFlux(ZERO))
+    if load == "sampled":
+        bcs = held_spec(bcs, dt, held_at_step_ends)
     sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 2, bcs)
     a0 = apply_initial_conditions(sys, 293.0, 0.0)
     with pytest.raises(NonFiniteStateError) as info:
-        integrate(sys, ThetaScheme(0.5, dt, 20), a0, probes=ALL_PROBES, load_mode=load_mode)
+        integrate(sys, ThetaScheme(0.5, dt, 20), a0, probes=ALL_PROBES)
     assert info.value.step == k
     assert f"step {k}" in str(info.value)
     # The data of the first k - 1 steps are finite, so that many steps march.
-    ok = integrate(sys, ThetaScheme(0.5, dt, k - 1), a0, load_mode=load_mode)
+    ok = integrate(sys, ThetaScheme(0.5, dt, k - 1), a0)
     assert np.all(np.isfinite(ok.final_state))
 
 
