@@ -10,7 +10,7 @@ cross-check.
 
 from .materials import MaterialParams, ModelKind
 from .timefun import TimeFunction
-from .basis import ShapeSet, ElementMap, QuadratureRule, gauss_rule
+from .basis import ShapeSet, QuadratureRule, gauss_rule
 from .assembly import (
     Mesh,
     Field,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import MAX_DEGREE, ElementMap, ShapeSet, gauss_rule
+from .basis import MAX_DEGREE, ShapeSet, gauss_rule
 from .elemmat import element_matrices
 from .materials import MaterialParams, ModelKind
 from .timefun import TimeFunction
@@ -85,12 +85,12 @@ class Mesh:
             raise ValueError("mesh nodes must be strictly increasing")
 
     @classmethod
-    def uniform(cls, n_elements: int, length: float, start: float = 0.0) -> "Mesh":
+    def uniform(cls, n_elements: int, length: float) -> "Mesh":
         if n_elements < 1:
             raise ValueError(f"need at least one element, got {n_elements}")
         if length <= 0:
             raise ValueError(f"domain length must be positive, got {length}")
-        return cls(np.linspace(start, start + length, n_elements + 1))
+        return cls(np.linspace(0.0, length, n_elements + 1))
 
     @property
     def n_elements(self) -> int:
@@ -102,11 +102,8 @@ class Mesh:
 
     @property
     def jacobians(self) -> np.ndarray:
-        """dx/deta of every element, the ElementMap.jacobian values."""
+        """dx/deta of every element's affine map from the master element (-1, 1)."""
         return 0.5 * (self.nodes[1:] - self.nodes[:-1])
-
-    def element_map(self, e: int) -> ElementMap:
-        return ElementMap(float(self.nodes[e]), float(self.nodes[e + 1]))
 
 
 @dataclass(frozen=True)
@@ -132,13 +129,11 @@ class DirichletTemperature:
 class PrescribedFlux:
     """Prescribed boundary heat flux (positive in +x).
 
-    essential=None applies the model rule: essential on the q vertex for the
-    nonlocal model, natural only for the local ones.  An explicit value must
-    agree with the space regularity, otherwise the dofmap build rejects it.
+    Natural data on the T vertex in every model, and essential on the q
+    vertex exactly when the flux space is continuous (the nonlocal model).
     """
 
     value: TimeFunction
-    essential: bool | None = None
 
 
 BoundaryCondition = DirichletTemperature | PrescribedFlux
@@ -203,23 +198,6 @@ class DofMap:
         return np.unique(self.element_dofs[field])
 
 
-def _effective_essential(bc: PrescribedFlux, q_space: SpaceSpec) -> bool:
-    continuous = q_space.continuity is Continuity.C0
-    if bc.essential is None:
-        return continuous
-    if bc.essential and not continuous:
-        raise ValueError(
-            "essential flux constraint requires a continuous flux space; "
-            "the local models impose flux data through the natural boundary term"
-        )
-    if not bc.essential and continuous:
-        raise ValueError(
-            "the nonlocal model must impose flux data essentially; "
-            "its weak form carries no natural flux term"
-        )
-    return bc.essential
-
-
 def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> DofMap:
     """Number both fields element-interleaved and record boundary bookkeeping."""
     t_space, q_space = approximation_spaces(model, p)
@@ -255,7 +233,7 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
         elif isinstance(bc, PrescribedFlux):
             sign = 1.0 if end == "left" else -1.0
             natural.append(NaturalFluxTerm(int(t_vertex), sign, bc.value))
-            if _effective_essential(bc, q_space):
+            if q_c0:
                 constrained.append(ConstrainedDof(int(q_vertex), Field.HEAT_FLUX, bc.value))
         else:
             raise TypeError(f"unsupported boundary condition {bc!r}")
@@ -504,17 +482,17 @@ def probe_row(dofmap: DofMap, x: float, field: Field) -> ProbeRow:
 
     At an interior mesh node of the discontinuous flux space the value is the
     average of the two one-sided limits; everywhere else it is the ordinary
-    element evaluation.
+    element evaluation.  The row spans every DOF of the elements evaluated,
+    zero weights included, in ascending full numbering.
     """
     mesh = dofmap.mesh
     nodes = mesh.nodes
     tol = 1e-12 * mesh.length
-    if x < nodes[0] - tol or x > nodes[-1] + tol:
+    if not nodes[0] - tol <= x <= nodes[-1] + tol:
         raise ValueError(f"probe point {x} outside the domain [{nodes[0]}, {nodes[-1]}]")
 
     space = dofmap.space(field)
     nearest = int(np.argmin(np.abs(nodes - x)))
-    pieces: list[tuple[int, float, float]] = []
     if abs(nodes[nearest] - x) <= tol:
         if (
             0 < nearest < mesh.n_elements
@@ -528,32 +506,28 @@ def probe_row(dofmap: DofMap, x: float, field: Field) -> ProbeRow:
     else:
         e = int(np.searchsorted(nodes, x) - 1)
         e = min(max(e, 0), mesh.n_elements - 1)
-        eta = float(mesh.element_map(e).map_to_master(x))
+        eta = (x - 0.5 * (nodes[e] + nodes[e + 1])) / mesh.jacobians[e]
         pieces = [(e, eta, 1.0)]
 
-    shapes = ShapeSet(space.degree)
-    weights: dict[int, float] = {}
-    for e, eta, wt in pieces:
-        vals = shapes.values(np.array([eta]))[:, 0]
-        for dof, v in zip(dofmap.element_dofs[field][e], vals):
-            weights[int(dof)] = weights.get(int(dof), 0.0) + wt * float(v)
+    elements, etas, _ = zip(*pieces)
+    values = ShapeSet(space.degree).values(np.array(etas))
+    element_dofs = dofmap.element_dofs[field]
+    weights = np.zeros(dofmap.full_dim)
+    for k, (e, _, share) in enumerate(pieces):
+        weights[element_dofs[e]] += share * values[:, k]
 
-    cons_pos = {c.dof: i for i, c in enumerate(dofmap.constrained)}
-    free_idx, free_w, cons_idx, cons_w = [], [], [], []
-    for dof, w in sorted(weights.items()):
-        if dof in cons_pos:
-            cons_idx.append(cons_pos[dof])
-            cons_w.append(w)
-        else:
-            free_idx.append(int(dofmap.full_to_free[dof]))
-            free_w.append(w)
+    dofs = np.unique(element_dofs[list(elements)])
+    free = dofmap.full_to_free[dofs]
+    is_free = free >= 0
+    cons_pos = np.full(dofmap.full_dim, -1)
+    cons_pos[[c.dof for c in dofmap.constrained]] = np.arange(len(dofmap.constrained))
     return ProbeRow(
         x=float(x),
         field=field,
-        free_idx=np.asarray(free_idx, dtype=int),
-        free_w=np.asarray(free_w),
-        cons_idx=np.asarray(cons_idx, dtype=int),
-        cons_w=np.asarray(cons_w),
+        free_idx=free[is_free],
+        free_w=weights[dofs[is_free]],
+        cons_idx=cons_pos[dofs[~is_free]],
+        cons_w=weights[dofs[~is_free]],
     )
 
 

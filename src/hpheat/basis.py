@@ -120,32 +120,3 @@ def gauss_rule(n_points: int) -> QuadratureRule:
         raise ValueError(f"quadrature rule needs at least one point, got {n_points}")
     pts, wts = leggauss(n_points)
     return QuadratureRule(points=pts, weights=wts)
-
-
-@dataclass(frozen=True)
-class ElementMap:
-    """Affine map from the master element (-1, 1) onto (x_left, x_right)."""
-
-    x_left: float
-    x_right: float
-
-    def __post_init__(self) -> None:
-        if not self.x_right > self.x_left:
-            raise ValueError(
-                f"element must have positive length, got [{self.x_left}, {self.x_right}]"
-            )
-
-    @property
-    def length(self) -> float:
-        return self.x_right - self.x_left
-
-    @property
-    def jacobian(self) -> float:
-        """dx/deta, constant because the map is affine."""
-        return 0.5 * (self.x_right - self.x_left)
-
-    def map_to_physical(self, eta):
-        return 0.5 * (self.x_left + self.x_right) + self.jacobian * np.asarray(eta, dtype=float)
-
-    def map_to_master(self, x):
-        return (np.asarray(x, dtype=float) - 0.5 * (self.x_left + self.x_right)) / self.jacobian

@@ -269,19 +269,6 @@ def parse_config(text: str) -> RunConfig:
         if sweep_values is None:
             sweep_values = family.values
 
-    tau_candidates = list(sweep_taus) if sweep_mode else [relaxation_time or 0.0]
-    for tau in tau_candidates:
-        try:
-            MaterialParams(
-                rho=floats["density"],
-                c_v=floats["specific_heat"],
-                conductivity=floats["conductivity"],
-                tau=tau,
-                kappa2=kappa2 or 0.0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid material parameters: {exc}") from None
-
     config = RunConfig(
         mode=mode,
         model=model,
@@ -307,6 +294,11 @@ def parse_config(text: str) -> RunConfig:
         reference_degree=ints.get("reference_degree", REFERENCE_DEGREE),
         oracle_cells=ints.get("oracle_cells", ORACLE_CELLS),
     )
+    for tau in sweep_taus if sweep_mode else [relaxation_time or 0.0]:
+        try:
+            _material(config, tau)
+        except ValueError as exc:
+            raise ConfigError(f"invalid material parameters: {exc}") from None
     _validate_numbers(config)
     return config
 
@@ -334,6 +326,9 @@ def _validate_numbers(config: RunConfig) -> None:
             raise ConfigError(
                 f"{name} must be in 1..{MAX_DEGREE - 1} (temperature degree cap), got {value}"
             )
+    # Negative rates are accepted on purpose: the closed form and its running
+    # integral hold for any distinct nonzero rates.  A pulse that overflows
+    # is reported at run time as exit 3 "numerical".
     if config.pulse_c1 == config.pulse_c2:
         raise ConfigError("pulse_c1 and pulse_c2 must differ")
     if config.pulse_t_p <= 0:

@@ -194,9 +194,6 @@ class TransientRun:
     """
 
     scenario: Scenario
-    n_elements: int
-    degree: int
-    theta: float
     system: SemiDiscreteSystem
     solution: TransientSolution
     series: dict[str, ProbeSeries]
@@ -249,9 +246,6 @@ def solve_transient(
     }
     return TransientRun(
         scenario=scenario,
-        n_elements=n_elements,
-        degree=degree,
-        theta=theta,
         system=sys,
         solution=solution,
         series=series,

@@ -133,19 +133,17 @@ def compute_reference(
 def fd_oracle(
     scenario: Scenario,
     cells: int = ORACLE_CELLS,
-    dt: float | None = None,
     theta: float = 0.5,
 ) -> ReferenceSolution:
-    """Independent staggered finite-difference reference for cross-validation."""
+    """Independent staggered finite-difference reference for cross-validation.
+
+    The oracle marches the scenario's own time grid (dt, n_steps), the grid
+    history_error compares on.
+    """
     if not isinstance(scenario.bcs.left, PrescribedFlux) or not isinstance(
         scenario.bcs.right, PrescribedFlux
     ):
         raise ValueError("the difference oracle supports flux conditions on both ends")
-    if dt is None:
-        dt = scenario.dt
-    n_steps = round(scenario.final_time / dt)
-    if abs(n_steps * dt - scenario.final_time) > 1e-9 * scenario.final_time:
-        raise ValueError("oracle step size must divide the scenario horizon")
     t_probes = tuple(p.x for p in scenario.probes if p.quantity is Field.TEMPERATURE)
     q_probes = tuple(p.x for p in scenario.probes if p.quantity is Field.HEAT_FLUX)
     sol = fd_solve(
@@ -155,8 +153,8 @@ def fd_oracle(
         scenario.bcs.left.value,
         scenario.bcs.right.value,
         cells=cells,
-        dt=dt,
-        n_steps=n_steps,
+        dt=scenario.dt,
+        n_steps=scenario.n_steps,
         theta=theta,
         probe_temperatures=t_probes,
         probe_fluxes=q_probes,
@@ -176,7 +174,7 @@ def fd_oracle(
         provenance="finite_difference_oracle",
         scenario=scenario,
         series=series,
-        detail=f"cells={cells}, dt={dt}",
+        detail=f"cells={cells}, dt={scenario.dt}",
     )
 
 
@@ -253,7 +251,6 @@ def loglog_slope(dofs: np.ndarray, errors: np.ndarray, count: int | None = None)
 
 
 def benchmark_sweep_families(
-    conductivity: float = STUDY_CONDUCTIVITY,
     taus: tuple[float, ...] = (0.05, 0.15, 0.3),
     dt: float = 1e-3,
     n_steps: int = 10000,
@@ -268,7 +265,7 @@ def benchmark_sweep_families(
                 model,
                 tau=tau,
                 kappa2=kappa2,
-                conductivity=conductivity,
+                conductivity=STUDY_CONDUCTIVITY,
                 dt=dt,
                 n_steps=n_steps,
             )

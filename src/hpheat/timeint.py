@@ -120,7 +120,6 @@ class TransientSolution:
     """Probe histories on the uniform time grid, plus the final state."""
 
     times: np.ndarray
-    probes: tuple[tuple[float, Field], ...]
     probe_values: np.ndarray
     final_state: np.ndarray
     states: np.ndarray | None = None
@@ -214,7 +213,6 @@ def integrate(
 
     return TransientSolution(
         times=times,
-        probes=tuple((float(x), fld) for x, fld in probes),
         probe_values=values,
         final_state=alpha,
         states=states,

@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchic shape functions, quadrature, and element maps."""
+"""Unit tests for the hierarchic shape functions and quadrature."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hpheat.basis import (
     MAX_DEGREE,
-    ElementMap,
     ShapeSet,
     gauss_rule,
     legendre_eval,
@@ -135,33 +134,3 @@ def test_gauss_rule_exactness():
 def test_gauss_rule_rejects_empty():
     with pytest.raises(ValueError):
         gauss_rule(0)
-
-
-def test_element_map_frozen_values():
-    emap = ElementMap(0.001, 0.002)
-    assert emap.length == pytest.approx(0.001, abs=1e-18)
-    assert emap.jacobian == pytest.approx(0.0005, abs=1e-18)
-    assert emap.map_to_physical(0.5) == pytest.approx(0.00175, abs=1e-18)
-    assert emap.map_to_master(0.00175) == pytest.approx(0.5, abs=1e-12)
-
-
-@given(
-    left=st.floats(min_value=-2.0, max_value=2.0),
-    width=st.floats(min_value=1e-6, max_value=3.0),
-    eta=st.floats(min_value=-1.0, max_value=1.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_element_map_roundtrip(left, width, eta):
-    emap = ElementMap(left, left + width)
-    x = emap.map_to_physical(eta)
-    # Affine-map roundoff can land a hair outside on either side.
-    slack = 1e-12 * max(1.0, abs(left), abs(left + width))
-    assert left - slack <= x <= left + width + slack
-    assert emap.map_to_master(x) == pytest.approx(eta, abs=1e-9)
-
-
-def test_element_map_rejects_degenerate():
-    with pytest.raises(ValueError):
-        ElementMap(1.0, 1.0)
-    with pytest.raises(ValueError):
-        ElementMap(2.0, 1.0)

@@ -82,6 +82,18 @@ def test_initial_state_shape_validation():
         integrate(sys, ThetaScheme(0.5, 1e-3, 1), np.zeros(sys.dim + 1))
 
 
+def test_probe_location_outside_the_domain_rejected():
+    # NaN compares false both ways, so it must not slip past the range check
+    # and surface later as a non-finite history.
+    sys = assemble(Mesh.uniform(4, 0.005), MCV_MAT, ModelKind.MCV, 2, QUIET_BCS)
+    for x in (np.nan, np.inf, 0.006):
+        with pytest.raises(ValueError, match="outside the domain"):
+            integrate(
+                sys, ThetaScheme(0.5, 1e-3, 5), np.zeros(sys.dim),
+                probes=((x, Field.TEMPERATURE),),
+            )
+
+
 def test_singular_implicit_matrix_reported():
     # A zero row cannot be equilibrated away and must fail loudly.
     stub = types.SimpleNamespace(
