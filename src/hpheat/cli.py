@@ -329,6 +329,9 @@ def _validate_numbers(config: RunConfig) -> None:
     # Negative rates are accepted on purpose: the closed form and its running
     # integral hold for any distinct nonzero rates.  A pulse that overflows
     # is reported at run time as exit 3 "numerical".
+    for name, value in (("pulse_c1", config.pulse_c1), ("pulse_c2", config.pulse_c2)):
+        if value == 0.0:
+            raise ConfigError(f"{name} must be nonzero")
     if config.pulse_c1 == config.pulse_c2:
         raise ConfigError("pulse_c1 and pulse_c2 must differ")
     if config.pulse_t_p <= 0:

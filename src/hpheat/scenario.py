@@ -46,6 +46,8 @@ class PulseParams:
     def __post_init__(self) -> None:
         if self.c1 == self.c2:
             raise ValueError("pulse rate constants must differ")
+        if self.c1 == 0.0 or self.c2 == 0.0:
+            raise ValueError(f"pulse rate constants must be nonzero, got {self.c1}, {self.c2}")
         if self.t_p <= 0.0:
             raise ValueError(f"pulse time scale must be positive, got {self.t_p}")
 
@@ -199,37 +201,28 @@ class TransientRun:
     series: dict[str, ProbeSeries]
 
 
-def solve_transient(
-    scenario: Scenario,
-    n_elements: int,
-    degree: int,
-    theta: float = 0.5,
-    record_states: bool = False,
-) -> TransientRun:
-    """March the scenario on a uniform mesh of the given element count and degree.
+def discretize(
+    scenario: Scenario, n_elements: int, degree: int
+) -> tuple[SemiDiscreteSystem, SemiDiscreteSystem, list[tuple[float, Field]]]:
+    """The scenario on a uniform mesh of the given element count and degree.
 
-    The unknown is the rise T - T0 over the uniform initial temperature T0,
-    not T itself.  The signal is a few millikelvin on a 293 K background;
-    marching T would round every step at the background's last place, and
-    the badly scaled over-diffuse rows amplify that roundoff far above the
-    discretization error.  Constants are exact equilibria of the
-    semi-discrete system, so the rise obeys the same equations from the zero
-    state, with prescribed temperatures lowered by T0.  T0 comes back once
-    per run: added to the returned states, and as the offset of the
-    temperature probe series.
+    Returns its system, the same system with every prescribed temperature
+    lowered by the initial temperature T0, which marches the rise T - T0
+    from the zero state, and the probe points.
     """
-    t0 = scenario.initial_temperature
     mesh = Mesh.uniform(n_elements, scenario.length)
     sys = assemble(mesh, scenario.material, scenario.model, degree, scenario.bcs)
+    probes = [(probe.x, probe.quantity) for probe in scenario.probes]
+    return sys, sys.lowered_temperatures(scenario.initial_temperature), probes
+
+
+def rise_run(
+    scenario: Scenario, sys: SemiDiscreteSystem, solution: TransientSolution
+) -> TransientRun:
+    """The run of a rise marched on discretize's lowered system: T0 added
+    back to the states, and the probe series, temperatures with offset T0."""
+    t0 = scenario.initial_temperature
     background = apply_initial_conditions(sys, t0, 0.0)
-    scheme = ThetaScheme(theta=theta, dt=scenario.dt, n_steps=scenario.n_steps)
-    solution = integrate(
-        sys.lowered_temperatures(t0),
-        scheme,
-        np.zeros(sys.dim),
-        probes=[(probe.x, probe.quantity) for probe in scenario.probes],
-        record_states=record_states,
-    )
     solution.final_state += background
     if solution.states is not None:
         solution.states += background
@@ -250,6 +243,33 @@ def solve_transient(
         solution=solution,
         series=series,
     )
+
+
+def solve_transient(
+    scenario: Scenario,
+    n_elements: int,
+    degree: int,
+    theta: float = 0.5,
+    record_states: bool = False,
+) -> TransientRun:
+    """March the scenario on a uniform mesh of the given element count and degree.
+
+    The unknown is the rise T - T0 over the uniform initial temperature T0,
+    not T itself.  The signal is a few millikelvin on a 293 K background;
+    marching T would round every step at the background's last place, and
+    the badly scaled over-diffuse rows amplify that roundoff far above the
+    discretization error.  Constants are exact equilibria of the
+    semi-discrete system, so the rise obeys the same equations from the zero
+    state, with prescribed temperatures lowered by T0.  T0 comes back once
+    per run: added to the returned states, and as the offset of the
+    temperature probe series.
+    """
+    sys, lowered, probes = discretize(scenario, n_elements, degree)
+    scheme = ThetaScheme(theta=theta, dt=scenario.dt, n_steps=scenario.n_steps)
+    solution = integrate(
+        lowered, scheme, np.zeros(sys.dim), probes=probes, record_states=record_states
+    )
+    return rise_run(scenario, sys, solution)
 
 
 def net_boundary_energy(scenario: Scenario, t: float) -> float:

@@ -31,7 +31,16 @@ import numpy as np
 from .assembly import Field, Mesh, PrescribedFlux, build_dofmap
 from .fdoracle import fd_solve
 from .materials import ModelKind
-from .scenario import ProbeSeries, Scenario, benchmark_scenario, solve_transient
+from .scenario import (
+    ProbeSeries,
+    Scenario,
+    TransientRun,
+    benchmark_scenario,
+    discretize,
+    rise_run,
+    solve_transient,
+)
+from .timeint import ThetaScheme, TransientSolution, integrate_stack, prepare
 
 # Conduction coefficient of the convergence benchmarks.  Chosen so that the
 # relaxational wave crosses the slab over many time steps while the front the
@@ -178,31 +187,22 @@ def fd_oracle(
     )
 
 
-def run_sweep(
-    spec: SweepSpec,
-    references: Mapping[float, ReferenceSolution],
-    theta: float = 0.5,
-) -> ErrorReport:
-    """Solve every sweep point for every tau and report the error curves.
+@dataclass(frozen=True)
+class SweepRuns:
+    """The runs of every sweep member that marched, by (value, tau), and the
+    failures of the rest, by value, then by tau."""
 
-    Points are solved one at a time, in sweep order: by value, then by tau.
-    A failed point is recorded and left as NaN in its error columns; the rest
-    of the sweep still completes, and the failures come in that same order.
-    A point whose discretization cannot even be built (say a degree above the
-    basis cap) keeps -1 as its DOF entry and fails for every tau.
-    """
-    for tau in spec.taus:
-        if tau not in references:
-            raise KeyError(f"missing reference for tau = {tau}")
+    dofs: np.ndarray
+    runs: dict[tuple[int, float], TransientRun]
+    failures: tuple[tuple[int, float, str], ...]
 
+
+def solve_sweep(spec: SweepSpec, theta: float = 0.5) -> SweepRuns:
+    """The runs behind run_sweep: every sweep member solved as
+    solve_transient would solve it, stacked as run_sweep describes."""
     base = spec.scenario_factory(spec.taus[0])
-    probe_labels = [p.label for p in base.probes]
-    errors = {
-        (tau, label): np.full(len(spec.values), np.nan)
-        for tau in spec.taus
-        for label in probe_labels
-    }
-    failures: list[tuple[int, float, str]] = []
+    failures: dict[tuple[int, int], str] = {}
+    stacks: dict[ThetaScheme, list] = {}
     dofs = np.empty(len(spec.values), dtype=int)
     for i, value in enumerate(spec.values):
         n, p = spec.discretization(value)
@@ -210,23 +210,90 @@ def run_sweep(
             dofmap = build_dofmap(Mesh.uniform(n, base.length), base.model, p, base.bcs)
         except (ValueError, TypeError) as exc:
             dofs[i] = -1
-            failures.extend((value, tau, str(exc)) for tau in spec.taus)
+            failures.update(((i, j), str(exc)) for j in range(len(spec.taus)))
             continue
         dofs[i] = dofmap.total_dofs
-        for tau in spec.taus:
+        for j, tau in enumerate(spec.taus):
             try:
                 scenario = spec.scenario_factory(tau)
-                run = solve_transient(scenario, n, p, theta=theta)
+                scheme = ThetaScheme(theta=theta, dt=scenario.dt, n_steps=scenario.n_steps)
+                sys, lowered, probes = discretize(scenario, n, p)
+                member = prepare(lowered, scheme, probes)
             except Exception as exc:
-                failures.append((value, tau, str(exc)))
+                failures[(i, j)] = str(exc)
+                continue
+            stacks.setdefault(scheme, []).append(((i, j), scenario, sys, member))
+
+    runs = {}
+    for scheme, stack in stacks.items():
+        results = integrate_stack([member for *_, member in stack], scheme)
+        for ((i, j), scenario, sys, _), result in zip(stack, results):
+            if isinstance(result, TransientSolution):
+                runs[(spec.values[i], spec.taus[j])] = rise_run(scenario, sys, result)
+            else:
+                failures[(i, j)] = str(result)
+    ordered = tuple(
+        (spec.values[i], spec.taus[j], message) for (i, j), message in sorted(failures.items())
+    )
+    return SweepRuns(dofs=dofs, runs=runs, failures=ordered)
+
+
+def run_sweep(
+    spec: SweepSpec,
+    references: Mapping[float, ReferenceSolution],
+    theta: float = 0.5,
+) -> ErrorReport:
+    """Solve every sweep point for every tau and report the error curves.
+
+    Every (value, tau) member is prepared as solve_transient prepares it,
+    and the members that share a time grid and theta (all of them, in the
+    benchmark sweeps) are stacked into one block-diagonal banded system:
+    factored once with the largest member half-bandwidth, and marched once,
+    with one CSR product, load update and back-substitution per step for all
+    of them.  That replaces one Python time loop per member by one per stack;
+    the band's extra diagonals only meet exact zeros, so every member's
+    histories stay bit for bit those of solve_transient.
+
+    Failures stay per member, and the rest of the sweep still completes; a
+    failed member is left as NaN in its error columns, and the failures come
+    by value, then by tau:
+
+    - a point whose discretization cannot even be built (say a degree above
+      the basis cap) keeps -1 as its DOF entry and fails for every tau;
+    - a member whose preparation fails, for instance on non-finite boundary
+      data, fails before it is stacked, naming the step of the bad data;
+    - a singular member is dropped from its stack, which is refactored, and
+      its factorization error names the pivot within the member;
+    - a NaN or infinity in one block of the stack reaches every other block
+      within one step, because the banded back-substitution multiplies the
+      band's stored zeros by it.  So when any member ends non-finite, every
+      member of that stack is marched again alone through the same core: a
+      bad member then names its own step, and never costs the others their
+      histories.
+    """
+    for tau in spec.taus:
+        if tau not in references:
+            raise KeyError(f"missing reference for tau = {tau}")
+
+    sweep = solve_sweep(spec, theta)
+    probe_labels = [p.label for p in spec.scenario_factory(spec.taus[0]).probes]
+    errors = {
+        (tau, label): np.full(len(spec.values), np.nan)
+        for tau in spec.taus
+        for label in probe_labels
+    }
+    for i, value in enumerate(spec.values):
+        for tau in spec.taus:
+            run = sweep.runs.get((value, tau))
+            if run is None:
                 continue
             ref = references[tau]
             for label in probe_labels:
                 errors[(tau, label)][i] = history_error(
-                    run.series[label], ref.series[label], scenario
+                    run.series[label], ref.series[label], run.scenario
                 )
 
-    return ErrorReport(spec=spec, dofs=dofs, errors=errors, failures=tuple(failures))
+    return ErrorReport(spec=spec, dofs=sweep.dofs, errors=errors, failures=sweep.failures)
 
 
 def pre_floor_count(errors: np.ndarray) -> int:

@@ -4,13 +4,24 @@ The theta scheme applied to A alpha' + B alpha = f(t) reads
 
     (A + dt theta B) alpha_{n+1} = (A - dt (1 - theta) B) alpha_n + dt f_n*
 
-Everything that does not depend on the state is prepared once per run: the
-equilibrated banded LU of the left matrix, the boundary data at every grid
-time, the rows of A_fc and B_fc that the data touch, and the evaluation rows
-of the probes.  A step is then one sparse matrix-vector product with the
-right matrix, an update of the few load rows, one banded back-substitution
-and one short dot product per probe; the prescribed part of the probe
-values is added on the whole time grid after the loop.
+The step loop is `march`, a core that knows nothing of SemiDiscreteSystem.
+Its inputs are built once, before the loop:
+
+- the BandedFactorization of the implicit matrix, which also carries the
+  explicit matrix in CSR form;
+- the free rows the boundary data touch, with a table of dt f_n* on those
+  rows for every step;
+- the free-DOF weight rows of the probes;
+- the initial state.
+
+It returns the probe histories and the final state.  A step is one sparse
+matrix-vector product with the explicit matrix, an update of the few load
+rows, one banded back-substitution and one short dot product per probe.
+`integrate` is a thin adapter over the core for one system: it builds the
+inputs with `prepare` and `build_factorization`, and afterwards adds the
+prescribed part of the probe values on the whole time grid and checks that
+the result is finite.  `integrate_stack` marches several systems on one
+grid as a single block-diagonal system through the same core.
 
 The load is f = natural fluxes - A_fc g' - B_fc g, with g the constrained
 values.  f_n* is its exact mean over the step, from the closed-form running
@@ -21,10 +32,12 @@ g' is the change between consecutive step means of g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
@@ -46,6 +59,10 @@ class ThetaScheme:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.n_steps}")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
 
 
 class FactorizationError(RuntimeError):
@@ -125,14 +142,28 @@ class TransientSolution:
     states: np.ndarray | None = None
 
 
-def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray):
-    """The free rows the boundary data touch, and the load on them per step.
+@dataclass
+class Prepared:
+    """A system with what its march needs besides the factorization: the
+    probe rows, and the free rows the boundary data touch with dt times the
+    step-mean load on them at every step, as an (n_steps, len(load_rows))
+    table."""
 
-    The data are kept per signal, never as a load table.  Each step reads
-    the step means, with the constrained rate taken from the previous step's
-    mean (from g(0) at the first step), as SemiDiscreteSystem.load_average
-    does.
+    system: SemiDiscreteSystem
+    probes: list[ProbeRow]
+    load_rows: np.ndarray
+    loads: np.ndarray
+
+
+def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The free rows the boundary data touch, and dt times the load on them
+    per step.
+
+    Each step reads the step means, with the constrained rate taken from the
+    previous step's mean (from g(0) at the first step), as
+    SemiDiscreteSystem.load_average does.
     """
+    times = scheme.times
     natural = sys.natural_free()
     signals = [c.value for c in sys.dofmap.constrained]
     fluxes = [fn for _, _, fn in natural]
@@ -142,7 +173,6 @@ def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray):
     touched[natural_rows] = True
     rows = np.flatnonzero(touched)
     natural_pos = np.searchsorted(rows, natural_rows)
-    a_fc, b_fc = sys.A_fc[rows], sys.B_fc[rows]
     flux = signs * step_averages(fluxes, times)
     value = step_averages(signals, times)
     previous = np.vstack((on_grid(signals, times[:1], "value"), value[:-1]))
@@ -150,15 +180,101 @@ def _step_loads(sys: SemiDiscreteSystem, times: np.ndarray):
     bad = ~np.isfinite(np.hstack((flux, rate, value))).all(axis=1)
     if bad.any():
         raise NonFiniteStateError(int(np.argmax(bad)) + 1, "boundary data")
+    # Built in place, so that at most two temporaries of the table's size
+    # add to the peak memory.
+    loads = np.zeros((len(flux), rows.size))
+    loads[:, natural_pos] += flux
+    if signals:
+        coupled = rate @ sys.A_fc[rows].T
+        coupled += value @ sys.B_fc[rows].T
+        loads -= coupled
+    loads *= scheme.dt
+    return rows, loads
 
-    def at(n: int) -> np.ndarray:
-        f = np.zeros(rows.size)
-        f[natural_pos] += flux[n]
-        if signals:
-            f -= a_fc @ rate[n] + b_fc @ value[n]
-        return f
 
-    return rows, map(at, range(len(flux)))
+def prepare(
+    sys: SemiDiscreteSystem,
+    scheme: ThetaScheme,
+    probes: Sequence[tuple[float, Field]] = (),
+) -> Prepared:
+    """Probe rows and load table of a system on the scheme's time grid.
+
+    Raises ValueError for a probe outside the domain and NonFiniteStateError
+    when the boundary data of a step are not finite.
+    """
+    rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
+    load_rows, loads = _step_loads(sys, scheme)
+    return Prepared(system=sys, probes=rows, load_rows=load_rows, loads=loads)
+
+
+def march(
+    fact: BandedFactorization,
+    load_rows: np.ndarray,
+    loads: np.ndarray,
+    probes: Sequence[ProbeRow],
+    alpha0: np.ndarray,
+    record_states: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The step loop: one step per row of loads, which holds dt f_n* on the
+    load rows.  Returns the free part of the probe histories, the final
+    state, and every state when record_states is set."""
+    alpha = np.array(alpha0, dtype=float, copy=True)
+    if alpha.shape != (fact.dim,):
+        raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
+    n_steps = len(loads)
+    values = np.empty((len(probes), n_steps + 1))
+    states = np.empty((n_steps + 1, fact.dim)) if record_states else None
+    # The dot product of ProbeRow.evaluate; one matrix product over all
+    # probes would sum in another order and move the last bits.
+    values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in probes]
+    if states is not None:
+        states[0] = alpha
+
+    m_expl = fact.m_expl
+    for n, load in enumerate(loads):
+        rhs = m_expl @ alpha
+        rhs[load_rows] += load
+        alpha = _back_substitute(fact, rhs)
+        values[:, n + 1] = [r.free_w @ alpha[r.free_idx] for r in probes]
+        if states is not None:
+            states[n + 1] = alpha
+    return values, alpha, states
+
+
+def _solution(
+    prepared: Prepared,
+    times: np.ndarray,
+    values: np.ndarray,
+    alpha: np.ndarray,
+    states: np.ndarray | None = None,
+) -> TransientSolution:
+    """Add the prescribed part of the probe values and check that the
+    histories and the final state are finite."""
+    rows = prepared.probes
+    if any(r.cons_idx.size for r in rows):
+        constrained = prepared.system.dofmap.constrained
+        prescribed = on_grid([c.value for c in constrained], times, "value")
+        for i, r in enumerate(rows):
+            for pos, w in zip(r.cons_idx, r.cons_w):
+                values[i] += w * prescribed[:, pos]
+    bad = ~np.isfinite(values).all(axis=0)
+    bad[-1] |= not np.isfinite(alpha).all()
+    if bad.any():
+        raise NonFiniteStateError(int(np.argmax(bad)), "state")
+    return TransientSolution(times=times, probe_values=values, final_state=alpha, states=states)
+
+
+def _solve(
+    prepared: Prepared,
+    fact: BandedFactorization,
+    scheme: ThetaScheme,
+    alpha0: np.ndarray,
+    record_states: bool = False,
+) -> TransientSolution:
+    values, alpha, states = march(
+        fact, prepared.load_rows, prepared.loads, prepared.probes, alpha0, record_states
+    )
+    return _solution(prepared, scheme.times, values, alpha, states)
 
 
 def integrate(
@@ -174,46 +290,74 @@ def integrate(
     step are not finite, and after it when a probe history or the final
     state is.
     """
-    rows: list[ProbeRow] = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
+    prepared = prepare(sys, scheme, probes)
     fact = build_factorization(sys, scheme)
-    dt, n_steps = scheme.dt, scheme.n_steps
+    return _solve(prepared, fact, scheme, alpha0, record_states)
 
-    times = np.arange(n_steps + 1) * dt
-    values = np.empty((len(rows), n_steps + 1))
-    states = np.empty((n_steps + 1, sys.dim)) if record_states else None
 
-    alpha = np.array(alpha0, dtype=float, copy=True)
-    if alpha.shape != (sys.dim,):
-        raise ValueError(f"initial state has shape {alpha.shape}, expected ({sys.dim},)")
-    load_rows, loads = _step_loads(sys, times)
-    # The dot product of ProbeRow.evaluate; one matrix product over all
-    # probes would sum in another order and move the last bits.
-    values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in rows]
-    if record_states:
-        states[0] = alpha
+def integrate_stack(
+    members: Sequence[Prepared],
+    scheme: ThetaScheme,
+) -> list[TransientSolution | FactorizationError | NonFiniteStateError]:
+    """March several prepared systems from rest (the zero state) on one time
+    grid as a single block-diagonal system, and split the result per member.
 
-    m_expl = fact.m_expl
-    for n, f_rows in enumerate(loads):
-        rhs = m_expl @ alpha
-        rhs[load_rows] += dt * f_rows
-        alpha = _back_substitute(fact, rhs)
-        values[:, n + 1] = [r.free_w @ alpha[r.free_idx] for r in rows]
-        if record_states:
-            states[n + 1] = alpha
+    The stack is factored once, with the largest member half-bandwidth, and
+    marched once through the same core as integrate: every step is one CSR
+    product, one load update and one back-substitution for all members.  The
+    band's extra diagonals only ever meet exact zeros, so a member's
+    histories are bit for bit those of integrate on its own.
 
-    if any(r.cons_idx.size for r in rows):
-        prescribed = on_grid([c.value for c in sys.dofmap.constrained], times, "value")
-        for i, r in enumerate(rows):
-            for pos, w in zip(r.cons_idx, r.cons_w):
-                values[i] += w * prescribed[:, pos]
-    bad = ~np.isfinite(values).all(axis=0)
-    bad[-1] |= not np.isfinite(alpha).all()
-    if bad.any():
-        raise NonFiniteStateError(int(np.argmax(bad)), "state")
-
-    return TransientSolution(
-        times=times,
-        probe_values=values,
-        final_state=alpha,
-        states=states,
+    Failures stay per member.  A singular block is dropped and the rest is
+    refactored.  A NaN or infinity in one block reaches every other block
+    within one step, because the back-substitution multiplies the band's
+    stored zeros by it; so when any member ends non-finite, every member is
+    marched again alone, and only the bad ones keep a NonFiniteStateError
+    naming their own step.  Returns, in member order, each solution or the
+    error that stopped it.
+    """
+    results: list = [None] * len(members)
+    live = list(range(len(members)))
+    fact = None
+    while live and fact is None:
+        systems = [members[k].system for k in live]
+        offsets = np.cumsum([0] + [s.dim for s in systems])
+        # build_factorization reads no more of a system than these four.
+        stack = SimpleNamespace(
+            A=sp.block_diag([s.A for s in systems], format="csr"),
+            B=sp.block_diag([s.B for s in systems], format="csr"),
+            half_bandwidth=max(s.half_bandwidth for s in systems),
+            dim=int(offsets[-1]),
+        )
+        try:
+            fact = build_factorization(stack, scheme)
+        except FactorizationError as exc:
+            # The pivot lies in the first singular block; count it there.
+            j = int(np.searchsorted(offsets, exc.pivot - 1, side="right")) - 1
+            results[live.pop(j)] = FactorizationError(exc.pivot - int(offsets[j]))
+    if fact is None:
+        return results
+    blocks = [(k, members[k], int(offsets[j])) for j, k in enumerate(live)]
+    values, alpha, _ = march(
+        fact,
+        np.concatenate([m.load_rows + start for _, m, start in blocks]),
+        np.hstack([m.loads for _, m, _ in blocks]),
+        [replace(r, free_idx=r.free_idx + start) for _, m, start in blocks for r in m.probes],
+        np.zeros(fact.dim),
     )
+    first = 0
+    try:
+        for k, m, start in blocks:
+            rows = slice(first, first + len(m.probes))
+            first = rows.stop
+            state = alpha[start:start + m.system.dim].copy()
+            results[k] = _solution(m, scheme.times, values[rows], state)
+    except NonFiniteStateError:
+        for k in live:
+            m = members[k]
+            try:
+                fact = build_factorization(m.system, scheme)
+                results[k] = _solve(m, fact, scheme, np.zeros(m.system.dim))
+            except NonFiniteStateError as exc:
+                results[k] = exc
+    return results

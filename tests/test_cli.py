@@ -436,6 +436,20 @@ def test_main_reports_overflow_as_numerical_failure(tmp_path, capsys):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("key", ["pulse_c1", "pulse_c2"])
+def test_main_rejects_a_zero_pulse_rate(tmp_path, capsys, key):
+    # The pulse's running integral divides by each rate.
+    kept = [line for line in OVERFLOWING_PULSE.splitlines() if not line.startswith(key)]
+    config = tmp_path / "zero_rate.conf"
+    config.write_text("\n".join(kept) + f"\n{key} = 0.0\n")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert f"{key} must be nonzero" in record["message"]
+    assert not out.exists() or list(out.glob("*")) == []
+
+
 def test_main_csv_format(tmp_path):
     good = tmp_path / "good.conf"
     good.write_text(FAST_TRANSIENT)

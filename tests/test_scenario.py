@@ -81,6 +81,14 @@ def test_pulse_flux_rejects_negative_time():
         pulse_flux(PulseParams(), -1e-6)
 
 
+@pytest.mark.parametrize("rates", [(0.0, 6.0), (13.3, 0.0)])
+def test_pulse_rejects_a_zero_rate(rates):
+    # The running integral divides by each rate.
+    c1, c2 = rates
+    with pytest.raises(ValueError, match="nonzero"):
+        PulseParams(c1=c1, c2=c2)
+
+
 def test_time_function_average_and_constant():
     lin = TimeFunction(value=lambda t: 3.0 * t, integral=lambda t: 1.5 * t * t)
     assert lin.average(1.0, 3.0) == pytest.approx(6.0, rel=1e-14)

@@ -5,14 +5,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hpheat.study
 from hpheat.assembly import BoundarySpec, Field, PrescribedFlux
 from hpheat.materials import ModelKind
-from hpheat.scenario import ProbeSeries, benchmark_scenario
-from hpheat.timefun import ZERO, TimeFunction
+from hpheat.scenario import (
+    PulseParams,
+    ProbeSeries,
+    benchmark_scenario,
+    flash_pulse,
+    solve_transient,
+)
+from hpheat.timefun import ZERO, NonFiniteStateError, TimeFunction
+from hpheat.timeint import FactorizationError, build_factorization
 from hpheat.study import (
     PRE_FLOOR_FACTOR,
     STUDY_CONDUCTIVITY,
     ErrorReport,
+    ReferenceSolution,
     SweepSpec,
     benchmark_sweep_families,
     compute_reference,
@@ -22,6 +31,7 @@ from hpheat.study import (
     pre_floor_count,
     relative_max_error,
     run_sweep,
+    solve_sweep,
 )
 
 
@@ -224,6 +234,143 @@ def test_run_sweep_records_non_finite_data_as_a_failure():
     assert all("step 4" in message for _, _, message in report.failures)
     assert np.all(np.isfinite(report.errors[(0.3, "T_rear")]))
     assert np.all(np.isnan(report.errors[(0.05, "T_rear")]))
+
+
+def separate_solves(spec, theta):
+    """Every sweep member solved on its own, by (value, tau)."""
+    runs = {}
+    for value in spec.values:
+        n, p = spec.discretization(value)
+        for tau in spec.taus:
+            runs[(value, tau)] = solve_transient(spec.scenario_factory(tau), n, p, theta=theta)
+    return runs
+
+
+def separate_errors(spec, runs, refs):
+    """The error curves of run_sweep, computed from separate solves."""
+    errors = {}
+    for tau in spec.taus:
+        for label in refs[tau].series:
+            errors[(tau, label)] = np.array([
+                history_error(runs[(value, tau)].series[label], refs[tau].series[label],
+                              runs[(value, tau)].scenario)
+                if (value, tau) in runs else np.nan
+                for value in spec.values
+            ])
+    return errors
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_run_sweep_is_bitwise_the_separate_solves(theta):
+    # Each sweep is marched as one stack of 21 members with the largest
+    # member half-bandwidth; the extra band diagonals only meet exact zeros.
+    for spec in benchmark_sweep_families(n_steps=200):
+        alone = separate_solves(spec, theta)
+        sweep = solve_sweep(spec, theta)
+        assert not sweep.failures
+        assert set(sweep.runs) == set(alone)
+        for key, run in alone.items():
+            stacked = sweep.runs[key]
+            for label, series in run.series.items():
+                assert np.array_equal(stacked.series[label].rise, series.rise), (spec, key, label)
+            assert np.array_equal(stacked.solution.final_state, run.solution.final_state)
+
+        last = spec.values[-1]
+        refs = {
+            tau: ReferenceSolution("overkill_fem", alone[(last, tau)].scenario,
+                                   alone[(last, tau)].series, f"{spec.discretization(last)}")
+            for tau in spec.taus
+        }
+        report = run_sweep(spec, refs, theta=theta)
+        expected = separate_errors(spec, alone, refs)
+        assert set(report.errors) == set(expected)
+        for key, curve in expected.items():
+            assert np.array_equal(report.errors[key], curve), (spec, key)
+            assert report.errors[key][-1] == 0.0
+
+
+def mcv_flash(tau, n_steps=30):
+    return benchmark_scenario(
+        ModelKind.MCV, tau=tau, conductivity=STUDY_CONDUCTIVITY, dt=1e-3, n_steps=n_steps,
+    )
+
+
+def test_a_member_that_blows_up_mid_march_fails_alone():
+    # At tau = 0.05 a huge pulse meets a slab of almost no heat capacity:
+    # the data stay finite, but the temperature overflows at step 4.  In the
+    # stack, that NaN reaches every other member within one step.
+    def make(tau):
+        scenario = mcv_flash(tau)
+        if tau != 0.05:
+            return scenario
+        scenario = replace(scenario, material=replace(scenario.material, rho=1e-11))
+        pulse = PrescribedFlux(flash_pulse(PulseParams(amplitude=1e300)))
+        return replace(scenario, bcs=replace(scenario.bcs, left=pulse))
+
+    spec = SweepSpec(
+        family="mcv", kind="h", values=(4, 6, 8), fixed=2, taus=(0.3, 0.05, 0.15),
+        scenario_factory=make,
+    )
+    expected = {}
+    for value in spec.values:
+        with pytest.raises(NonFiniteStateError) as info:
+            solve_transient(make(0.05), value, 2, theta=1.0)
+        assert info.value.step == 4
+        expected[value] = str(info.value)
+    refs = {tau: compute_reference(mcv_flash(tau), 10, 3, theta=1.0) for tau in spec.taus}
+    report = run_sweep(spec, refs, theta=1.0)
+    assert report.failures == tuple((value, 0.05, expected[value]) for value in spec.values)
+
+    alone = {
+        (value, tau): solve_transient(make(tau), value, 2, theta=1.0)
+        for value in spec.values
+        for tau in (0.3, 0.15)
+    }
+    want = separate_errors(spec, alone, refs)
+    for key, curve in want.items():
+        assert np.array_equal(report.errors[key], curve, equal_nan=True), key
+    assert np.all(np.isfinite(report.errors[(0.3, "T_rear")]))
+    assert np.all(np.isnan(report.errors[(0.05, "T_rear")]))
+
+
+def test_a_singular_member_fails_alone(monkeypatch):
+    # The middle member of the stack gets a zero row: its factorization
+    # error names the pivot within that member, and the stack is refactored
+    # without it.
+    spec = SweepSpec(
+        family="mcv", kind="h", values=(4, 6, 8), fixed=2, taus=(0.3, 0.05),
+        scenario_factory=mcv_flash,
+    )
+    refs = {tau: compute_reference(mcv_flash(tau), 10, 3, theta=1.0) for tau in spec.taus}
+    healthy = run_sweep(spec, refs, theta=1.0)
+    assert not healthy.failures
+
+    row = 5
+    real_prepare = hpheat.study.prepare
+
+    def zero_row(matrix):
+        matrix = matrix.tolil()
+        matrix[row, :] = 0.0
+        return matrix.tocsr()
+
+    def prepare(sys, scheme, probes):
+        if sys.mesh.n_elements == 6 and sys.material.tau == 0.3:
+            sys = replace(sys, A=zero_row(sys.A), B=zero_row(sys.B))
+            with pytest.raises(FactorizationError) as info:
+                build_factorization(sys, scheme)
+            expected.append(str(info.value))
+        return real_prepare(sys, scheme, probes)
+
+    expected = []
+    monkeypatch.setattr(hpheat.study, "prepare", prepare)
+    report = run_sweep(spec, refs, theta=1.0)
+    assert expected == [str(FactorizationError(row + 1))]
+    assert report.failures == ((6, 0.3, expected[0]),)
+    for key, curve in healthy.errors.items():
+        want = curve.copy()
+        if key[0] == 0.3:
+            want[1] = np.nan
+        assert np.array_equal(report.errors[key], want, equal_nan=True), key
 
 
 def test_reference_dofs_come_from_the_sweep_model():
