@@ -165,7 +165,6 @@ class NaturalFluxTerm:
 class DofMap:
     mesh: Mesh
     model: ModelKind
-    p: int
     spaces: tuple[SpaceSpec, SpaceSpec]
     element_dofs: dict[Field, np.ndarray]
     vertex_dofs: dict[Field, np.ndarray | None]
@@ -241,7 +240,6 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
     return DofMap(
         mesh=mesh,
         model=model,
-        p=p,
         spaces=(t_space, q_space),
         element_dofs={Field.TEMPERATURE: elem_t, Field.HEAT_FLUX: elem_q},
         vertex_dofs={Field.TEMPERATURE: vertex_t, Field.HEAT_FLUX: vertex_q},

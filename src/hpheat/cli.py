@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -342,28 +342,6 @@ def _validate_numbers(config: RunConfig) -> None:
         raise ConfigError("sweep_values needs at least two entries")
     if config.sweep_taus is not None and len(config.sweep_taus) < 1:
         raise ConfigError("sweep_taus_s needs at least one entry")
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Emit a document that parses back to an identical RunConfig."""
-    reverse = {}
-    reverse.update({attr: key for key, attr in _STR_KEYS.items()})
-    reverse.update({attr: key for key, attr in _FLOAT_KEYS.items()})
-    reverse.update({attr: key for key, attr in _INT_KEYS.items()})
-    reverse.update({attr: key for key, attr in _LIST_FLOAT_KEYS.items()})
-    reverse.update({attr: key for key, attr in _LIST_INT_KEYS.items()})
-    lines = []
-    for fld in dataclass_fields(RunConfig):
-        value = getattr(config, fld.name)
-        if value is None:
-            continue
-        key = reverse[fld.name]
-        if isinstance(value, tuple):
-            rendered = " ".join(repr(v) for v in value)
-        else:
-            rendered = repr(value) if not isinstance(value, str) else value
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def _material(config: RunConfig, tau: float) -> MaterialParams:

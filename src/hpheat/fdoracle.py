@@ -78,14 +78,6 @@ class StaggeredGrid:
     def dx(self) -> float:
         return self.length / self.cells
 
-    @classmethod
-    def uniform(cls, cells: int, length: float, temperature: float) -> "StaggeredGrid":
-        return cls(
-            length=length,
-            T=np.full(cells, float(temperature)),
-            q=np.zeros(cells + 1),
-        )
-
 
 def _operator(cells: int, dx: float, mat: MaterialParams):
     """Mass diagonal, stiffness matrix and boundary-data columns for z = [T; q_int]."""
@@ -233,6 +225,10 @@ def fd_solve(
         raise ValueError(f"need at least three cells, got {cells}")
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must be in [1/2, 1], got {theta}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step must be finite and positive, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"step count must be >= 0, got {n_steps}")
     tol = 1e-12 * length
     for x in (*probe_temperatures, *probe_fluxes):
         if not -tol <= x <= length + tol:

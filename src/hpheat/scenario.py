@@ -10,7 +10,7 @@ adiabatic steady state sits at one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import exp
 
 import numpy as np
 
@@ -190,7 +190,7 @@ class TransientRun:
     """A scenario solved on one mesh/degree pair.
 
     system carries the scenario's absolute boundary data, and the solution's
-    states are absolute, so system.full_state applies to them directly.  The
+    final state is absolute, so system.full_state applies to it directly.  The
     solution's probe_values are the marched histories: the temperature rows
     hold the rise over the initial temperature, shared with series[...].rise.
     """
@@ -220,12 +220,9 @@ def rise_run(
     scenario: Scenario, sys: SemiDiscreteSystem, solution: TransientSolution
 ) -> TransientRun:
     """The run of a rise marched on discretize's lowered system: T0 added
-    back to the states, and the probe series, temperatures with offset T0."""
+    back to the final state, and the probe series, temperatures with offset T0."""
     t0 = scenario.initial_temperature
-    background = apply_initial_conditions(sys, t0, 0.0)
-    solution.final_state += background
-    if solution.states is not None:
-        solution.states += background
+    solution.final_state += apply_initial_conditions(sys, t0, 0.0)
     series = {
         probe.label: ProbeSeries(
             label=probe.label,
@@ -250,7 +247,6 @@ def solve_transient(
     n_elements: int,
     degree: int,
     theta: float = 0.5,
-    record_states: bool = False,
 ) -> TransientRun:
     """March the scenario on a uniform mesh of the given element count and degree.
 
@@ -261,14 +257,12 @@ def solve_transient(
     discretization error.  Constants are exact equilibria of the
     semi-discrete system, so the rise obeys the same equations from the zero
     state, with prescribed temperatures lowered by T0.  T0 comes back once
-    per run: added to the returned states, and as the offset of the
+    per run: added to the returned final state, and as the offset of the
     temperature probe series.
     """
     sys, lowered, probes = discretize(scenario, n_elements, degree)
     scheme = ThetaScheme(theta=theta, dt=scenario.dt, n_steps=scenario.n_steps)
-    solution = integrate(
-        lowered, scheme, np.zeros(sys.dim), probes=probes, record_states=record_states
-    )
+    solution = integrate(lowered, scheme, np.zeros(sys.dim), probes=probes)
     return rise_run(scenario, sys, solution)
 
 
@@ -312,14 +306,3 @@ def temperature_integral(sys: SemiDiscreteSystem, alpha: np.ndarray, t: float) -
     w = field_integral_weights(sys.dofmap, Field.TEMPERATURE)
     return float(w @ sys.full_state(alpha, t))
 
-
-def wavefront_arrival_estimate(scenario: Scenario) -> float:
-    """Characteristic thermal wavefront transit time length * sqrt(rho c_v tau / lam).
-
-    Only meaningful for the relaxational model; the diffusive limit propagates
-    at unbounded speed.
-    """
-    if scenario.model is not ModelKind.MCV or scenario.material.tau <= 0.0:
-        raise ValueError("wavefront arrival is defined for the relaxational model only")
-    mat = scenario.material
-    return scenario.length * sqrt(mat.rho * mat.c_v * mat.tau / mat.conductivity)

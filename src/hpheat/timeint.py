@@ -55,8 +55,8 @@ class ThetaScheme:
     def __post_init__(self) -> None:
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [1/2, 1], got {self.theta}")
-        if self.dt <= 0.0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"time step must be finite and positive, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.n_steps}")
 
@@ -139,7 +139,6 @@ class TransientSolution:
     times: np.ndarray
     probe_values: np.ndarray
     final_state: np.ndarray
-    states: np.ndarray | None = None
 
 
 @dataclass
@@ -213,22 +212,18 @@ def march(
     loads: np.ndarray,
     probes: Sequence[ProbeRow],
     alpha0: np.ndarray,
-    record_states: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The step loop: one step per row of loads, which holds dt f_n* on the
-    load rows.  Returns the free part of the probe histories, the final
-    state, and every state when record_states is set."""
+    load rows.  Returns the free part of the probe histories and the final
+    state."""
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (fact.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
     n_steps = len(loads)
     values = np.empty((len(probes), n_steps + 1))
-    states = np.empty((n_steps + 1, fact.dim)) if record_states else None
     # The dot product of ProbeRow.evaluate; one matrix product over all
     # probes would sum in another order and move the last bits.
     values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in probes]
-    if states is not None:
-        states[0] = alpha
 
     m_expl = fact.m_expl
     for n, load in enumerate(loads):
@@ -236,17 +231,11 @@ def march(
         rhs[load_rows] += load
         alpha = _back_substitute(fact, rhs)
         values[:, n + 1] = [r.free_w @ alpha[r.free_idx] for r in probes]
-        if states is not None:
-            states[n + 1] = alpha
-    return values, alpha, states
+    return values, alpha
 
 
 def _solution(
-    prepared: Prepared,
-    times: np.ndarray,
-    values: np.ndarray,
-    alpha: np.ndarray,
-    states: np.ndarray | None = None,
+    prepared: Prepared, times: np.ndarray, values: np.ndarray, alpha: np.ndarray
 ) -> TransientSolution:
     """Add the prescribed part of the probe values and check that the
     histories and the final state are finite."""
@@ -261,20 +250,14 @@ def _solution(
     bad[-1] |= not np.isfinite(alpha).all()
     if bad.any():
         raise NonFiniteStateError(int(np.argmax(bad)), "state")
-    return TransientSolution(times=times, probe_values=values, final_state=alpha, states=states)
+    return TransientSolution(times=times, probe_values=values, final_state=alpha)
 
 
 def _solve(
-    prepared: Prepared,
-    fact: BandedFactorization,
-    scheme: ThetaScheme,
-    alpha0: np.ndarray,
-    record_states: bool = False,
+    prepared: Prepared, fact: BandedFactorization, scheme: ThetaScheme, alpha0: np.ndarray
 ) -> TransientSolution:
-    values, alpha, states = march(
-        fact, prepared.load_rows, prepared.loads, prepared.probes, alpha0, record_states
-    )
-    return _solution(prepared, scheme.times, values, alpha, states)
+    values, alpha = march(fact, prepared.load_rows, prepared.loads, prepared.probes, alpha0)
+    return _solution(prepared, scheme.times, values, alpha)
 
 
 def integrate(
@@ -282,7 +265,6 @@ def integrate(
     scheme: ThetaScheme,
     alpha0: np.ndarray,
     probes: Sequence[tuple[float, Field]] = (),
-    record_states: bool = False,
 ) -> TransientSolution:
     """Factor once, then march n_steps steps recording the probe values.
 
@@ -292,7 +274,7 @@ def integrate(
     """
     prepared = prepare(sys, scheme, probes)
     fact = build_factorization(sys, scheme)
-    return _solve(prepared, fact, scheme, alpha0, record_states)
+    return _solve(prepared, fact, scheme, alpha0)
 
 
 def integrate_stack(
@@ -338,7 +320,7 @@ def integrate_stack(
     if fact is None:
         return results
     blocks = [(k, members[k], int(offsets[j])) for j, k in enumerate(live)]
-    values, alpha, _ = march(
+    values, alpha = march(
         fact,
         np.concatenate([m.load_rows + start for _, m, start in blocks]),
         np.hstack([m.loads for _, m, _ in blocks]),

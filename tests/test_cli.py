@@ -13,7 +13,6 @@ from hpheat.cli import (
     main,
     parse_config,
     run,
-    serialize_config,
     write_table,
 )
 from hpheat.assembly import PrescribedFlux
@@ -56,11 +55,7 @@ def test_minimal_config_defaults():
     assert config.sweep_taus is None and config.sweep_values is None
 
 
-def test_round_trip_through_serialization():
-    text = MINIMAL_FOURIER + "theta = 1.0\nn_steps = 17\n"
-    config = parse_config(text)
-    assert parse_config(serialize_config(config)) == config
-
+def test_sweep_lists_parse():
     sweep_text = """
 mode = p_sweep
 model = gk
@@ -74,7 +69,6 @@ sweep_values = 2 3 4
     sweep_config = parse_config(sweep_text)
     assert sweep_config.sweep_taus == (0.05, 0.3)
     assert sweep_config.sweep_values == (2, 3, 4)
-    assert parse_config(serialize_config(sweep_config)) == sweep_config
 
 
 def test_comments_and_blank_lines_ignored():
@@ -256,10 +250,8 @@ def test_transient_mode_writes_deterministic_tables(tmp_path):
 
 
 def test_oracle_check_mode(tmp_path, capsys):
-    config = parse_config(FAST_TRANSIENT + "oracle_cells = 50\n")
-    config = parse_config(serialize_config(config).replace(
-        "mode = transient", "mode = oracle_check"
-    ))
+    text = FAST_TRANSIENT.replace("mode = transient", "mode = oracle_check")
+    config = parse_config(text + "oracle_cells = 50\n")
     run(config, out_dir=str(tmp_path), fmt="dat")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert "oracle_check_summary_fourier.dat" in names

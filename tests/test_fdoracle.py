@@ -52,14 +52,14 @@ def test_oracle_is_import_independent_of_the_element_solver():
 
 
 def test_grid_validation():
-    StaggeredGrid.uniform(3, 1.0, 293.0)
+    StaggeredGrid(1.0, T=np.full(3, 293.0), q=np.zeros(4))
     with pytest.raises(ValueError):
-        StaggeredGrid.uniform(2, 1.0, 293.0)
+        StaggeredGrid(1.0, T=np.full(2, 293.0), q=np.zeros(3))
     with pytest.raises(ValueError):
         StaggeredGrid(length=0.0, T=np.zeros(3), q=np.zeros(4))
     with pytest.raises(ValueError):
         StaggeredGrid(length=1.0, T=np.zeros(3), q=np.zeros(3))
-    grid = StaggeredGrid.uniform(4, 1.0, 293.0)
+    grid = StaggeredGrid(1.0, T=np.full(4, 293.0), q=np.zeros(5))
     assert grid.cells == 4
     assert grid.dx == pytest.approx(0.25)
 
@@ -71,8 +71,16 @@ def test_solver_argument_validation():
         fd_solve(
             FOURIER_MAT, 0.005, 293.0, ZERO, ZERO, cells=10, dt=1e-3, n_steps=1, theta=0.3
         )
+    for dt in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time step"):
+            fd_solve(FOURIER_MAT, 0.005, 293.0, ZERO, ZERO, cells=20, dt=dt, n_steps=50)
+    with pytest.raises(ValueError, match="time step"):
+        fd_oracle(benchmark_scenario(ModelKind.MCV, tau=0.3, dt=-1e-3, n_steps=50), cells=20)
+    with pytest.raises(ValueError, match="step count"):
+        fd_solve(FOURIER_MAT, 0.005, 293.0, ZERO, ZERO, cells=20, dt=1e-3, n_steps=-1)
+    grid = StaggeredGrid(1.0, T=np.full(4, 293.0), q=np.zeros(5))
     with pytest.raises(ValueError):
-        fd_step(StaggeredGrid.uniform(4, 1.0, 293.0), FOURIER_MAT, 0.0, 0.0, 0.0)
+        fd_step(grid, FOURIER_MAT, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("mat", [FOURIER_MAT, MCV_MAT, GK_MAT])
@@ -134,7 +142,7 @@ def test_single_step_consistency_between_interfaces():
     # fd_solve with one backward Euler step must agree with the standalone
     # step on constant flux data, whose step mean is the new-level value.
     dt = 1e-3
-    grid0 = StaggeredGrid.uniform(12, 0.005, 293.0)
+    grid0 = StaggeredGrid(0.005, T=np.full(12, 293.0), q=np.zeros(13))
     stepped = fd_step(grid0, GK_MAT, dt, 5e3, 0.0)
     solved = fd_solve(
         GK_MAT,

@@ -27,7 +27,6 @@ from hpheat.scenario import (
     standard_probes,
     steady_temperature_rise,
     temperature_integral,
-    wavefront_arrival_estimate,
 )
 from hpheat.study import STUDY_CONDUCTIVITY
 from hpheat.timefun import TimeFunction, constant
@@ -191,20 +190,6 @@ def test_dimensionless_temperature_rejects_flux_series():
         dimensionless_temperature(series, scenario)
 
 
-def test_wavefront_arrival_estimate():
-    scenario = benchmark_scenario(ModelKind.MCV, tau=0.3, conductivity=3000.0)
-    # L sqrt(rho c_v tau / lam) = 0.005 sqrt(2600 * 800 * 0.3 / 3000)
-    assert wavefront_arrival_estimate(scenario) == pytest.approx(
-        0.07211102550927979, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        wavefront_arrival_estimate(benchmark_scenario(ModelKind.FOURIER))
-    with pytest.raises(ValueError):
-        wavefront_arrival_estimate(
-            benchmark_scenario(ModelKind.GK, tau=0.3, kappa2=8e-6)
-        )
-
-
 def test_solve_transient_shapes_and_probe_wiring():
     scenario = benchmark_scenario(ModelKind.MCV, tau=0.3, n_steps=20)
     run = solve_transient(scenario, n_elements=8, degree=2, theta=1.0)
@@ -221,21 +206,21 @@ def test_solve_transient_shapes_and_probe_wiring():
     assert run.series["T_front"].values[-1] > 293.0
 
 
-def test_record_states_and_field_evaluation():
+def test_final_state_and_field_evaluation():
     scenario = benchmark_scenario(ModelKind.GK, tau=0.3, kappa2=8e-6, n_steps=5)
-    run = solve_transient(scenario, n_elements=6, degree=2, record_states=True)
-    states = run.solution.states
-    assert states.shape == (6, run.system.dim)
+    run = solve_transient(scenario, n_elements=6, degree=2)
+    final = run.solution.final_state
+    assert final.shape == (run.system.dim,)
     t_end = scenario.dt * 5
-    direct = evaluate_field(run.system, states[-1], 0.0, Field.TEMPERATURE, t_end)
+    direct = evaluate_field(run.system, final, 0.0, Field.TEMPERATURE, t_end)
     assert direct == pytest.approx(run.series["T_front"].values[-1], rel=1e-12)
 
 
 def test_temperature_integral_tracks_injected_energy():
     # After n steps with averaged loads the stored energy equals the pulse
-    # integral exactly, step by step.
+    # integral exactly, step by step.  State n is the final state of the
+    # n-step run.
     scenario = benchmark_scenario(ModelKind.MCV, tau=0.3, n_steps=40)
-    run = solve_transient(scenario, n_elements=10, degree=3, theta=1.0, record_states=True)
     rho_c = scenario.material.volumetric_heat_capacity
     base = scenario.initial_temperature * scenario.length
     # The balance telescopes exactly; what remains is cancellation roundoff
@@ -243,7 +228,8 @@ def test_temperature_integral_tracks_injected_energy():
     roundoff = 1e-13 * rho_c * base
     for n in (10, 25, 40):
         t = n * scenario.dt
-        stored = rho_c * (temperature_integral(run.system, run.solution.states[n], t) - base)
+        run = solve_transient(replace(scenario, n_steps=n), n_elements=10, degree=3, theta=1.0)
+        stored = rho_c * (temperature_integral(run.system, run.solution.final_state, t) - base)
         injected = net_boundary_energy(scenario, t)
         assert stored == pytest.approx(injected, abs=roundoff)
 

@@ -70,8 +70,9 @@ def test_scheme_validation():
         ThetaScheme(theta=0.49, dt=1e-3, n_steps=1)
     with pytest.raises(ValueError):
         ThetaScheme(theta=1.01, dt=1e-3, n_steps=1)
-    with pytest.raises(ValueError):
-        ThetaScheme(theta=0.5, dt=0.0, n_steps=1)
+    for dt in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time step"):
+            ThetaScheme(theta=0.5, dt=dt, n_steps=1)
     with pytest.raises(ValueError):
         ThetaScheme(theta=0.5, dt=1e-3, n_steps=-1)
 
@@ -183,8 +184,8 @@ def test_unforced_energy_decays(theta):
         lambda x: 10.0 * np.sin(np.pi * x / 0.005) + 3.0 * np.cos(7 * np.pi * x / 0.005),
         lambda x: 200.0 * np.cos(2 * np.pi * x / 0.005),
     )
-    scheme = ThetaScheme(theta=theta, dt=5e-4, n_steps=40)
-    sol = integrate(sys, scheme, a0, record_states=True)
+    # State n is the final state of the n-step prefix of the run.
+    states = [integrate(sys, ThetaScheme(theta, 5e-4, n), a0).final_state for n in range(41)]
 
     t_dofs = sys.dofmap.field_dofs(Field.TEMPERATURE)
     q_dofs = sys.dofmap.field_dofs(Field.HEAT_FLUX)
@@ -198,7 +199,7 @@ def test_unforced_energy_decays(theta):
         t_part, q_part = full[t_dofs], full[q_dofs]
         return lam * float(t_part @ (C @ t_part)) + float(q_part @ (T @ q_part))
 
-    levels = np.array([energy(state) for state in sol.states])
+    levels = np.array([energy(state) for state in states])
     assert levels[-1] < levels[0]
     assert np.all(np.diff(levels) <= 1e-12 * levels[0])
 
@@ -289,11 +290,15 @@ def test_integrate_is_bitwise_the_step_by_step_loop(family, data, load, theta, h
         bcs = held_spec(bcs, scheme.dt, held_at_step_ends)
     sys = assemble(Mesh.uniform(5, 0.005), mat, model, 3, bcs)
     a0 = apply_initial_conditions(sys, 293.0, 0.0)
-    sol = integrate(sys, scheme, a0, probes=ALL_PROBES, record_states=True)
+    sol = integrate(sys, scheme, a0, probes=ALL_PROBES)
     values, states = march_step_by_step(sys, scheme, a0, ALL_PROBES)
     assert np.array_equal(sol.probe_values, values)
-    assert np.array_equal(sol.states, states)
     assert np.array_equal(sol.final_state, states[-1])
+    # Every intermediate state, as the final state of a prefix run.
+    for n in range(scheme.n_steps):
+        prefix = integrate(sys, replace(scheme, n_steps=n), a0, probes=ALL_PROBES)
+        assert np.array_equal(prefix.final_state, states[n])
+        assert np.array_equal(prefix.probe_values, values[:, :n + 1])
 
 
 def test_per_step_helpers_are_not_called_per_step(monkeypatch):
