@@ -4,8 +4,9 @@ The coefficient vector is ordered element-interleaved: the DOFs shared at a
 mesh vertex come first, then the interior DOFs of the element to its right,
 then the next vertex, and so on.  All DOFs of one element therefore live
 within a fixed index distance of each other and the assembled matrices are
-banded with a half-bandwidth independent of the element count, which is what
-the banded factorization in the time integrator relies on.
+banded with a half-bandwidth independent of the element count, and each
+element's interior DOFs form one contiguous run, which the static
+condensation in the time integrator relies on.
 
 Boundary conditions split by field regularity.  Prescribed temperatures are
 always essential.  Prescribed fluxes are natural data in the energy-balance
@@ -175,14 +176,14 @@ class DofMap:
     free_to_full: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        constrained_set = {c.dof for c in self.constrained}
-        if len(constrained_set) != len(self.constrained):
+        constrained = np.array([c.dof for c in self.constrained], dtype=int)
+        if np.unique(constrained).size != constrained.size:
             raise ValueError("a DOF is constrained twice")
+        free = np.setdiff1d(np.arange(self.full_dim), constrained)
         full_to_free = np.full(self.full_dim, -1, dtype=int)
-        free = [d for d in range(self.full_dim) if d not in constrained_set]
-        full_to_free[free] = np.arange(len(free))
+        full_to_free[free] = np.arange(free.size)
         self.full_to_free = full_to_free
-        self.free_to_full = np.asarray(free, dtype=int)
+        self.free_to_full = free
 
     @property
     def total_dofs(self) -> int:

@@ -22,6 +22,7 @@ diagonal and well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -114,9 +115,15 @@ class QuadratureRule:
         return self.points.size
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(n_points: int) -> QuadratureRule:
-    """Gauss-Legendre rule with n_points points, exact through degree 2 n - 1."""
+    """Gauss-Legendre rule with n_points points, exact through degree 2 n - 1.
+
+    Computed once per point count; the cached arrays are read-only.
+    """
     if n_points < 1:
         raise ValueError(f"quadrature rule needs at least one point, got {n_points}")
     pts, wts = leggauss(n_points)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     return QuadratureRule(points=pts, weights=wts)

@@ -221,6 +221,8 @@ def fd_solve(
     step are not finite, and after it when a probe history or the final
     state is.
     """
+    if not 0.0 < length < np.inf:
+        raise ValueError(f"domain length must be finite and positive, got {length}")
     if cells < 3:
         raise ValueError(f"need at least three cells, got {cells}")
     if not 0.5 <= theta <= 1.0:

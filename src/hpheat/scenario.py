@@ -129,8 +129,8 @@ class Scenario:
         # Accept the enum value string too; a typo must not silently select
         # the wrong flux space.
         object.__setattr__(self, "model", ModelKind(self.model))
-        if self.length <= 0.0:
-            raise ValueError(f"bar length must be positive, got {self.length}")
+        if not 0.0 < self.length < np.inf:
+            raise ValueError(f"bar length must be finite and positive, got {self.length}")
 
     @property
     def final_time(self) -> float:

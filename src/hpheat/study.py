@@ -247,12 +247,12 @@ def run_sweep(
 
     Every (value, tau) member is prepared as solve_transient prepares it,
     and the members that share a time grid and theta (all of them, in the
-    benchmark sweeps) are stacked into one block-diagonal banded system:
-    factored once with the largest member half-bandwidth, and marched once,
-    with one CSR product, load update and back-substitution per step for all
-    of them.  That replaces one Python time loop per member by one per stack;
-    the band's extra diagonals only meet exact zeros, so every member's
-    histories stay bit for bit those of solve_transient.
+    benchmark sweeps) are stacked into one block-diagonal system: each
+    member is condensed on its own, and the stack marches once, with one
+    step operator product, load update, narrow vertex back-substitution and
+    interior product per step for all of them.  That replaces one Python
+    time loop per member by one per stack, and every member's histories stay
+    bit for bit those of solve_transient.
 
     Failures stay per member, and the rest of the sweep still completes; a
     failed member is left as NaN in its error columns, and the failures come
@@ -262,8 +262,8 @@ def run_sweep(
       the basis cap) keeps -1 as its DOF entry and fails for every tau;
     - a member whose preparation fails, for instance on non-finite boundary
       data, fails before it is stacked, naming the step of the bad data;
-    - a singular member is dropped from its stack, which is refactored, and
-      its factorization error names the pivot within the member;
+    - a member whose factorization fails is left out of its stack, and its
+      error names the pivot within the member;
     - a NaN or infinity in one block of the stack reaches every other block
       within one step, because the banded back-substitution multiplies the
       band's stored zeros by it.  So when any member ends non-finite, every

@@ -1,22 +1,28 @@
-"""One-step implicit time integration with a reusable banded factorization.
+"""One-step implicit time integration over a statically condensed system.
 
 The theta scheme applied to A alpha' + B alpha = f(t) reads
 
     (A + dt theta B) alpha_{n+1} = (A - dt (1 - theta) B) alpha_n + dt f_n*
 
+`build_factorization` condenses the implicit matrix onto the vertex DOFs
+once per system, the standard hp treatment (module `condense`): the element
+interiors are eliminated, and the vertex Schur complement is a band of
+half-bandwidth 1 for the local models and 3 for GK whatever the degree.
+
 The step loop is `march`, a core that knows nothing of SemiDiscreteSystem.
 Its inputs are built once, before the loop:
 
-- the BandedFactorization of the implicit matrix, which also carries the
-  explicit matrix in CSR form;
+- the CondensedFactorization of the implicit matrix;
 - the free rows the boundary data touch, with a table of dt f_n* on those
-  rows for every step;
+  rows for every step, which the march folds onto the condensed rows it
+  reaches;
 - the free-DOF weight rows of the probes;
 - the initial state.
 
-It returns the probe histories and the final state.  A step is one sparse
-matrix-vector product with the explicit matrix, an update of the few load
-rows, one banded back-substitution and one short dot product per probe.
+It returns the probe histories and the final state.  A step is one CSR
+product with the step operator, an update of the few folded load rows, one
+narrow banded back-substitution for the vertex DOFs, one CSR product that
+recovers the interiors from them, and one short dot product per probe.
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
 prescribed part of the probe values on the whole time grid and checks that
@@ -33,14 +39,13 @@ g' is the change between consecutive step means of g.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrs
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
+from .condense import CondensedFactorization, FactorizationError, condense, stack
 from .timefun import NonFiniteStateError, on_grid, step_averages
 
 
@@ -65,71 +70,33 @@ class ThetaScheme:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-class FactorizationError(RuntimeError):
-    """Singular implicit matrix; pivot is the 1-based failing index."""
-
-    def __init__(self, pivot: int):
-        super().__init__(f"banded LU factorization failed at pivot {pivot}")
-        self.pivot = pivot
+# Steps of the load table folded at once in march.
+_FOLD_STEPS = 1024
 
 
-@dataclass
-class BandedFactorization:
-    """LU factors of the equilibrated (A + dt theta B) plus cached helpers.
+def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> CondensedFactorization:
+    """The implicit matrix of the scheme, condensed onto the vertex DOFs.
 
-    Temperature and flux rows differ in scale by many orders of magnitude in
-    strongly nonlocal regimes, so the implicit matrix is equilibrated before
-    factorization: row scales r and column scales c bring every row and
-    column to unit max-norm, and the back-substitution undoes them.
+    Raises FactorizationError naming the free index of the failing pivot.
     """
-
-    lu: np.ndarray
-    ipiv: np.ndarray
-    kl: int
-    ku: int
-    dim: int
-    m_expl: object
-    row_scale: np.ndarray
-    col_scale: np.ndarray
+    return condense(sys, scheme.dt, scheme.theta)
 
 
-def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> BandedFactorization:
-    kl = ku = sys.half_bandwidth
-    dim = sys.dim
-    m_impl = (sys.A + scheme.dt * scheme.theta * sys.B).tocoo()
-    row, col, data = m_impl.row, m_impl.col, m_impl.data.copy()
-    r = np.zeros(dim)
-    np.maximum.at(r, row, np.abs(data))
-    if np.any(r == 0.0):
-        raise FactorizationError(int(np.argmin(r > 0.0)) + 1)
-    r = 1.0 / r
-    data *= r[row]
-    c = np.zeros(dim)
-    np.maximum.at(c, col, np.abs(data))
-    c = np.where(c > 0.0, 1.0 / c, 1.0)
-    data *= c[col]
-    # LAPACK general-band layout: entry (i, j) lives at ab[kl + ku + i - j, j],
-    # with kl extra rows of factorization workspace on top.
-    ab = np.zeros((2 * kl + ku + 1, dim), order="F")
-    ab[kl + ku + row - col, col] = data
-    lu, ipiv, info = dgbtrf(ab, kl, ku)
-    if info > 0:
-        raise FactorizationError(int(info))
-    if info < 0:
-        raise RuntimeError(f"illegal argument {-info} in banded factorization")
-    m_expl = (sys.A - scheme.dt * (1.0 - scheme.theta) * sys.B).tocsr()
-    return BandedFactorization(
-        lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
-        row_scale=r, col_scale=c,
-    )
-
-
-def _back_substitute(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
-    scaled = (fact.row_scale * rhs).reshape(-1, 1)
-    x, info = dgbtrs(fact.lu, fact.kl, fact.ku, scaled, fact.ipiv)
-    if info != 0:
-        raise RuntimeError(f"banded back-substitution failed with info {info}")
-    return fact.col_scale * x[:, 0]
+def advance(
+    fact: CondensedFactorization, y: np.ndarray, rows: np.ndarray, load: np.ndarray
+) -> np.ndarray:
+    """One theta step of the condensed state y, with a load row folded onto
+    the condensed rows `rows` (CondensedFactorization.fold)."""
+    rhs = fact.m_expl @ y
+    rhs[rows] += load
+    nv = fact.n_vertex
+    if nv:
+        vertex, info = dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"banded back-substitution failed with info {info}")
+        rhs[:nv] = vertex
+        rhs[nv:] -= fact.interior @ vertex
+    return rhs
 
 
 @dataclass
@@ -207,7 +174,7 @@ def prepare(
 
 
 def march(
-    fact: BandedFactorization,
+    fact: CondensedFactorization,
     load_rows: np.ndarray,
     loads: np.ndarray,
     probes: Sequence[ProbeRow],
@@ -221,17 +188,25 @@ def march(
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
     n_steps = len(loads)
     values = np.empty((len(probes), n_steps + 1))
-    # The dot product of ProbeRow.evaluate; one matrix product over all
-    # probes would sum in another order and move the last bits.
+    # The dot product of ProbeRow.evaluate.
     values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in probes]
+    if not n_steps:
+        return values, alpha
 
-    m_expl = fact.m_expl
-    for n, load in enumerate(loads):
-        rhs = m_expl @ alpha
-        rhs[load_rows] += load
-        alpha = _back_substitute(fact, rhs)
-        values[:, n + 1] = [r.free_w @ alpha[r.free_idx] for r in probes]
-    return values, alpha
+    rows, fold = fact.fold(load_rows)
+    terms = [fact.probe(r) for r in probes]
+    y = fact.state(alpha)
+    # A state that overflows is reported after the march, by the first step
+    # whose probe values or final state are not finite, not by warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The load table is folded a block of steps at a time, which bounds
+        # the memory the folded copy takes.
+        for first in range(0, n_steps, _FOLD_STEPS):
+            table = fold @ loads[first:first + _FOLD_STEPS].T
+            for n, load in enumerate(table.T, first + 1):
+                y = advance(fact, y, rows, load)
+                values[:, n] = [w @ y[at] for at, w in terms]
+    return values, fact.coefficients(y)
 
 
 def _solution(
@@ -254,7 +229,7 @@ def _solution(
 
 
 def _solve(
-    prepared: Prepared, fact: BandedFactorization, scheme: ThetaScheme, alpha0: np.ndarray
+    prepared: Prepared, fact: CondensedFactorization, scheme: ThetaScheme, alpha0: np.ndarray
 ) -> TransientSolution:
     values, alpha = march(fact, prepared.load_rows, prepared.loads, prepared.probes, alpha0)
     return _solution(prepared, scheme.times, values, alpha)
@@ -284,42 +259,32 @@ def integrate_stack(
     """March several prepared systems from rest (the zero state) on one time
     grid as a single block-diagonal system, and split the result per member.
 
-    The stack is factored once, with the largest member half-bandwidth, and
-    marched once through the same core as integrate: every step is one CSR
-    product, one load update and one back-substitution for all members.  The
-    band's extra diagonals only ever meet exact zeros, so a member's
-    histories are bit for bit those of integrate on its own.
+    Every member is condensed on its own, and the stack concatenates the
+    condensed operators: every step is one CSR product, one load update,
+    one back-substitution on the narrow vertex band and one interior
+    product for all members.  A member's histories are bit for bit those of
+    integrate on its own.
 
-    Failures stay per member.  A singular block is dropped and the rest is
-    refactored.  A NaN or infinity in one block reaches every other block
-    within one step, because the back-substitution multiplies the band's
-    stored zeros by it; so when any member ends non-finite, every member is
-    marched again alone, and only the bad ones keep a NonFiniteStateError
-    naming their own step.  Returns, in member order, each solution or the
-    error that stopped it.
+    Failures stay per member.  A member whose factorization fails keeps its
+    FactorizationError and the rest march.  A NaN or infinity in one block
+    reaches every other block within one step, because the back-substitution
+    multiplies the band's stored zeros by it; so when any member ends
+    non-finite, every member is marched again alone, and only the bad ones
+    keep a NonFiniteStateError naming their own step.  Returns, in member
+    order, each solution or the error that stopped it.
     """
     results: list = [None] * len(members)
-    live = list(range(len(members)))
-    fact = None
-    while live and fact is None:
-        systems = [members[k].system for k in live]
-        offsets = np.cumsum([0] + [s.dim for s in systems])
-        # build_factorization reads no more of a system than these four.
-        stack = SimpleNamespace(
-            A=sp.block_diag([s.A for s in systems], format="csr"),
-            B=sp.block_diag([s.B for s in systems], format="csr"),
-            half_bandwidth=max(s.half_bandwidth for s in systems),
-            dim=int(offsets[-1]),
-        )
+    facts = {}
+    for k, m in enumerate(members):
         try:
-            fact = build_factorization(stack, scheme)
+            facts[k] = build_factorization(m.system, scheme)
         except FactorizationError as exc:
-            # The pivot lies in the first singular block; count it there.
-            j = int(np.searchsorted(offsets, exc.pivot - 1, side="right")) - 1
-            results[live.pop(j)] = FactorizationError(exc.pivot - int(offsets[j]))
-    if fact is None:
+            results[k] = exc
+    if not facts:
         return results
-    blocks = [(k, members[k], int(offsets[j])) for j, k in enumerate(live)]
+    fact = stack(list(facts.values()))
+    starts = np.cumsum([0] + [f.dim for f in facts.values()])
+    blocks = [(k, members[k], int(start)) for k, start in zip(facts, starts)]
     values, alpha = march(
         fact,
         np.concatenate([m.load_rows + start for _, m, start in blocks]),
@@ -335,11 +300,9 @@ def integrate_stack(
             state = alpha[start:start + m.system.dim].copy()
             results[k] = _solution(m, scheme.times, values[rows], state)
     except NonFiniteStateError:
-        for k in live:
-            m = members[k]
+        for k, m, _ in blocks:
             try:
-                fact = build_factorization(m.system, scheme)
-                results[k] = _solve(m, fact, scheme, np.zeros(m.system.dim))
+                results[k] = _solve(m, facts[k], scheme, np.zeros(m.system.dim))
             except NonFiniteStateError as exc:
                 results[k] = exc
     return results

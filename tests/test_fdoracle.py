@@ -78,6 +78,11 @@ def test_solver_argument_validation():
         fd_oracle(benchmark_scenario(ModelKind.MCV, tau=0.3, dt=-1e-3, n_steps=50), cells=20)
     with pytest.raises(ValueError, match="step count"):
         fd_solve(FOURIER_MAT, 0.005, 293.0, ZERO, ZERO, cells=20, dt=1e-3, n_steps=-1)
+    # Checked before marching: 0 used to divide by zero, a negative length
+    # to march every step first, and NaN to be blamed on the last state.
+    for length in (0.0, -0.005, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="domain length"):
+            fd_solve(FOURIER_MAT, length, 293.0, constant(1e4), ZERO, cells=20, dt=1e-3, n_steps=5)
     grid = StaggeredGrid(1.0, T=np.full(4, 293.0), q=np.zeros(5))
     with pytest.raises(ValueError):
         fd_step(grid, FOURIER_MAT, 0.0, 0.0, 0.0)

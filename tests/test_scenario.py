@@ -131,6 +131,10 @@ def test_standard_probes_layout():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         benchmark_scenario(ModelKind.MCV, tau=0.3, length=0.0)
+    # NaN compares false both ways; it used to pass and fail later in Mesh.
+    for length in (float("nan"), float("inf"), -0.005):
+        with pytest.raises(ValueError, match="bar length"):
+            benchmark_scenario(ModelKind.MCV, tau=0.3, length=length)
     with pytest.raises(ValueError):
         benchmark_scenario("cattaneo", tau=0.3)
     scenario = benchmark_scenario("mcv", tau=0.3)

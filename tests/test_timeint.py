@@ -1,4 +1,4 @@
-"""Unit tests for the theta scheme, the banded solver, and load handling.
+"""Unit tests for the theta scheme, the condensed solver, and load handling.
 
 The closed-form boundary-layer oracle pins down the averaged-load treatment
 of essential constraints: after one backward Euler step from rest, the
@@ -8,12 +8,11 @@ temperature rise is dt mu gbar / (rho c_v) with gbar the first-step mean of
 the boundary flux.
 
 integrate prepares its boundary data and probe rows once per run; the tests
-at the bottom hold it bit for bit to a loop that recomputes the load and the
-probe values at every step from SemiDiscreteSystem.load_average and
-ProbeRow.evaluate.
+at the bottom hold it bit for bit to a loop that recomputes the load at
+every step from SemiDiscreteSystem.load_average, and the probe values from
+the state, through the factorization's single-step primitives.
 """
 
-import types
 from collections import Counter
 from dataclasses import replace
 from math import exp
@@ -41,9 +40,11 @@ from hpheat.timeint import (
     FactorizationError,
     NonFiniteStateError,
     ThetaScheme,
-    _back_substitute,
+    advance,
     build_factorization,
     integrate,
+    integrate_stack,
+    prepare,
 )
 
 MCV_MAT = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0, tau=0.3)
@@ -56,11 +57,19 @@ PULSE_BCS = BoundarySpec(
 QUIET_BCS = BoundarySpec(left=PrescribedFlux(ZERO), right=PrescribedFlux(ZERO))
 
 
+def condensed_step(fact, s, load):
+    """One step of the condensed state s with dt times a load on all free
+    rows, folded onto the condensed rows it reaches."""
+    rows = np.flatnonzero(load)
+    folded_rows, fold = fact.fold(rows)
+    return advance(fact, s, folded_rows, fold @ load[rows])
+
+
 def step(sys, scheme, fact, alpha_n, t_n):
     """One theta step with the averaged load, written out by hand."""
     dt = scheme.dt
-    rhs = fact.m_expl @ alpha_n + dt * sys.load_average(t_n, t_n + dt)
-    return _back_substitute(fact, rhs)
+    s = condensed_step(fact, fact.state(alpha_n), dt * sys.load_average(t_n, t_n + dt))
+    return fact.coefficients(s)
 
 
 def test_scheme_validation():
@@ -95,22 +104,22 @@ def test_probe_location_outside_the_domain_rejected():
             )
 
 
+def zero_row(matrix, row):
+    matrix = matrix.tolil()
+    matrix[row, :] = 0.0
+    return matrix.tocsr()
+
+
 def test_singular_implicit_matrix_reported():
-    # A zero row cannot be equilibrated away and must fail loudly.
-    stub = types.SimpleNamespace(
-        A=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])),
-        B=sp.csr_matrix(np.zeros((2, 2))),
-        half_bandwidth=1,
-        dim=2,
-    )
-    with pytest.raises(FactorizationError):
-        build_factorization(stub, ThetaScheme(1.0, 1e-3, 1))
+    # A zero row cannot be equilibrated away and must fail loudly, naming it.
+    sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
+    sys = replace(sys, A=zero_row(sys.A, 4), B=zero_row(sys.B, 4))
+    with pytest.raises(FactorizationError) as info:
+        build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
+    assert info.value.pivot == 5
 
 
-def test_one_step_matches_dense_solve():
-    sys = assemble(Mesh.uniform(6, 0.005), MCV_MAT, ModelKind.MCV, 3, PULSE_BCS)
-    a0 = apply_initial_conditions(sys, lambda x: 293.0 + 40.0 * x / 0.005, 0.0)
-    scheme = ThetaScheme(theta=0.7, dt=1e-3, n_steps=1)
+def check_step_against_dense_solve(sys, scheme, a0):
     fact = build_factorization(sys, scheme)
     got = step(sys, scheme, fact, a0, 0.0)
 
@@ -120,8 +129,8 @@ def test_one_step_matches_dense_solve():
     m_impl = A + dt * th * B
     rhs = (A - dt * (1 - th) * B) @ a0 + dt * sys.load_average(0.0, dt)
 
-    # Backward stability: the banded solution satisfies the implicit equation
-    # to roundoff at the matrix and solution scale.
+    # Backward stability: the condensed solution satisfies the implicit
+    # equation to roundoff at the matrix and solution scale.
     residual = m_impl @ got - rhs
     scale = np.max(np.abs(m_impl)) * np.max(np.abs(got)) + np.max(np.abs(rhs))
     assert np.max(np.abs(residual)) <= 1e-12 * scale
@@ -131,10 +140,35 @@ def test_one_step_matches_dense_solve():
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
+def test_one_step_matches_dense_solve():
+    sys = assemble(Mesh.uniform(6, 0.005), MCV_MAT, ModelKind.MCV, 3, PULSE_BCS)
+    a0 = apply_initial_conditions(sys, lambda x: 293.0 + 40.0 * x / 0.005, 0.0)
+    check_step_against_dense_solve(sys, ThetaScheme(theta=0.7, dt=1e-3, n_steps=1), a0)
+
+
+BADLY_SCALED = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3e3, tau=0.05, kappa2=0.8)
+DENSE_CASES = {
+    "fourier": (MaterialParams(2600.0, 800.0, 3.0), ModelKind.FOURIER, 6, 3),
+    "mcv": (MCV_MAT, ModelKind.MCV, 6, 3),
+    "gk": (GK_MAT, ModelKind.GK, 6, 3),
+    "gk_badly_scaled": (BADLY_SCALED, ModelKind.GK, 8, 4),
+}
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_one_step_matches_dense_solve_for_every_model(case, theta):
+    mat, model, n, p = DENSE_CASES[case]
+    sys = assemble(Mesh.uniform(n, 0.005), mat, model, p, PULSE_BCS)
+    a0 = apply_initial_conditions(
+        sys, lambda x: 293.0 + 40.0 * x / 0.005, lambda x: 1e3 * np.sin(np.pi * x / 0.005)
+    )
+    check_step_against_dense_solve(sys, ThetaScheme(theta=theta, dt=1e-3, n_steps=1), a0)
+
+
 def test_equilibration_agrees_with_sparse_solve_when_badly_scaled():
     # Strongly nonlocal, stiff conduction: raw row scales span many decades.
-    mat = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3e3, tau=0.05, kappa2=0.8)
-    sys = assemble(Mesh.uniform(8, 0.005), mat, ModelKind.GK, 4, PULSE_BCS)
+    sys = assemble(Mesh.uniform(8, 0.005), BADLY_SCALED, ModelKind.GK, 4, PULSE_BCS)
     a0 = apply_initial_conditions(sys, 293.0, 0.0)
     scheme = ThetaScheme(theta=1.0, dt=1e-3, n_steps=1)
     fact = build_factorization(sys, scheme)
@@ -246,25 +280,36 @@ ALL_PROBES = (
 )
 
 
+def probe_value(sys, fact, row, s, t):
+    """A probe's value on the condensed state s at time t: its free part
+    through the factorization, plus its prescribed part as
+    ProbeRow.evaluate adds it."""
+    at, weights = fact.probe(row)
+    value = float(weights @ s[at])
+    for pos, w in zip(row.cons_idx, row.cons_w):
+        value += w * sys.dofmap.constrained[pos].value.value(t)
+    return value
+
+
 def march_step_by_step(sys, scheme, alpha0, probes):
-    """The step loop with the load and the probe values recomputed at every
-    step from the system's averaged load."""
+    """The step loop with the load recomputed at every step from the
+    system's averaged load, and the probe values from every state."""
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
     fact = build_factorization(sys, scheme)
     dt = scheme.dt
     times = np.arange(scheme.n_steps + 1) * dt
-    alpha = alpha0.copy()
     values = np.empty((len(rows), times.size))
-    values[:, 0] = [row.evaluate(sys, alpha, 0.0) for row in rows]
-    states = [alpha]
+    values[:, 0] = [row.evaluate(sys, alpha0, 0.0) for row in rows]
+    states = [alpha0.copy()]
+    s = fact.state(alpha0)
     prev_average = None
     for n in range(scheme.n_steps):
         t0, t1 = times[n], times[n + 1]
         load = sys.load_average(t0, t1, prev_average)
         prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
-        alpha = _back_substitute(fact, fact.m_expl @ alpha + dt * load)
-        values[:, n + 1] = [row.evaluate(sys, alpha, t1) for row in rows]
-        states.append(alpha)
+        s = condensed_step(fact, s, dt * load)
+        values[:, n + 1] = [probe_value(sys, fact, row, s, t1) for row in rows]
+        states.append(fact.coefficients(s))
     return values, np.array(states)
 
 
@@ -374,3 +419,69 @@ def test_non_finite_state_names_its_first_column():
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as info:
         integrate(sys, ThetaScheme(0.5, 1e-3, 5), np.full(sys.dim, 1e308))
     assert info.value.step == 5
+
+
+# ------------------------------------------------------------- stacks
+
+STACK_SCHEME = ThetaScheme(theta=0.5, dt=1e-3, n_steps=30)
+
+
+def stack_members():
+    """Prepared systems of both vertex bandwidths: 1 for the local models,
+    3 for GK, with flux and temperature data."""
+    return [
+        prepare(
+            assemble(Mesh.uniform(n, 0.005), mat, model, p, BOUNDARY_DATA[data]),
+            STACK_SCHEME,
+            ALL_PROBES,
+        )
+        for (mat, model), n, p, data in (
+            (STUDY_MATERIALS["mcv"], 4, 2, "flux"),
+            (STUDY_MATERIALS["gk_wave"], 3, 3, "dirichlet"),
+            (STUDY_MATERIALS["fourier"], 5, 2, "dirichlet"),
+            (STUDY_MATERIALS["gk_diffuse"], 2, 4, "flux"),
+        )
+    ]
+
+
+def test_stack_of_both_vertex_bandwidths_is_bitwise_each_member_alone():
+    members = stack_members()
+    bandwidths = [build_factorization(m.system, STACK_SCHEME).kl for m in members]
+    assert {1, 3} <= set(bandwidths)
+    results = integrate_stack(members, STACK_SCHEME)
+    for m, got in zip(members, results):
+        want = integrate(m.system, STACK_SCHEME, np.zeros(m.system.dim), ALL_PROBES)
+        assert np.array_equal(got.probe_values, want.probe_values)
+        assert np.array_equal(got.final_state, want.final_state)
+
+
+def test_singular_interior_block_fails_only_its_member():
+    # One interior flux DOF of an element loses its couplings to the other
+    # interior DOFs, so the element's interior block is singular while the
+    # row keeps its vertex couplings and its scale.
+    members = stack_members()
+    sys = members[2].system
+    interior = sys.dofmap.full_to_free[sys.dofmap.element_dofs[Field.HEAT_FLUX][1]]
+    bubble = sys.dofmap.full_to_free[sys.dofmap.element_dofs[Field.TEMPERATURE][1, 2:]]
+    inner = np.concatenate((interior, bubble))
+
+    def cut(matrix):
+        matrix = matrix.tolil()
+        matrix[interior[1], inner] = 0.0
+        return matrix.tocsr()
+
+    broken = replace(sys, A=cut(sys.A), B=cut(sys.B))
+    assert broken.B[interior[1]].count_nonzero() > 0
+    members[2] = replace(members[2], system=broken)
+    with pytest.raises(FactorizationError) as info:
+        build_factorization(broken, STACK_SCHEME)
+    assert info.value.pivot - 1 in inner
+
+    results = integrate_stack(members, STACK_SCHEME)
+    assert isinstance(results[2], FactorizationError)
+    assert str(results[2]) == str(info.value)
+    for k in (0, 1, 3):
+        m = members[k]
+        want = integrate(m.system, STACK_SCHEME, np.zeros(m.system.dim), ALL_PROBES)
+        assert np.array_equal(results[k].probe_values, want.probe_values)
+        assert np.array_equal(results[k].final_state, want.final_state)

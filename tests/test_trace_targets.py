@@ -1,14 +1,21 @@
 """The traced benchmark wraps hpheat callables by module attribute name.
 
-perfbench/spans.py lists those names; a refactor that renames or moves one
-would otherwise only surface when a traced benchmark run fails.  This test
-resolves every listed name the way the recorder does.
+perfbench/spans.py lists those names, and computes per-step counts from
+fields of the factorization; a refactor that renames or moves one would
+otherwise only surface when a traced benchmark run fails.  These tests
+resolve every listed name the way the recorder does, and compute the counts
+from a real factorization.
 """
 
 import importlib
 import importlib.util
 import pathlib
 import sys
+
+from hpheat.assembly import BoundarySpec, Mesh, PrescribedFlux, assemble
+from hpheat.materials import MaterialParams, ModelKind
+from hpheat.timefun import ZERO, constant
+from hpheat.timeint import ThetaScheme, build_factorization
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +43,15 @@ def test_every_traced_attribute_resolves():
                 if owner is None or not callable(vars(owner).get(leaf)):
                     missing.append(f"{name}: {module_name}.{attr}")
     assert not missing, missing
+
+
+def test_step_cost_reads_a_real_factorization():
+    # The computed per-step counts read fields of the factorization object
+    # (lu, ipiv, kl, ku, dim, m_expl, row_scale, col_scale) by name.
+    mat = MaterialParams(2600.0, 800.0, 3.0, tau=0.3, kappa2=8e-6)
+    bcs = BoundarySpec(left=PrescribedFlux(constant(1e4)), right=PrescribedFlux(ZERO))
+    sys_ = assemble(Mesh.uniform(4, 0.005), mat, ModelKind.GK, 3, bcs)
+    fact = build_factorization(sys_, ThetaScheme(1.0, 1e-3, 1))
+    bytes_step, flops_step = _spans_module()._band_step_cost(fact)
+    assert bytes_step > fact.m_expl.data.nbytes
+    assert flops_step > 2 * fact.m_expl.nnz
