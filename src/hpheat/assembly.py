@@ -5,8 +5,8 @@ mesh vertex come first, then the interior DOFs of the element to its right,
 then the next vertex, and so on.  All DOFs of one element therefore live
 within a fixed index distance of each other and the assembled matrices are
 banded with a half-bandwidth independent of the element count, and each
-element's interior DOFs form one contiguous run, which the static
-condensation in the time integrator relies on.
+element's DOFs form one contiguous run, which the static condensation
+(module condense) relies on.
 
 Boundary conditions split by field regularity.  Prescribed temperatures are
 always essential.  Prescribed fluxes are natural data in the energy-balance

@@ -134,7 +134,9 @@ class _Elements:
         self.pv = pv = at_vertex.shape[1]
         stride = int(t[1] - t[0])
         self.ni = stride - pv
-        self.local = np.concatenate((np.arange(pv), stride + np.arange(pv), pv + np.arange(self.ni)))
+        self.local = np.concatenate(
+            (np.arange(pv), stride + np.arange(pv), pv + np.arange(self.ni))
+        )
         self.start = t[:-1]
         self.full_dim = dofmap.full_dim
         self.free_to_full = dofmap.free_to_full
@@ -166,7 +168,8 @@ class _Elements:
         col = self.free_to_full.take(csr.indices)
         band = np.zeros((2 * hbw + 1) * full)
         band.put((hbw + row - col) * full + col, csr.data)
-        blocks = band.take((hbw + local[:, None] - local) * full + self.start[:, None, None] + local)
+        at = (hbw + local[:, None] - local) * full + self.start[:, None, None] + local
+        blocks = band.take(at)
         pv = self.pv
         blocks[:-1, pv:2 * pv, pv:2 * pv] = 0.0
         return blocks
@@ -189,10 +192,9 @@ def _csr(values: np.ndarray, cols: np.ndarray, n_cols: int, head=None) -> sp.csr
         head = sp.csr_matrix((0, n_cols))
     counts = keep.reshape(-1, values.shape[-1]).sum(axis=1)
     indptr = np.concatenate((head.indptr, head.nnz + np.cumsum(counts)))
-    return sp.csr_matrix(
-        (np.concatenate((head.data, values[keep])), np.concatenate((head.indices, cols[keep])), indptr),
-        shape=(len(indptr) - 1, n_cols),
-    )
+    data = np.concatenate((head.data, values[keep]))
+    indices = np.concatenate((head.indices, cols[keep]))
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
 
 
 def _singular_pivot(elements: _Elements, interiors: np.ndarray) -> int:
@@ -251,9 +253,8 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     # general-band layout: entry (i, j) lives at ab[kl + ku + i - j, j],
     # with kl extra rows of factorization workspace on top.
     vertex_slots = elements.state[:, v]
-    s_row, s_col, s_val = _triples(
-        impl[:, v, v] - eliminate @ impl[:, i, v], vertex_slots[:, :, None], vertex_slots[:, None, :]
-    )
+    schur = impl[:, v, v] - eliminate @ impl[:, i, v]
+    s_row, s_col, s_val = _triples(schur, vertex_slots[:, :, None], vertex_slots[:, None, :])
     kl = ku = int(np.max(np.abs(s_row - s_col), initial=0))
     ab = np.zeros((2 * kl + ku + 1, nv), order="F")
     np.add.at(ab, (kl + ku + s_row - s_col, s_col), s_val)
@@ -353,7 +354,10 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
     # Converted from COO, every row keeps its members' column order.
     step = sp.block_diag([f.m_expl for f in facts], format="coo")
     m_expl = sp.csr_matrix((step.data, (place[step.row], place[step.col])), shape=(dim, dim))
-    parts = [(place[f.load_op[0] + s], f.load_op[1] + s, f.load_op[2]) for f, s in zip(facts, free_start)]
+    parts = [
+        (place[row + start], col + start, val)
+        for (row, col, val), start in zip((f.load_op for f in facts), free_start)
+    ]
     load_op = tuple(np.concatenate(part) for part in zip(*parts))
     order = np.empty(dim, dtype=int)
     order[place] = np.concatenate([f.order + s for f, s in zip(facts, free_start)])

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hpheat.timeint
+
 from hpheat.assembly import (
     BoundarySpec,
     DirichletTemperature,
@@ -444,11 +446,21 @@ def stack_members():
     ]
 
 
-def test_stack_of_both_vertex_bandwidths_is_bitwise_each_member_alone():
+def test_stack_of_both_vertex_bandwidths_is_bitwise_each_member_alone(monkeypatch):
     members = stack_members()
     bandwidths = [build_factorization(m.system, STACK_SCHEME).kl for m in members]
     assert {1, 3} <= set(bandwidths)
+    # One march: a non-finite stack would be marched again member by member.
+    marches = Counter()
+    real_march = hpheat.timeint.march
+
+    def march(*args):
+        marches["calls"] += 1
+        return real_march(*args)
+
+    monkeypatch.setattr(hpheat.timeint, "march", march)
     results = integrate_stack(members, STACK_SCHEME)
+    assert marches["calls"] == 1
     for m, got in zip(members, results):
         want = integrate(m.system, STACK_SCHEME, np.zeros(m.system.dim), ALL_PROBES)
         assert np.array_equal(got.probe_values, want.probe_values)
