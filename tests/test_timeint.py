@@ -22,7 +22,6 @@ import pytest
 import scipy.sparse as sp
 
 import hpheat.timeint
-
 from hpheat.assembly import (
     BoundarySpec,
     DirichletTemperature,
@@ -429,8 +428,9 @@ STACK_SCHEME = ThetaScheme(theta=0.5, dt=1e-3, n_steps=30)
 
 
 def stack_members():
-    """Prepared systems of both vertex bandwidths: 1 for the local models,
-    3 for GK, with flux and temperature data."""
+    """Prepared systems of every vertex bandwidth: 1 for the local models,
+    3 for GK (2 on two elements with flux data), with flux and temperature
+    data."""
     return [
         prepare(
             assemble(Mesh.uniform(n, 0.005), mat, model, p, BOUNDARY_DATA[data]),
