@@ -91,10 +91,12 @@ class CondensedFactorization:
         return alpha
 
     def probe(self, row: ProbeRow) -> tuple[np.ndarray, np.ndarray]:
-        """The free part of a probe as weights on condensed-state entries."""
+        """Where the free DOFs of a probe sit in the condensed state, and
+        their column scales: c * y[at] is the probe's part of
+        coefficients(y), bit for bit."""
         position = np.empty(self.dim, dtype=int)
         position[self.order] = np.arange(self.dim)
-        return position[row.free_idx], row.free_w * self.col_scale[row.free_idx]
+        return position[row.free_idx], self.col_scale[row.free_idx]
 
     def fold(self, load_rows: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
         """The condensed rows that a load on the free rows load_rows reaches,

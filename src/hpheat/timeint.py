@@ -194,7 +194,7 @@ def march(
         return values, alpha
 
     rows, fold = fact.fold(load_rows)
-    terms = [fact.probe(r) for r in probes]
+    terms = [(r.free_w, *fact.probe(r)) for r in probes]
     y = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
@@ -205,7 +205,8 @@ def march(
             table = fold @ loads[first:first + _FOLD_STEPS].T
             for n, load in enumerate(table.T, first + 1):
                 y = advance(fact, y, rows, load)
-                values[:, n] = [w @ y[at] for at, w in terms]
+                # ProbeRow.evaluate's dot product on coefficients(y).
+                values[:, n] = [w @ (c * y[at]) for w, at, c in terms]
     return values, fact.coefficients(y)
 
 

@@ -281,17 +281,6 @@ ALL_PROBES = (
 )
 
 
-def probe_value(sys, fact, row, s, t):
-    """A probe's value on the condensed state s at time t: its free part
-    through the factorization, plus its prescribed part as
-    ProbeRow.evaluate adds it."""
-    at, weights = fact.probe(row)
-    value = float(weights @ s[at])
-    for pos, w in zip(row.cons_idx, row.cons_w):
-        value += w * sys.dofmap.constrained[pos].value.value(t)
-    return value
-
-
 def march_step_by_step(sys, scheme, alpha0, probes):
     """The step loop with the load recomputed at every step from the
     system's averaged load, and the probe values from every state."""
@@ -309,8 +298,9 @@ def march_step_by_step(sys, scheme, alpha0, probes):
         load = sys.load_average(t0, t1, prev_average)
         prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
         s = condensed_step(fact, s, dt * load)
-        values[:, n + 1] = [probe_value(sys, fact, row, s, t1) for row in rows]
-        states.append(fact.coefficients(s))
+        alpha = fact.coefficients(s)
+        values[:, n + 1] = [row.evaluate(sys, alpha, t1) for row in rows]
+        states.append(alpha)
     return values, np.array(states)
 
 
