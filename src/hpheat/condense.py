@@ -14,8 +14,9 @@ factor the implicit matrix of the theta scheme once per system:
 - it folds the row scaling, the explicit matrix and the elimination of the
   interiors into one CSR step operator, and the same for the loads.
 
-Every element block is gathered from the band of the full numbering, where
-the element-interleaved order puts each element's DOFs in one run, so no
+Every element block is gathered straight from the sparse matrices: the
+element-interleaved order puts each element's DOFs in one run, so an
+entry's element and local slots follow from its row and column, and no
 step of the set-up loops over elements in Python.  `stack` joins several
 condensed systems into one block-diagonal system.
 """
@@ -90,13 +91,14 @@ class CondensedFactorization:
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
 
-    def probe(self, row: ProbeRow) -> tuple[np.ndarray, np.ndarray]:
-        """Where the free DOFs of a probe sit in the condensed state, and
-        their column scales: c * y[at] is the probe's part of
-        coefficients(y), bit for bit."""
+    def probe(self, rows: Sequence[ProbeRow]) -> tuple[np.ndarray, np.ndarray]:
+        """Where the free DOFs of the probe rows, one row after the other,
+        sit in the condensed state, and their column scales: c * y[at] is
+        the rows' part of coefficients(y), bit for bit."""
         position = np.empty(self.dim, dtype=int)
         position[self.order] = np.arange(self.dim)
-        return position[row.free_idx], self.col_scale[row.free_idx]
+        free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in rows])
+        return position[free], self.col_scale[free]
 
     def fold(self, load_rows: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
         """The condensed rows that a load on the free rows load_rows reaches,
@@ -140,8 +142,12 @@ class _Elements:
             (np.arange(pv), stride + np.arange(pv), pv + np.arange(self.ni))
         )
         self.start = t[:-1]
-        self.full_dim = dofmap.full_dim
         self.free_to_full = dofmap.free_to_full
+        # The element each free DOF is gathered into when the other DOF of
+        # an entry lies no further left: its own element, the one to its
+        # right for a vertex DOF (the last one for the last vertex).
+        self.owner = np.minimum((self.free_to_full - t[0]) // stride, len(self.start) - 1)
+        self.slot_of = np.argsort(self.local)
         # Free index and state index of every element slot.
         self.free = dofmap.full_to_free[self.start[:, None] + self.local]
         vertex = dofmap.full_to_free[at_vertex]
@@ -160,20 +166,18 @@ class _Elements:
         kept once, in the element to its right (the last vertex in the last
         element), so that the blocks sum to the matrix.
         """
-        # Every element's block lies within the band of the full numbering
-        # whose half-bandwidth is its slot count less one; entry (i, j) of
-        # the band sits at flat index (hbw + i - j) * full_dim + j.
-        hbw, full, local = len(self.local) - 1, self.full_dim, self.local
+        # Entry (i, j) lies in the leftmost of the two DOFs' owners, at the
+        # slots of their offsets into that element's run.
         csr = matrix.tocsr()
         csr.sum_duplicates()
-        row = np.repeat(self.free_to_full, np.diff(csr.indptr))
-        col = self.free_to_full.take(csr.indices)
-        band = np.zeros((2 * hbw + 1) * full)
-        band.put((hbw + row - col) * full + col, csr.data)
-        at = (hbw + local[:, None] - local) * full + self.start[:, None, None] + local
-        blocks = band.take(at)
-        pv = self.pv
-        blocks[:-1, pv:2 * pv, pv:2 * pv] = 0.0
+        counts = np.diff(csr.indptr)
+        element = np.minimum(np.repeat(self.owner, counts), self.owner.take(csr.indices))
+        base = self.start.take(element)
+        row = self.slot_of.take(np.repeat(self.free_to_full, counts) - base)
+        col = self.slot_of.take(self.free_to_full.take(csr.indices) - base)
+        n = len(self.local)
+        blocks = np.zeros((len(self.start), n, n))
+        blocks.put((element * n + row) * n + col, csr.data)
         return blocks
 
 

@@ -194,7 +194,9 @@ def march(
         return values, alpha
 
     rows, fold = fact.fold(load_rows)
-    terms = [(r.free_w, *fact.probe(r)) for r in probes]
+    at, scale = fact.probe(probes)
+    ends = np.cumsum([len(r.free_w) for r in probes], dtype=int)
+    terms = [(r.free_w, slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
     y = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
@@ -205,8 +207,10 @@ def march(
             table = fold @ loads[first:first + _FOLD_STEPS].T
             for n, load in enumerate(table.T, first + 1):
                 y = advance(fact, y, rows, load)
-                # ProbeRow.evaluate's dot product on coefficients(y).
-                values[:, n] = [w @ (c * y[at]) for w, at, c in terms]
+                # ProbeRow.evaluate's dot products on coefficients(y).
+                free = y.take(at)
+                free *= scale
+                values[:, n] = [w @ free[part] for w, part in terms]
     return values, fact.coefficients(y)
 
 
