@@ -401,8 +401,10 @@ def assemble(
         a_fc = np.zeros((free.size, 0))
         b_fc = np.zeros((free.size, 0))
 
-    pattern = (abs(a_ff) + abs(b_ff)).tocoo()
-    half_bw = int(np.max(np.abs(pattern.row - pattern.col))) if pattern.nnz else 0
+    half_bw = 0
+    for m in (a_ff, b_ff):
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        half_bw = max(half_bw, int(np.abs(rows - m.indices)[m.data != 0].max(initial=0)))
 
     return SemiDiscreteSystem(
         dofmap=dofmap,

@@ -141,15 +141,16 @@ class _Elements:
         self.local = np.concatenate(
             (np.arange(pv), stride + np.arange(pv), pv + np.arange(self.ni))
         )
-        self.start = t[:-1]
-        self.free_to_full = dofmap.free_to_full
-        # The element each free DOF is gathered into when the other DOF of
-        # an entry lies no further left: its own element, the one to its
-        # right for a vertex DOF (the last one for the last vertex).
-        self.owner = np.minimum((self.free_to_full - t[0]) // stride, len(self.start) - 1)
-        self.slot_of = np.argsort(self.local)
+        self.stride, self.n_elements = stride, len(t) - 1
+        # Every free DOF's offset from the first element's run, and the
+        # element it is gathered into when the other DOF of an entry lies no
+        # further left: its own element, the one to its right for a vertex
+        # DOF (the last one for the last vertex).
+        self.offset = (dofmap.free_to_full - t[0]).astype(np.int32)
+        self.owner = np.minimum(self.offset // stride, self.n_elements - 1)
+        self.slot_of = np.argsort(self.local).astype(np.int32)
         # Free index and state index of every element slot.
-        self.free = dofmap.full_to_free[self.start[:, None] + self.local]
+        self.free = dofmap.full_to_free[t[:-1, None] + self.local]
         vertex = dofmap.full_to_free[at_vertex]
         is_free = vertex >= 0
         self.nv = nv = int(is_free.sum())
@@ -172,11 +173,11 @@ class _Elements:
         csr.sum_duplicates()
         counts = np.diff(csr.indptr)
         element = np.minimum(np.repeat(self.owner, counts), self.owner.take(csr.indices))
-        base = self.start.take(element)
-        row = self.slot_of.take(np.repeat(self.free_to_full, counts) - base)
-        col = self.slot_of.take(self.free_to_full.take(csr.indices) - base)
+        first = element * self.stride
+        row = self.slot_of.take(np.repeat(self.offset, counts) - first)
+        col = self.slot_of.take(self.offset.take(csr.indices) - first)
         n = len(self.local)
-        blocks = np.zeros((len(self.start), n, n))
+        blocks = np.zeros((self.n_elements, n, n))
         blocks.put((element * n + row) * n + col, csr.data)
         return blocks
 
