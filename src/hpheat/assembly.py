@@ -392,11 +392,12 @@ def assemble(
 
     free = dofmap.free_to_full
     cons = np.array([c.dof for c in dofmap.constrained], dtype=int)
-    a_ff = a_full[free][:, free].tocsr()
-    b_ff = b_full[free][:, free].tocsr()
+    a_rows, b_rows = a_full[free], b_full[free]
+    a_ff = a_rows[:, free].tocsr()
+    b_ff = b_rows[:, free].tocsr()
     if cons.size:
-        a_fc = np.asarray(a_full[free][:, cons].todense())
-        b_fc = np.asarray(b_full[free][:, cons].todense())
+        a_fc = np.asarray(a_rows[:, cons].todense())
+        b_fc = np.asarray(b_rows[:, cons].todense())
     else:
         a_fc = np.zeros((free.size, 0))
         b_fc = np.zeros((free.size, 0))

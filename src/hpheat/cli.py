@@ -74,7 +74,7 @@ class RunConfig:
     density: float
     specific_heat: float
     relaxation_time: float | None
-    kappa2: float | None
+    kappa2: float
     length: float
     initial_temperature: float
     dt: float
@@ -93,38 +93,8 @@ class RunConfig:
     oracle_cells: int
 
 
-# key -> (config attribute, parser)
-_FLOAT_KEYS = {
-    "conductivity_w_per_m_k": "conductivity",
-    "density_kg_per_m3": "density",
-    "specific_heat_j_per_kg_k": "specific_heat",
-    "relaxation_time_s": "relaxation_time",
-    "kappa2_m2": "kappa2",
-    "length_m": "length",
-    "initial_temperature_k": "initial_temperature",
-    "dt_s": "dt",
-    "theta": "theta",
-    "pulse_amplitude_w_per_m2": "pulse_amplitude",
-    "pulse_c1": "pulse_c1",
-    "pulse_c2": "pulse_c2",
-    "pulse_t_p_s": "pulse_t_p",
-}
-_INT_KEYS = {
-    "n_steps": "n_steps",
-    "elements": "elements",
-    "degree": "degree",
-    "reference_elements": "reference_elements",
-    "reference_degree": "reference_degree",
-    "oracle_cells": "oracle_cells",
-}
-_STR_KEYS = {"mode": "mode", "model": "model"}
-_LIST_FLOAT_KEYS = {"sweep_taus_s": "sweep_taus"}
-_LIST_INT_KEYS = {"sweep_values": "sweep_values"}
-
-_ALL_KEYS = (
-    set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
-    | set(_LIST_FLOAT_KEYS) | set(_LIST_INT_KEYS)
-)
+def _parse_text(key: str, text: str) -> str:
+    return text
 
 
 def _parse_float(key: str, text: str) -> float:
@@ -142,6 +112,42 @@ def _parse_int(key: str, text: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
+
+
+def _list_of(parse):
+    """A parser of whitespace-separated items, each read by parse."""
+    return lambda key, text: tuple(parse(key, item) for item in text.split())
+
+
+# key -> (RunConfig attribute, parser, default), in the order the values are
+# parsed, so that a document with several faults reports the first of them.
+# None marks a value that the required-key, model and sweep rules settle; the
+# sweep modes also replace the default of the sweep's fixed elements or degree.
+_KEYS = {
+    "mode": ("mode", _parse_text, None),
+    "model": ("model", _parse_text, None),
+    "conductivity_w_per_m_k": ("conductivity", _parse_float, None),
+    "density_kg_per_m3": ("density", _parse_float, None),
+    "specific_heat_j_per_kg_k": ("specific_heat", _parse_float, None),
+    "relaxation_time_s": ("relaxation_time", _parse_float, None),
+    "kappa2_m2": ("kappa2", _parse_float, None),
+    "length_m": ("length", _parse_float, _BENCHMARK.length),
+    "initial_temperature_k": ("initial_temperature", _parse_float, _BENCHMARK.initial_temperature),
+    "dt_s": ("dt", _parse_float, _BENCHMARK.dt),
+    "theta": ("theta", _parse_float, 0.5),
+    "pulse_amplitude_w_per_m2": ("pulse_amplitude", _parse_float, _PULSE.amplitude),
+    "pulse_c1": ("pulse_c1", _parse_float, _PULSE.c1),
+    "pulse_c2": ("pulse_c2", _parse_float, _PULSE.c2),
+    "pulse_t_p_s": ("pulse_t_p", _parse_float, _PULSE.t_p),
+    "n_steps": ("n_steps", _parse_int, _BENCHMARK.n_steps),
+    "elements": ("elements", _parse_int, REFERENCE_ELEMENTS),
+    "degree": ("degree", _parse_int, REFERENCE_DEGREE),
+    "reference_elements": ("reference_elements", _parse_int, REFERENCE_ELEMENTS),
+    "reference_degree": ("reference_degree", _parse_int, REFERENCE_DEGREE),
+    "oracle_cells": ("oracle_cells", _parse_int, ORACLE_CELLS),
+    "sweep_taus_s": ("sweep_taus", _list_of(_parse_float), None),
+    "sweep_values": ("sweep_values", _list_of(_parse_int), None),
+}
 
 
 def _benchmark_family(mode: str, model: str, kappa2: float) -> SweepSpec:
@@ -172,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in raw:
             raise ConfigError(
@@ -183,54 +189,33 @@ def parse_config(text: str) -> RunConfig:
         raw[key] = value
         lines_of[key] = lineno
 
-    def take_str(key: str) -> str | None:
-        return raw.pop(key, None)
-
-    mode = take_str("mode")
+    mode = raw.get("mode")
     if mode is None:
         raise ConfigError("missing required key 'mode'")
     if mode not in MODES:
         raise ConfigError(f"key 'mode': expected one of {MODES}, got {mode!r}")
-    model = take_str("model")
+    model = raw.get("model")
     if model is None:
         raise ConfigError("missing required key 'model'")
     if model not in MODELS:
         raise ConfigError(f"key 'model': expected one of {tuple(MODELS)}, got {model!r}")
 
-    floats: dict[str, float] = {}
-    for key, attr in _FLOAT_KEYS.items():
-        if key in raw:
-            floats[attr] = _parse_float(key, raw.pop(key))
-    ints: dict[str, int] = {}
-    for key, attr in _INT_KEYS.items():
-        if key in raw:
-            ints[attr] = _parse_int(key, raw.pop(key))
-    sweep_taus = None
-    if "sweep_taus_s" in raw:
-        sweep_taus = tuple(
-            _parse_float("sweep_taus_s", item) for item in raw.pop("sweep_taus_s").split()
-        )
-    sweep_values = None
-    if "sweep_values" in raw:
-        sweep_values = tuple(
-            _parse_int("sweep_values", item) for item in raw.pop("sweep_values").split()
-        )
-    assert not raw
-
+    values = {
+        attr: parse(key, raw[key]) if key in raw else default
+        for key, (attr, parse, default) in _KEYS.items()
+    }
     sweep_mode = mode in ("h_sweep", "p_sweep")
 
-    if "conductivity" not in floats:
+    if "conductivity_w_per_m_k" not in raw:
         raise ConfigError(
             "missing required key 'conductivity_w_per_m_k'; it has no default "
             f"(a rock-like benchmark value is {SUGGESTED_CONDUCTIVITY})"
         )
-    if "density" not in floats:
-        raise ConfigError("missing required key 'density_kg_per_m3'")
-    if "specific_heat" not in floats:
-        raise ConfigError("missing required key 'specific_heat_j_per_kg_k'")
+    for key in ("density_kg_per_m3", "specific_heat_j_per_kg_k"):
+        if key not in raw:
+            raise ConfigError(f"missing required key '{key}'")
 
-    relaxation_time = floats.get("relaxation_time")
-    kappa2 = floats.get("kappa2")
+    relaxation_time, kappa2 = values["relaxation_time"], values["kappa2"]
     if sweep_mode:
         if relaxation_time is not None:
             raise ConfigError(
@@ -238,63 +223,34 @@ def parse_config(text: str) -> RunConfig:
                 "remove 'relaxation_time_s'"
             )
     else:
-        if sweep_taus is not None or sweep_values is not None:
+        if values["sweep_taus"] is not None or values["sweep_values"] is not None:
             raise ConfigError("sweep keys are only valid in the sweep modes")
         if model in ("mcv", "gk") and relaxation_time is None:
             raise ConfigError(f"model '{model}' requires 'relaxation_time_s'")
         if model == "fourier":
             if relaxation_time not in (None, 0.0):
-                raise ConfigError(
-                    "the diffusive model requires relaxation_time_s = 0"
-                )
-            relaxation_time = 0.0
+                raise ConfigError("the diffusive model requires relaxation_time_s = 0")
+            values["relaxation_time"] = 0.0
     if model == "gk":
         if kappa2 is None:
             raise ConfigError("model 'gk' requires 'kappa2_m2'")
     else:
         if kappa2 not in (None, 0.0):
             raise ConfigError(f"model '{model}' requires kappa2_m2 = 0")
-        kappa2 = 0.0
+        values["kappa2"] = 0.0
 
-    elements = ints.get("elements", REFERENCE_ELEMENTS)
-    degree = ints.get("degree", REFERENCE_DEGREE)
     if sweep_mode:
-        family = _benchmark_family(mode, model, kappa2)
-        if family.kind == "h":
-            degree = ints.get("degree", family.fixed)
-        else:
-            elements = ints.get("elements", family.fixed)
-        if sweep_taus is None:
-            sweep_taus = family.taus
-        if sweep_values is None:
-            sweep_values = family.values
+        family = _benchmark_family(mode, model, values["kappa2"])
+        fixed = "degree" if family.kind == "h" else "elements"
+        if fixed not in raw:
+            values[fixed] = family.fixed
+        if values["sweep_taus"] is None:
+            values["sweep_taus"] = family.taus
+        if values["sweep_values"] is None:
+            values["sweep_values"] = family.values
 
-    config = RunConfig(
-        mode=mode,
-        model=model,
-        conductivity=floats["conductivity"],
-        density=floats["density"],
-        specific_heat=floats["specific_heat"],
-        relaxation_time=relaxation_time,
-        kappa2=kappa2,
-        length=floats.get("length", _BENCHMARK.length),
-        initial_temperature=floats.get("initial_temperature", _BENCHMARK.initial_temperature),
-        dt=floats.get("dt", _BENCHMARK.dt),
-        n_steps=ints.get("n_steps", _BENCHMARK.n_steps),
-        elements=elements,
-        degree=degree,
-        theta=floats.get("theta", 0.5),
-        pulse_amplitude=floats.get("pulse_amplitude", _PULSE.amplitude),
-        pulse_c1=floats.get("pulse_c1", _PULSE.c1),
-        pulse_c2=floats.get("pulse_c2", _PULSE.c2),
-        pulse_t_p=floats.get("pulse_t_p", _PULSE.t_p),
-        sweep_taus=sweep_taus,
-        sweep_values=sweep_values,
-        reference_elements=ints.get("reference_elements", REFERENCE_ELEMENTS),
-        reference_degree=ints.get("reference_degree", REFERENCE_DEGREE),
-        oracle_cells=ints.get("oracle_cells", ORACLE_CELLS),
-    )
-    for tau in sweep_taus if sweep_mode else [relaxation_time or 0.0]:
+    config = RunConfig(**values)
+    for tau in config.sweep_taus if sweep_mode else [config.relaxation_time]:
         try:
             _material(config, tau)
         except ValueError as exc:
@@ -342,6 +298,10 @@ def _validate_numbers(config: RunConfig) -> None:
         raise ConfigError("sweep_values needs at least two entries")
     if config.sweep_taus is not None and len(config.sweep_taus) < 1:
         raise ConfigError("sweep_taus_s needs at least one entry")
+    # A pulse that carries no energy leaves nothing to measure: the transient
+    # has no rise to scale by, and the sweeps an identically zero reference.
+    if config.pulse_amplitude == 0.0:
+        raise ConfigError("pulse_amplitude_w_per_m2 must be nonzero")
 
 
 def _material(config: RunConfig, tau: float) -> MaterialParams:
@@ -350,7 +310,7 @@ def _material(config: RunConfig, tau: float) -> MaterialParams:
         c_v=config.specific_heat,
         conductivity=config.conductivity,
         tau=tau,
-        kappa2=config.kappa2 or 0.0,
+        kappa2=config.kappa2,
     )
 
 
@@ -403,7 +363,7 @@ def _probe_value_column(probe: Probe) -> str:
 
 
 def _run_transient(config: RunConfig, out: Path, fmt: str) -> None:
-    scenario = _scenario(config, config.relaxation_time or 0.0)
+    scenario = _scenario(config, config.relaxation_time)
     run = solve_transient(scenario, config.elements, config.degree, theta=config.theta)
     for probe in scenario.probes:
         series = run.series[probe.label]
@@ -462,7 +422,7 @@ def _run_sweep_mode(config: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _run_oracle_check(config: RunConfig, out: Path, fmt: str) -> None:
-    scenario = _scenario(config, config.relaxation_time or 0.0)
+    scenario = _scenario(config, config.relaxation_time)
     run = solve_transient(scenario, config.elements, config.degree, theta=config.theta)
     oracle = fd_oracle(scenario, cells=config.oracle_cells, theta=config.theta)
     summary_rows = []

@@ -86,47 +86,41 @@ def _operator(cells: int, dx: float, mat: MaterialParams):
     mass = np.empty(dim)
     mass[:m] = mat.rho * mat.c_v
     mass[m:] = mat.tau
-
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
     b_left = np.zeros(dim)
     b_right = np.zeros(dim)
+    cell = np.arange(m)
+    face = np.arange(1, m)  # interior faces j
+    r = m + face - 1  # their flux rows
 
     # Energy balance per cell: rho c_v dT_i/dt + (q_{i+1} - q_i) / dx = 0.
-    for i in range(m):
-        if i + 1 < m:
-            add(i, m + i, 1.0 / dx)
-        else:
-            b_right[i] += 1.0 / dx
-        if i > 0:
-            add(i, m + i - 1, -1.0 / dx)
-        else:
-            b_left[i] += -1.0 / dx
+    terms = [
+        (cell[:-1], m + cell[:-1], 1.0 / dx),
+        (cell[1:], m + cell[1:] - 1, -1.0 / dx),
+    ]
+    # The boundary faces' fluxes are data, so their terms go to the boundary
+    # columns, added into zeros: kappa2 = 0 leaves +0.0 there, not -0.0.
+    b_right[m - 1] += 1.0 / dx
+    b_left[0] += -1.0 / dx
 
     # Flux law per interior face j: tau dq_j/dt + q_j
     #   + lam (T_j - T_{j-1}) / dx - kappa2 (q_{j+1} - 2 q_j + q_{j-1}) / dx^2 = 0.
     lam_dx = mat.conductivity / dx
     k_dx2 = mat.kappa2 / dx**2
-    for j in range(1, m):
-        r = m + j - 1
-        add(r, r, 1.0 + 2.0 * k_dx2)
-        add(r, j, lam_dx)
-        add(r, j - 1, -lam_dx)
-        if j + 1 < m:
-            add(r, m + j, -k_dx2)
-        else:
-            b_right[r] += -k_dx2
-        if j - 1 > 0:
-            add(r, m + j - 2, -k_dx2)
-        else:
-            b_left[r] += -k_dx2
+    terms += [
+        (r, r, 1.0 + 2.0 * k_dx2),
+        (r, face, lam_dx),
+        (r, face - 1, -lam_dx),
+        (r[:-1], m + face[:-1], -k_dx2),
+        (r[1:], m + face[1:] - 2, -k_dx2),
+    ]
+    b_right[-1] += -k_dx2
+    b_left[m] += -k_dx2
 
-    stiff = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    rows, cols, vals = zip(*((i, j, np.full(i.size, v)) for i, j, v in terms))
+    stiff = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    ).tocsr()
     return mass, stiff, b_left, b_right
 
 

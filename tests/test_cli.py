@@ -1,7 +1,7 @@
 """End-to-end tests of the command line front end and its config dialect."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import hpheat.cli
 from hpheat.cli import (
     ConfigError,
     OutputTable,
+    RunConfig,
     main,
     parse_config,
     run,
@@ -69,6 +70,58 @@ sweep_values = 2 3 4
     sweep_config = parse_config(sweep_text)
     assert sweep_config.sweep_taus == (0.05, 0.3)
     assert sweep_config.sweep_values == (2, 3, 4)
+
+
+TRANSIENT_GK = MINIMAL_FOURIER.replace("model = fourier", "model = gk") + """
+relaxation_time_s = 0.3
+kappa2_m2 = 8e-6
+"""
+
+SWEEP_FOURIER = MINIMAL_FOURIER.replace("mode = transient", "mode = p_sweep")
+
+
+# (base document, key, value text, RunConfig field, parsed value), one per key.
+FIELD_CASES = [
+    (TRANSIENT_GK, "mode", "oracle_check", "mode", "oracle_check"),
+    (SWEEP_FOURIER, "model", "mcv", "model", "mcv"),
+    (TRANSIENT_GK, "conductivity_w_per_m_k", "4.5", "conductivity", 4.5),
+    (TRANSIENT_GK, "density_kg_per_m3", "2700", "density", 2700.0),
+    (TRANSIENT_GK, "specific_heat_j_per_kg_k", "850", "specific_heat", 850.0),
+    (TRANSIENT_GK, "relaxation_time_s", "0.25", "relaxation_time", 0.25),
+    (TRANSIENT_GK, "kappa2_m2", "2e-6", "kappa2", 2e-6),
+    (TRANSIENT_GK, "length_m", "0.004", "length", 0.004),
+    (TRANSIENT_GK, "initial_temperature_k", "300", "initial_temperature", 300.0),
+    (TRANSIENT_GK, "dt_s", "5e-4", "dt", 5e-4),
+    (TRANSIENT_GK, "theta", "0.75", "theta", 0.75),
+    (TRANSIENT_GK, "pulse_amplitude_w_per_m2", "2e4", "pulse_amplitude", 2e4),
+    (TRANSIENT_GK, "pulse_c1", "2.5", "pulse_c1", 2.5),
+    (TRANSIENT_GK, "pulse_c2", "7.5", "pulse_c2", 7.5),
+    (TRANSIENT_GK, "pulse_t_p_s", "0.004", "pulse_t_p", 0.004),
+    (TRANSIENT_GK, "n_steps", "7", "n_steps", 7),
+    (TRANSIENT_GK, "elements", "9", "elements", 9),
+    (TRANSIENT_GK, "degree", "3", "degree", 3),
+    (TRANSIENT_GK, "reference_elements", "30", "reference_elements", 30),
+    (TRANSIENT_GK, "reference_degree", "5", "reference_degree", 5),
+    (TRANSIENT_GK, "oracle_cells", "50", "oracle_cells", 50),
+    (SWEEP_FOURIER, "sweep_taus_s", "0.1 0.2", "sweep_taus", (0.1, 0.2)),
+    (SWEEP_FOURIER, "sweep_values", "2 3 4", "sweep_values", (2, 3, 4)),
+]
+
+
+def test_field_cases_cover_every_config_field():
+    assert sorted(case[3] for case in FIELD_CASES) == sorted(f.name for f in fields(RunConfig))
+
+
+@pytest.mark.parametrize(
+    "base,key,text,field,value", FIELD_CASES, ids=[case[1] for case in FIELD_CASES]
+)
+def test_every_key_reaches_its_own_field(base, key, text, field, value):
+    # A key read into the wrong field would leave this one at its base value.
+    assert getattr(parse_config(base), field) != value
+    kept = [line for line in base.splitlines() if line.split("=")[0].strip() != key]
+    config = parse_config("\n".join(kept) + f"\n{key} = {text}\n")
+    assert getattr(config, field) == value
+    assert type(getattr(config, field)) is type(value)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -135,6 +188,7 @@ specific_heat_j_per_kg_k = 800
         ("length_m = -1", "length_m"),
         ("oracle_cells = 2", "oracle_cells"),
         ("relaxation_time_s = 0.3", "relaxation_time_s = 0"),
+        ("pulse_amplitude_w_per_m2 = 0", "pulse_amplitude_w_per_m2 must be nonzero"),
     ],
 )
 def test_invalid_values_rejected(mutation, needle):
@@ -439,6 +493,24 @@ def test_main_rejects_a_zero_pulse_rate(tmp_path, capsys, key):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert f"{key} must be nonzero" in record["message"]
+    assert not out.exists() or list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("mode", ["transient", "p_sweep", "oracle_check"])
+def test_main_rejects_a_zero_pulse_amplitude(tmp_path, capsys, mode):
+    # Such a pulse carries no energy, so no mode has a rise or a reference
+    # to measure against; it fails before any assembly or output.
+    kept = [line for line in OVERFLOWING_PULSE.splitlines() if not line.startswith("pulse_")]
+    text = "\n".join(kept) + "\npulse_amplitude_w_per_m2 = 0\n"
+    if mode == "p_sweep":
+        text = text.replace("relaxation_time_s = 0.3", "")
+    config = tmp_path / "zero_amplitude.conf"
+    config.write_text(text.replace("mode = transient", f"mode = {mode}"))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert "pulse_amplitude_w_per_m2 must be nonzero" in record["message"]
     assert not out.exists() or list(out.glob("*")) == []
 
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hpheat.fdoracle
 import hpheat.timeint
@@ -251,6 +252,77 @@ def test_rise_does_not_depend_on_initial_temperature():
         cells=20, dt=base.dt, n_steps=3, probe_temperatures=(0.0,),
     )
     assert np.array_equal(sol.temperature_probes[0.0], sol.temperature_rise[0.0] + 293.0)
+
+
+def _operator_by_loops(cells, dx, mat):
+    """_operator written one stencil entry at a time, as the reference for
+    the index-array construction."""
+    m = cells
+    dim = 2 * m - 1
+    mass = np.empty(dim)
+    mass[:m] = mat.rho * mat.c_v
+    mass[m:] = mat.tau
+
+    rows, cols, vals = [], [], []
+
+    def add(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    b_left = np.zeros(dim)
+    b_right = np.zeros(dim)
+
+    # Energy balance per cell: rho c_v dT_i/dt + (q_{i+1} - q_i) / dx = 0.
+    for i in range(m):
+        if i + 1 < m:
+            add(i, m + i, 1.0 / dx)
+        else:
+            b_right[i] += 1.0 / dx
+        if i > 0:
+            add(i, m + i - 1, -1.0 / dx)
+        else:
+            b_left[i] += -1.0 / dx
+
+    # Flux law per interior face j: tau dq_j/dt + q_j
+    #   + lam (T_j - T_{j-1}) / dx - kappa2 (q_{j+1} - 2 q_j + q_{j-1}) / dx^2 = 0.
+    lam_dx = mat.conductivity / dx
+    k_dx2 = mat.kappa2 / dx**2
+    for j in range(1, m):
+        r = m + j - 1
+        add(r, r, 1.0 + 2.0 * k_dx2)
+        add(r, j, lam_dx)
+        add(r, j - 1, -lam_dx)
+        if j + 1 < m:
+            add(r, m + j, -k_dx2)
+        else:
+            b_right[r] += -k_dx2
+        if j - 1 > 0:
+            add(r, m + j - 2, -k_dx2)
+        else:
+            b_left[r] += -k_dx2
+
+    stiff = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return mass, stiff, b_left, b_right
+
+
+@pytest.mark.parametrize("mat", [FOURIER_MAT, MCV_MAT, GK_MAT], ids=["fourier", "mcv", "gk"])
+@pytest.mark.parametrize("cells", [3, 4, 10, 2000])
+def test_operator_matches_the_loop_reference(cells, mat):
+    # Bit for bit, signed zeros included: at kappa2 = 0 the boundary columns
+    # hold +0.0 where the reference adds -0.0 into zeros.
+    dx = 0.1 / cells
+    mass, stiff, b_left, b_right = _operator(cells, dx, mat)
+    ref_mass, ref_stiff, ref_left, ref_right = _operator_by_loops(cells, dx, mat)
+    pairs = [
+        (mass, ref_mass), (b_left, ref_left), (b_right, ref_right),
+        (stiff.data, ref_stiff.data), (stiff.indices, ref_stiff.indices),
+        (stiff.indptr, ref_stiff.indptr),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _dense_march(mat, length, q_left, q_right, cells, dt, n_steps, theta, load):
