@@ -20,6 +20,7 @@ import argparse
 import json
 import sys as _sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -344,18 +345,23 @@ class OutputTable:
     rows: tuple[tuple, ...]
 
 
-def _render_cell(cell) -> str:
-    if isinstance(cell, str):
-        return cell
-    return f"{float(cell):.16e}"
+# Rows rendered at once by write_table, which bounds the memory the text of
+# a long table takes.
+_WRITE_ROWS = 1024
 
 
 def write_table(table: OutputTable, path: Path, fmt: str) -> None:
+    """Write the header, then the rows in one %-format pass per block of
+    rows: labels as they are, reals as f"{float(cell):.16e}" renders them."""
     sep = "," if fmt == "csv" else " "
+    rows = table.rows
+    cells = rows[0] if rows else ()
+    line = sep.join("%s" if isinstance(cell, str) else "%.16e" for cell in cells) + "\n"
     with path.open("w") as out:
         out.write(sep.join(table.columns) + "\n")
-        for row in table.rows:
-            out.write(sep.join(_render_cell(cell) for cell in row) + "\n")
+        for first in range(0, len(rows), _WRITE_ROWS):
+            block = rows[first:first + _WRITE_ROWS]
+            out.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _probe_value_column(probe: Probe) -> str:
@@ -425,17 +431,18 @@ def _run_oracle_check(config: RunConfig, out: Path, fmt: str) -> None:
     scenario = _scenario(config, config.relaxation_time)
     run = solve_transient(scenario, config.elements, config.degree, theta=config.theta)
     oracle = fd_oracle(scenario, cells=config.oracle_cells, theta=config.theta)
-    summary_rows = []
+    # Every table and discrepancy is computed before any is written, so that
+    # a failing one leaves no partial output.
+    tables, summary_rows = [], []
     for probe in scenario.probes:
-        fem = run.series[probe.label]
-        fd = oracle.series[probe.label]
-        columns = ("t_s", "fem", "fd")
+        fem, fd = run.series[probe.label], oracle.series[probe.label]
         rows = tuple(zip(fem.times.tolist(), fem.values.tolist(), fd.values.tolist()))
         name = f"{config.mode}_{probe.label}_{config.model}.{fmt}"
-        write_table(OutputTable(columns, rows), out / name, fmt)
-        discrepancy = history_error(fem, fd, scenario)
-        summary_rows.append((probe.label, discrepancy))
-        print(f"{probe.label}: relative max-norm discrepancy {discrepancy:.3e}")
+        tables.append((OutputTable(("t_s", "fem", "fd"), rows), name))
+        summary_rows.append((probe.label, history_error(fem, fd, scenario)))
+    for (table, name), (label, discrepancy) in zip(tables, summary_rows):
+        write_table(table, out / name, fmt)
+        print(f"{label}: relative max-norm discrepancy {discrepancy:.3e}")
     summary = OutputTable(("probe", "relative_max_discrepancy"), tuple(summary_rows))
     write_table(summary, out / f"oracle_check_summary_{config.model}.{fmt}", fmt)
 

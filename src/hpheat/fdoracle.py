@@ -53,6 +53,9 @@ from scipy.sparse.linalg import splu
 from .materials import MaterialParams
 from .timefun import NonFiniteStateError, TimeFunction, on_grid, step_averages
 
+# Steps whose probe entries fd_solve gathers before it interpolates them.
+_BLOCK_STEPS = 128
+
 
 @dataclass
 class StaggeredGrid:
@@ -261,16 +264,27 @@ def fd_solve(
         raise NonFiniteStateError(int(np.argmax(bad)) + 1, "boundary data")
     load_rows = np.flatnonzero(b_fold.any(axis=1))
     loads = boundary @ b_fold[load_rows].T
+    loads *= dt
 
     z = np.zeros(2 * m - 1)
     T, q = z[:m], z[m:]
-    for n, load in enumerate(loads, start=1):
-        rhs = m_fold @ z
-        rhs[load_rows] -= dt * load
-        q[:] = dpttrs(ldl_d, ldl_e, rhs[m:])[0]
-        T[:] = (rhs[:m] - e_block @ q) / c
-        t_hist[:, n] = (1.0 - t_w) * T[t_cell] + t_w * T[t_cell + 1]
-        q_hist[:, n] = q[q_rows]
+    # Each step gathers the state entries the probes read; they are
+    # interpolated a block of steps at a time.
+    k = t_cell.size
+    at = np.concatenate((t_cell, t_cell + 1, m + q_rows))
+    seen = np.empty((min(n_steps, _BLOCK_STEPS), at.size))
+    for first in range(0, n_steps, _BLOCK_STEPS):
+        block = loads[first:first + _BLOCK_STEPS]
+        for load, row in zip(block, seen):
+            rhs = m_fold @ z
+            rhs[load_rows] -= load
+            q[:] = dpttrs(ldl_d, ldl_e, rhs[m:])[0]
+            T[:] = (rhs[:m] - e_block @ q) / c
+            z.take(at, out=row, mode="clip")
+        done = seen[:len(block)]
+        steps = slice(first + 1, first + 1 + len(block))
+        t_hist[:, steps] = ((1.0 - t_w) * done[:, :k] + t_w * done[:, k:2 * k]).T
+        q_hist[:, steps] = done[:, 2 * k:].T
 
     # Probes on a boundary face read the data, not the marched fluxes.
     for i, j in enumerate(q_faces):

@@ -22,7 +22,9 @@ Its inputs are built once, before the loop:
 It returns the probe histories and the final state.  A step is one CSR
 product with the step operator, an update of the few folded load rows, one
 narrow banded back-substitution for the vertex DOFs, one CSR product that
-recovers the interiors from them, and one short dot product per probe.
+recovers the interiors from them, and one gather of the state entries the
+probes read.  The probe dot products run once per block of steps, one
+stacked product per probe that sums each step as ProbeRow.evaluate does.
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
 prescribed part of the probe values on the whole time grid and checks that
@@ -70,8 +72,9 @@ class ThetaScheme:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-# Steps of the load table folded at once in march.
-_FOLD_STEPS = 1024
+# Steps of the load table folded, and of probe values evaluated, at once in
+# march.
+_BLOCK_STEPS = 128
 
 
 def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> CondensedFactorization:
@@ -182,7 +185,13 @@ def march(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step loop: one step per row of loads, which holds dt f_n* on the
     load rows.  Returns the free part of the probe histories and the final
-    state."""
+    state.
+
+    The steps run in blocks of _BLOCK_STEPS.  Before a block, the load
+    table is folded for its steps.  A step is advance and one gather of the
+    probes' entries of the state into a row of a buffer.  After the block,
+    the buffer is scaled to coefficients and reduced to the probe values of
+    all its steps."""
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (fact.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
@@ -196,21 +205,28 @@ def march(
     rows, fold = fact.fold(load_rows)
     at, scale = fact.probe(probes)
     ends = np.cumsum([len(r.free_w) for r in probes], dtype=int)
-    terms = [(r.free_w, slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
+    terms = [(r.free_w[:, None], slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
+    seen = np.empty((min(n_steps, _BLOCK_STEPS), at.size))
     y = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The load table is folded a block of steps at a time, which bounds
-        # the memory the folded copy takes.
-        for first in range(0, n_steps, _FOLD_STEPS):
-            table = fold @ loads[first:first + _FOLD_STEPS].T
-            for n, load in enumerate(table.T, first + 1):
+        # Blocks bound the memory that the folded table and the buffer take.
+        for first in range(0, n_steps, _BLOCK_STEPS):
+            table = fold @ loads[first:first + _BLOCK_STEPS].T
+            for load, row in zip(table.T, seen):
                 y = advance(fact, y, rows, load)
-                # ProbeRow.evaluate's dot products on coefficients(y).
-                free = y.take(at)
-                free *= scale
-                values[:, n] = [w @ free[part] for w, part in terms]
+                # at is in range: mode "clip" writes straight into the row,
+                # where "raise" goes through a buffer.
+                y.take(at, out=row, mode="clip")
+            block = seen[:table.shape[1]]
+            block *= scale
+            # ProbeRow.evaluate's dot products on coefficients(y): a stack of
+            # row-by-column products is one ddot per step, where a matrix-vector
+            # product would sum in another order.
+            done = slice(first + 1, first + 1 + len(block))
+            for i, (w, part) in enumerate(terms):
+                values[i, done] = np.matmul(block[:, None, part], w)[:, 0, 0]
     return values, fact.coefficients(y)
 
 

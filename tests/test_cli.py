@@ -277,6 +277,43 @@ def test_table_rendering_round_trips_reals(tmp_path):
     assert "," in csv_path.read_text().splitlines()[0]
 
 
+def render_by_cells(table, path, fmt):
+    """The per-cell table writer that write_table replaced: labels as they
+    are, reals through f"{float(cell):.16e}"."""
+    sep = "," if fmt == "csv" else " "
+    with path.open("w") as out:
+        out.write(sep.join(table.columns) + "\n")
+        for row in table.rows:
+            cells = (cell if isinstance(cell, str) else f"{float(cell):.16e}" for cell in row)
+            out.write(sep.join(cells) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["dat", "csv"])
+def test_table_text_is_the_per_cell_rendering(tmp_path, fmt, monkeypatch):
+    # Blocks of 7 rows, so that 40 rows end in a short block.
+    monkeypatch.setattr(hpheat.cli, "_WRITE_ROWS", 7)
+    rng = np.random.default_rng(3)
+    reals = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    reals[0] = (-0.0, 0.0, 1.0)
+    reals[1] = (5e-324, -1.7976931348623157e308, 1e100)
+    reals[2] = (1e-100, -2.5e-101, 9.999999999999999e99)
+    rows = [tuple(r) for r in reals.tolist()]
+    rows[3] = (np.float64(-0.0), np.float64(1e-123), 2)  # numpy scalars and an int
+    labelled = tuple((f"p{i}", x) for i, x in enumerate(reals[:, 0].tolist()))
+    for name, table in (
+        ("reals", OutputTable(("t_s", "a", "b"), tuple(rows))),
+        ("summary", OutputTable(("probe", "relative_max_discrepancy"), labelled)),
+        ("one_row", OutputTable(("t_s", "a", "b"), tuple(rows[:1]))),
+        ("empty", OutputTable(("t_s",), ())),
+    ):
+        write_table(table, tmp_path / f"{name}.{fmt}", fmt)
+        render_by_cells(table, tmp_path / f"{name}_ref.{fmt}", fmt)
+        got = (tmp_path / f"{name}.{fmt}").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.{fmt}").read_bytes(), name
+    text = (tmp_path / f"reals.{fmt}").read_text()
+    assert "-0.0000000000000000e+00" in text and "e-101" in text and "e+308" in text
+
+
 # ------------------------------------------------------------- modes
 
 
@@ -512,6 +549,21 @@ def test_main_rejects_a_zero_pulse_amplitude(tmp_path, capsys, mode):
     assert record["error"] == "config"
     assert "pulse_amplitude_w_per_m2 must be nonzero" in record["message"]
     assert not out.exists() or list(out.glob("*")) == []
+
+
+def test_oracle_check_failure_leaves_no_table(tmp_path, capsys):
+    # The README config at zero steps: the element and oracle runs succeed,
+    # and history_error then fails on a reference that is identically zero.
+    kept = [line for line in OVERFLOWING_PULSE.splitlines() if not line.startswith("pulse_")]
+    text = "\n".join(kept).replace("n_steps = 20", "n_steps = 0") + "\noracle_cells = 200\n"
+    config = tmp_path / "zero_steps.conf"
+    config.write_text(text.replace("mode = transient", "mode = oracle_check"))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "identically zero" in record["message"]
+    assert list(out.glob("*")) == []
 
 
 def test_main_csv_format(tmp_path):

@@ -396,6 +396,29 @@ def test_march_matches_dense_solve_of_the_block_system(
         assert gap <= 1e-12 * np.max(np.abs(want)), (key, gap / np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("block", [7, 400])
+def test_histories_do_not_depend_on_the_probe_block(block, monkeypatch):
+    # A block of one step interpolates every step as it is marched; 40
+    # steps in blocks of 7 end in a short block, and 400 is one block.
+    def solve(probes_t, probes_q):
+        return fd_solve(
+            GK_MAT, 0.005, 293.0, flash_pulse(PulseParams()), constant(-250.0), cells=12,
+            dt=1e-3, n_steps=40, theta=0.5, probe_temperatures=probes_t, probe_fluxes=probes_q,
+        )
+
+    probes = ((0.0, 0.0013, 0.005), (0.0, 0.0025, 0.0041, 0.005))
+    monkeypatch.setattr(hpheat.fdoracle, "_BLOCK_STEPS", 1)
+    want, bare_want = solve(*probes), solve((), ())
+    monkeypatch.setattr(hpheat.fdoracle, "_BLOCK_STEPS", block)
+    for got, ref in ((solve(*probes), want), (solve((), ()), bare_want)):
+        for name in ("temperature_probes", "temperature_rise", "flux_probes"):
+            assert getattr(got, name).keys() == getattr(ref, name).keys()
+            for x, history in getattr(ref, name).items():
+                assert np.array_equal(getattr(got, name)[x], history), (name, x)
+        assert np.array_equal(got.final.T, ref.final.T)
+        assert np.array_equal(got.final.q, ref.final.q)
+
+
 def _nan_from(fn, t_cut):
     return lambda t: fn(t) if t < t_cut else float("nan")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hpheat.study
+import hpheat.timeint
 from hpheat.assembly import BoundarySpec, Field, PrescribedFlux
 from hpheat.materials import ModelKind
 from hpheat.scenario import (
@@ -296,6 +297,17 @@ def mcv_flash(tau, n_steps=30):
 
 
 def test_a_member_that_blows_up_mid_march_fails_alone():
+    assert_a_member_that_blows_up_mid_march_fails_alone()
+
+
+def test_a_member_that_blows_up_in_a_later_block_fails_alone(monkeypatch):
+    # Probe values are evaluated three steps at a time, so step 4 lies in
+    # the second block.
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 3)
+    assert_a_member_that_blows_up_mid_march_fails_alone()
+
+
+def assert_a_member_that_blows_up_mid_march_fails_alone():
     # At tau = 0.05 a huge pulse meets a slab of almost no heat capacity:
     # the data stay finite, but the temperature overflows at step 4.  In the
     # stack, that NaN reaches every other member within one step.

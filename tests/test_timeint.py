@@ -36,7 +36,7 @@ from hpheat.assembly import (
 )
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.scenario import PulseParams, flash_pulse
-from hpheat.timefun import ZERO, TimeFunction
+from hpheat.timefun import ZERO, TimeFunction, on_grid
 from hpheat.timeint import (
     FactorizationError,
     NonFiniteStateError,
@@ -319,11 +319,27 @@ def held_spec(bcs, dt, held_at_step_ends):
 def test_integrate_is_bitwise_the_step_by_step_loop(family, data, load, theta, held_at_step_ends):
     # load "sampled" holds the data at their step-end samples: values that
     # jump at every grid time, and step means that are the samples.
-    mat, model = STUDY_MATERIALS[family]
-    scheme = ThetaScheme(theta=theta, dt=1e-3, n_steps=40)
     bcs = BOUNDARY_DATA[data]
     if load == "sampled":
-        bcs = held_spec(bcs, scheme.dt, held_at_step_ends)
+        bcs = held_spec(bcs, 1e-3, held_at_step_ends)
+    assert_bitwise_the_step_by_step_loop(family, bcs, theta)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("data", sorted(BOUNDARY_DATA))
+@pytest.mark.parametrize("family", sorted(STUDY_MATERIALS))
+def test_integrate_is_bitwise_the_step_by_step_loop_across_blocks(
+    family, data, theta, monkeypatch
+):
+    # 40 steps in blocks of 7: five full blocks of probe values and a short
+    # one, and the prefix runs end at every place within a block.
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 7)
+    assert_bitwise_the_step_by_step_loop(family, BOUNDARY_DATA[data], theta)
+
+
+def assert_bitwise_the_step_by_step_loop(family, bcs, theta):
+    mat, model = STUDY_MATERIALS[family]
+    scheme = ThetaScheme(theta=theta, dt=1e-3, n_steps=40)
     sys = assemble(Mesh.uniform(5, 0.005), mat, model, 3, bcs)
     a0 = apply_initial_conditions(sys, 293.0, 0.0)
     sol = integrate(sys, scheme, a0, probes=ALL_PROBES)
@@ -335,6 +351,40 @@ def test_integrate_is_bitwise_the_step_by_step_loop(family, data, load, theta, h
         prefix = integrate(sys, replace(scheme, n_steps=n), a0, probes=ALL_PROBES)
         assert np.array_equal(prefix.final_state, states[n])
         assert np.array_equal(prefix.probe_values, values[:, :n + 1])
+
+
+def test_run_without_probes_across_blocks(monkeypatch):
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 7)
+    sys = assemble(Mesh.uniform(5, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
+    a0 = apply_initial_conditions(sys, 293.0, 0.0)
+    scheme = ThetaScheme(theta=0.5, dt=1e-3, n_steps=40)
+    sol = integrate(sys, scheme, a0)
+    _, states = march_step_by_step(sys, scheme, a0, ())
+    assert sol.probe_values.shape == (0, 41)
+    assert np.array_equal(sol.final_state, states[-1])
+
+
+def test_probe_without_free_weights_reads_the_prescribed_values(monkeypatch):
+    # The temperature row at a Dirichlet face has only zero free weights;
+    # without them it is all prescribed part, and its gathered block is
+    # empty, between the blocks of the probes beside it.
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 7)
+    sys = assemble(Mesh.uniform(5, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
+    scheme = ThetaScheme(theta=0.5, dt=1e-3, n_steps=40)
+    prepared = prepare(sys, scheme, ALL_PROBES)
+    face = prepared.probes[0]
+    assert face.cons_idx.size and not face.free_w.any()
+    bare = replace(face, free_idx=face.free_idx[:0], free_w=face.free_w[:0])
+    probes = [prepared.probes[1], bare, prepared.probes[2]]
+    (got,) = integrate_stack([replace(prepared, probes=probes)], scheme)
+    (want,) = integrate_stack([prepared], scheme)
+    assert np.array_equal(got.probe_values[0], want.probe_values[1])
+    assert np.array_equal(got.probe_values[2], want.probe_values[2])
+    # 0 + w g(t) with w = 1: the prescribed values themselves.
+    prescribed = on_grid([RISING], scheme.times, "value")[:, 0]
+    assert face.cons_w.tolist() == [1.0]
+    assert np.array_equal(got.probe_values[1], prescribed)
+    assert np.array_equal(want.probe_values[0], prescribed)
 
 
 def test_per_step_helpers_are_not_called_per_step(monkeypatch):
@@ -437,6 +487,16 @@ def stack_members():
 
 
 def test_stack_of_both_vertex_bandwidths_is_bitwise_each_member_alone(monkeypatch):
+    assert_stack_is_bitwise_each_member_alone(monkeypatch)
+
+
+def test_stack_is_bitwise_each_member_alone_across_blocks(monkeypatch):
+    # 30 steps in blocks of 7, for the stack and for every member alone.
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 7)
+    assert_stack_is_bitwise_each_member_alone(monkeypatch)
+
+
+def assert_stack_is_bitwise_each_member_alone(monkeypatch):
     members = stack_members()
     bandwidths = [build_factorization(m.system, STACK_SCHEME).kl for m in members]
     assert {1, 3} <= set(bandwidths)
