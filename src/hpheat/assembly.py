@@ -82,6 +82,10 @@ class Mesh:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
+        bad = ~np.isfinite(nodes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"mesh node {i} must be finite, got {nodes[i]}")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("mesh nodes must be strictly increasing")
 
@@ -89,8 +93,8 @@ class Mesh:
     def uniform(cls, n_elements: int, length: float) -> "Mesh":
         if n_elements < 1:
             raise ValueError(f"need at least one element, got {n_elements}")
-        if length <= 0:
-            raise ValueError(f"domain length must be positive, got {length}")
+        if not 0.0 < length < np.inf:
+            raise ValueError(f"domain length must be finite and positive, got {length}")
         return cls(np.linspace(0.0, length, n_elements + 1))
 
     @property
@@ -290,6 +294,14 @@ class SemiDiscreteSystem:
             if free >= 0:
                 terms.append((int(free), term.sign, term.value))
         return terms
+
+    @property
+    def load_rows(self) -> np.ndarray:
+        """The free rows that boundary data load, ascending: the natural flux
+        rows and the rows coupled to a constrained DOF."""
+        loaded = self.A_fc.any(axis=1) | self.B_fc.any(axis=1)
+        loaded[[idx for idx, _, _ in self.natural_free()]] = True
+        return np.flatnonzero(loaded)
 
     def load_average(
         self, t0: float, t1: float, prev_average: np.ndarray | None = None

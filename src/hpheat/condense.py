@@ -12,7 +12,8 @@ factor the implicit matrix of the theta scheme once per system:
   band of half-bandwidth 1 for the local models and 3 for GK whatever the
   degree;
 - it folds the row scaling, the explicit matrix and the elimination of the
-  interiors into one CSR step operator, and the same for the loads.
+  interiors into one CSR step operator, and the same for the load on the
+  rows that boundary data load.
 
 Every element block is gathered straight from the sparse matrices: the
 element-interleaved order puts each element's DOFs in one run, so an
@@ -62,10 +63,11 @@ class CondensedFactorization:
     degree.  m_expl maps y to the right-hand side of the condensed step:
     the vertex rows with the interiors eliminated, then M_ii^-1 times the
     interior rows, with the row scaling and the explicit matrix folded in.
-    load_op does the same for a load on the free rows that boundary data
-    reach, the vertex rows and the interiors of the two end elements, as
-    (condensed row, free column, value) triples.  `interior` is N, which
-    recovers the interiors once the vertex DOFs are known.
+    load_fold does the same for a load on SemiDiscreteSystem.load_rows, the
+    free rows that boundary data load: it maps the load on them, in that
+    order, to the right-hand side on the condensed rows load_rows it
+    reaches.  `interior` is N, which recovers the interiors once the vertex
+    DOFs are known.
     """
 
     lu: np.ndarray
@@ -79,7 +81,8 @@ class CondensedFactorization:
     order: np.ndarray
     n_vertex: int
     interior: sp.csr_matrix
-    load_op: tuple[np.ndarray, np.ndarray, np.ndarray]
+    load_rows: np.ndarray
+    load_fold: sp.csr_matrix
 
     def state(self, alpha: np.ndarray) -> np.ndarray:
         """The condensed state of a free coefficient vector."""
@@ -99,25 +102,6 @@ class CondensedFactorization:
         position[self.order] = np.arange(self.dim)
         free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in rows])
         return position[free], self.col_scale[free]
-
-    def fold(self, load_rows: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-        """The condensed rows that a load on the free rows load_rows reaches,
-        and the operator from the load values to the right-hand side on
-        them.  Raises ValueError for a load row that boundary data cannot
-        reach (an interior DOF of an element away from the ends)."""
-        op_row, op_col, op_val = self.load_op
-        where = np.full(self.dim, -2)
-        where[op_col] = -1
-        if np.any(where[load_rows] == -2):
-            raise ValueError("load on a row that boundary data cannot reach")
-        where[load_rows] = np.arange(len(load_rows))
-        col = where.take(op_col)
-        keep = col >= 0
-        op = sp.csr_matrix(
-            (op_val[keep], (op_row[keep], col[keep])), shape=(self.dim, len(load_rows))
-        )
-        rows = np.flatnonzero(np.diff(op.indptr))
-        return rows, op[rows]
 
 
 class _Elements:
@@ -217,7 +201,7 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     """Equilibrate the implicit matrix A + dt theta B, invert its interior
     blocks, factor the vertex Schur complement and fold the step operator
     of the explicit matrix A - dt (1 - theta) B, all element block by
-    element block.
+    element block, and fold the load on sys.load_rows.
 
     Raises FactorizationError naming the free index of the failing pivot.
     """
@@ -315,25 +299,33 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     m_expl = _csr(folded[:, i], state[:, None], dim, head=vertex_rows)
     interior = _csr(across, vertex_slots[:, None], nv)
 
-    # Boundary data reach only the natural flux rows, at the end vertices,
-    # and the rows coupled to constrained DOFs, also at the end vertices; so
-    # the load operator covers the vertex rows and the two end elements.
-    ends = np.unique([0, len(slot) - 1])
-    r_i = r.take(elements.order[nv:]).reshape(-1, 1, ni)[ends]
-    o_row, o_col, o_val = _triples(
-        np.concatenate((-eliminate[ends] * r_i, inverse[ends] * r_i), axis=1),
-        elements.state[ends, :, None],
-        slot[ends, None, i],
+    # The load operator: the load on a vertex row is row-scaled, and the
+    # load on an interior row is eliminated as m_expl eliminates the
+    # interior rows.
+    loaded = sys.load_rows
+    at = np.empty(dim, dtype=int)
+    at[elements.order] = np.arange(dim)
+    at = at.take(loaded)
+    on_vertex, inner = np.flatnonzero(at < nv), np.flatnonzero(at >= nv)
+    e, k = np.divmod(at[inner] - nv, ni)
+    scaled = r.take(loaded[inner])[:, None]
+    l_row, l_col, l_val = _triples(
+        np.hstack((-eliminate[e, :, k] * scaled, inverse[e, :, k] * scaled)),
+        state[e],
+        inner[:, None],
     )
-    load_op = (
-        np.concatenate((np.arange(nv), o_row)),
-        np.concatenate((vertex, o_col)),
-        np.concatenate((r[vertex], o_val)),
+    fold = sp.csr_matrix(
+        (
+            np.concatenate((r.take(loaded[on_vertex]), l_val)),
+            (np.concatenate((at[on_vertex], l_row)), np.concatenate((on_vertex, l_col))),
+        ),
+        shape=(dim, loaded.size),
     )
+    load_rows = np.flatnonzero(np.diff(fold.indptr))
     return CondensedFactorization(
         lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
         row_scale=r, col_scale=c, order=elements.order, n_vertex=nv,
-        interior=interior, load_op=load_op,
+        interior=interior, load_rows=load_rows, load_fold=fold[load_rows],
     )
 
 
@@ -361,11 +353,6 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
     # Converted from COO, every row keeps its members' column order.
     step = sp.block_diag([f.m_expl for f in facts], format="coo")
     m_expl = sp.csr_matrix((step.data, (place[step.row], place[step.col])), shape=(dim, dim))
-    parts = [
-        (place[row + start], col + start, val)
-        for (row, col, val), start in zip((f.load_op for f in facts), free_start)
-    ]
-    load_op = tuple(np.concatenate(part) for part in zip(*parts))
     order = np.empty(dim, dtype=int)
     order[place] = np.concatenate([f.order + s for f, s in zip(facts, free_start)])
     kl = max(f.kl for f in facts)
@@ -380,5 +367,6 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
         col_scale=np.concatenate([f.col_scale for f in facts]),
         order=order, n_vertex=int(nv.sum()),
         interior=sp.block_diag([f.interior for f in facts], format="csr"),
-        load_op=load_op,
+        load_rows=np.concatenate([place[f.load_rows + s] for f, s in zip(facts, free_start)]),
+        load_fold=sp.block_diag([f.load_fold for f in facts], format="csr"),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isfinite
 
 
 class ModelKind(enum.Enum):
@@ -42,6 +43,9 @@ class MaterialParams:
     kappa2: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rho <= 0.0:
             raise ValueError(f"density must be positive, got {self.rho}")
         if self.c_v <= 0.0:

@@ -10,7 +10,7 @@ adiabatic steady state sits at one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, isfinite
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class PulseParams:
     t_p: float = 0.008
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isfinite(value):
+                raise ValueError(f"pulse {name} must be finite, got {value}")
         if self.c1 == self.c2:
             raise ValueError("pulse rate constants must differ")
         if self.c1 == 0.0 or self.c2 == 0.0:
@@ -131,6 +134,8 @@ class Scenario:
         object.__setattr__(self, "model", ModelKind(self.model))
         if not 0.0 < self.length < np.inf:
             raise ValueError(f"bar length must be finite and positive, got {self.length}")
+        if not isfinite(self.initial_temperature):
+            raise ValueError(f"initial temperature must be finite, got {self.initial_temperature}")
 
     @property
     def final_time(self) -> float:

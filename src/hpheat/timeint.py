@@ -12,10 +12,10 @@ half-bandwidth 1 for the local models and 3 for GK whatever the degree.
 The step loop is `march`, a core that knows nothing of SemiDiscreteSystem.
 Its inputs are built once, before the loop:
 
-- the CondensedFactorization of the implicit matrix;
-- the free rows the boundary data touch, with a table of dt f_n* on those
-  rows for every step, which the march folds onto the condensed rows it
-  reaches;
+- the CondensedFactorization of the implicit matrix, which also folds a
+  load on the rows that boundary data load (SemiDiscreteSystem.load_rows)
+  onto the condensed rows it reaches;
+- a table of dt f_n* on those rows for every step;
 - the free-DOF weight rows of the probes;
 - the initial state.
 
@@ -85,13 +85,11 @@ def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> Condens
     return condense(sys, scheme.dt, scheme.theta)
 
 
-def advance(
-    fact: CondensedFactorization, y: np.ndarray, rows: np.ndarray, load: np.ndarray
-) -> np.ndarray:
-    """One theta step of the condensed state y, with a load row folded onto
-    the condensed rows `rows` (CondensedFactorization.fold)."""
+def advance(fact: CondensedFactorization, y: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """One theta step of the condensed state y, with a load folded onto the
+    condensed rows fact.load_rows (fact.load_fold applied to it)."""
     rhs = fact.m_expl @ y
-    rhs[rows] += load
+    rhs[fact.load_rows] += load
     nv = fact.n_vertex
     if nv:
         vertex, info = dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv, overwrite_b=1)
@@ -114,19 +112,16 @@ class TransientSolution:
 @dataclass
 class Prepared:
     """A system with what its march needs besides the factorization: the
-    probe rows, and the free rows the boundary data touch with dt times the
-    step-mean load on them at every step, as an (n_steps, len(load_rows))
-    table."""
+    probe rows, and dt times the step-mean load on the system's load_rows
+    at every step, as an (n_steps, len(load_rows)) table."""
 
     system: SemiDiscreteSystem
     probes: list[ProbeRow]
-    load_rows: np.ndarray
     loads: np.ndarray
 
 
-def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The free rows the boundary data touch, and dt times the load on them
-    per step.
+def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> np.ndarray:
+    """dt times the load on the system's load_rows, per step.
 
     Each step reads the step means, with the constrained rate taken from the
     previous step's mean (from g(0) at the first step), as
@@ -138,9 +133,7 @@ def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> tuple[np.ndarra
     fluxes = [fn for _, _, fn in natural]
     signs = np.array([sign for _, sign, _ in natural])
     natural_rows = np.array([idx for idx, _, _ in natural], dtype=int)
-    touched = sys.A_fc.any(axis=1) | sys.B_fc.any(axis=1)
-    touched[natural_rows] = True
-    rows = np.flatnonzero(touched)
+    rows = sys.load_rows
     natural_pos = np.searchsorted(rows, natural_rows)
     flux = signs * step_averages(fluxes, times)
     value = step_averages(signals, times)
@@ -158,7 +151,7 @@ def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> tuple[np.ndarra
         coupled += value @ sys.B_fc[rows].T
         loads -= coupled
     loads *= scheme.dt
-    return rows, loads
+    return loads
 
 
 def prepare(
@@ -172,20 +165,18 @@ def prepare(
     when the boundary data of a step are not finite.
     """
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
-    load_rows, loads = _step_loads(sys, scheme)
-    return Prepared(system=sys, probes=rows, load_rows=load_rows, loads=loads)
+    return Prepared(system=sys, probes=rows, loads=_step_loads(sys, scheme))
 
 
 def march(
     fact: CondensedFactorization,
-    load_rows: np.ndarray,
     loads: np.ndarray,
     probes: Sequence[ProbeRow],
     alpha0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step loop: one step per row of loads, which holds dt f_n* on the
-    load rows.  Returns the free part of the probe histories and the final
-    state.
+    free rows that fact.load_fold folds.  Returns the free part of the probe
+    histories and the final state.
 
     The steps run in blocks of _BLOCK_STEPS.  Before a block, the load
     table is folded for its steps.  A step is advance and one gather of the
@@ -202,7 +193,6 @@ def march(
     if not n_steps:
         return values, alpha
 
-    rows, fold = fact.fold(load_rows)
     at, scale = fact.probe(probes)
     ends = np.cumsum([len(r.free_w) for r in probes], dtype=int)
     terms = [(r.free_w[:, None], slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
@@ -213,9 +203,9 @@ def march(
     with np.errstate(over="ignore", invalid="ignore"):
         # Blocks bound the memory that the folded table and the buffer take.
         for first in range(0, n_steps, _BLOCK_STEPS):
-            table = fold @ loads[first:first + _BLOCK_STEPS].T
+            table = fact.load_fold @ loads[first:first + _BLOCK_STEPS].T
             for load, row in zip(table.T, seen):
-                y = advance(fact, y, rows, load)
+                y = advance(fact, y, load)
                 # at is in range: mode "clip" writes straight into the row,
                 # where "raise" goes through a buffer.
                 y.take(at, out=row, mode="clip")
@@ -252,7 +242,7 @@ def _solution(
 def _solve(
     prepared: Prepared, fact: CondensedFactorization, scheme: ThetaScheme, alpha0: np.ndarray
 ) -> TransientSolution:
-    values, alpha = march(fact, prepared.load_rows, prepared.loads, prepared.probes, alpha0)
+    values, alpha = march(fact, prepared.loads, prepared.probes, alpha0)
     return _solution(prepared, scheme.times, values, alpha)
 
 
@@ -308,7 +298,6 @@ def integrate_stack(
     blocks = [(k, members[k], int(start)) for k, start in zip(facts, starts)]
     values, alpha = march(
         fact,
-        np.concatenate([m.load_rows + start for _, m, start in blocks]),
         np.hstack([m.loads for _, m, _ in blocks]),
         [replace(r, free_idx=r.free_idx + start) for _, m, start in blocks for r in m.probes],
         np.zeros(fact.dim),

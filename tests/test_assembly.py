@@ -83,6 +83,14 @@ def test_mesh_rejects_non_increasing_nodes():
         Mesh(np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_nodes(bad):
+    with pytest.raises(ValueError, match="mesh node 1 must be finite"):
+        Mesh(np.array([0.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="domain length must be finite"):
+        Mesh.uniform(4, bad)
+
+
 # ---------------------------------------------------------------- numbering
 
 

@@ -32,6 +32,17 @@ def test_invalid_parameters_rejected(kwargs):
         MaterialParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["rho", "c_v", "conductivity", "tau", "kappa2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_rejected_by_name(name, value):
+    # NaN passes every sign check, and an infinite parameter reaches the
+    # solver as NaN or overflow; both are rejected before any solve.
+    kwargs = dict(rho=2600.0, c_v=800.0, conductivity=3.0, tau=0.3, kappa2=8e-6)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        MaterialParams(**kwargs)
+
+
 def test_require_kind_rejects_leftover_coefficients():
     # Running a simpler model with nonzero extra coefficients would silently
     # drop physics, so it must be an error, not a warning.

@@ -88,6 +88,13 @@ def test_pulse_rejects_a_zero_rate(rates):
         PulseParams(c1=c1, c2=c2)
 
 
+@pytest.mark.parametrize("name", ["amplitude", "c1", "c2", "t_p"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_pulse_rejects_non_finite_parameters_by_name(name, value):
+    with pytest.raises(ValueError, match=f"pulse {name} must be finite"):
+        PulseParams(**{name: value})
+
+
 def test_time_function_average_and_constant():
     lin = TimeFunction(value=lambda t: 3.0 * t, integral=lambda t: 1.5 * t * t)
     assert lin.average(1.0, 3.0) == pytest.approx(6.0, rel=1e-14)
@@ -135,6 +142,11 @@ def test_scenario_validation():
     for length in (float("nan"), float("inf"), -0.005):
         with pytest.raises(ValueError, match="bar length"):
             benchmark_scenario(ModelKind.MCV, tau=0.3, length=length)
+    # The march is the rise over it, so a NaN would surface only in the
+    # reported histories, with no step to blame.
+    for temperature in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="initial temperature must be finite"):
+            benchmark_scenario(ModelKind.MCV, tau=0.3, initial_temperature=temperature)
     with pytest.raises(ValueError):
         benchmark_scenario("cattaneo", tau=0.3)
     scenario = benchmark_scenario("mcv", tau=0.3)

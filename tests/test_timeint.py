@@ -56,20 +56,26 @@ PULSE_BCS = BoundarySpec(
     right=PrescribedFlux(ZERO),
 )
 QUIET_BCS = BoundarySpec(left=PrescribedFlux(ZERO), right=PrescribedFlux(ZERO))
+# A prescribed temperature that climbs 10 mK within a few steps, so per-step
+# averages, their rates and endpoint samples all differ.
+RISING = TimeFunction(
+    value=lambda t: 293.0 + 0.01 * (1.0 - exp(-t / 0.004)),
+    integral=lambda t: 293.0 * t + 0.01 * (t - 0.004 * (1.0 - exp(-t / 0.004))),
+)
 
 
-def condensed_step(fact, s, load):
+def condensed_step(sys, fact, s, load):
     """One step of the condensed state s with dt times a load on all free
-    rows, folded onto the condensed rows it reaches."""
-    rows = np.flatnonzero(load)
-    folded_rows, fold = fact.fold(rows)
-    return advance(fact, s, folded_rows, fold @ load[rows])
+    rows, which must vanish off the system's load_rows, folded onto the
+    condensed rows fact.load_rows it reaches."""
+    assert not np.delete(load, sys.load_rows).any()
+    return advance(fact, s, fact.load_fold @ load[sys.load_rows])
 
 
 def step(sys, scheme, fact, alpha_n, t_n):
     """One theta step with the averaged load, written out by hand."""
     dt = scheme.dt
-    s = condensed_step(fact, fact.state(alpha_n), dt * sys.load_average(t_n, t_n + dt))
+    s = condensed_step(sys, fact, fact.state(alpha_n), dt * sys.load_average(t_n, t_n + dt))
     return fact.coefficients(s)
 
 
@@ -156,11 +162,28 @@ DENSE_CASES = {
 }
 
 
+# Flux data load the natural rows; prescribed temperatures load the rows
+# coupled to them, through their step means and rates.
+DENSE_DATA = {
+    "flux": PULSE_BCS,
+    "dirichlet_left": BoundarySpec(left=DirichletTemperature(RISING), right=PrescribedFlux(ZERO)),
+    "dirichlet_both": BoundarySpec(
+        left=DirichletTemperature(RISING), right=DirichletTemperature(RISING)
+    ),
+}
+DENSE_RUNS = [(case, data) for case in sorted(DENSE_CASES) for data in sorted(DENSE_DATA)]
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-@pytest.mark.parametrize("case", sorted(DENSE_CASES))
-def test_one_step_matches_dense_solve_for_every_model(case, theta):
+@pytest.mark.parametrize(
+    "case,data",
+    DENSE_RUNS,
+    # Flux data are the default, left out of the ids.
+    ids=[case if data == "flux" else f"{case}-{data}" for case, data in DENSE_RUNS],
+)
+def test_one_step_matches_dense_solve_for_every_model(case, data, theta):
     mat, model, n, p = DENSE_CASES[case]
-    sys = assemble(Mesh.uniform(n, 0.005), mat, model, p, PULSE_BCS)
+    sys = assemble(Mesh.uniform(n, 0.005), mat, model, p, DENSE_DATA[data])
     a0 = apply_initial_conditions(
         sys, lambda x: 293.0 + 40.0 * x / 0.005, lambda x: 1e3 * np.sin(np.pi * x / 0.005)
     )
@@ -257,12 +280,6 @@ def test_first_step_matches_closed_form_boundary_layer():
     assert rise == pytest.approx(predicted, rel=1e-8)
 
 
-# A prescribed temperature that climbs 10 mK within a few steps, so per-step
-# averages, their rates and endpoint samples all differ.
-RISING = TimeFunction(
-    value=lambda t: 293.0 + 0.01 * (1.0 - exp(-t / 0.004)),
-    integral=lambda t: 293.0 * t + 0.01 * (t - 0.004 * (1.0 - exp(-t / 0.004))),
-)
 STUDY_MATERIALS = {
     "fourier": (MaterialParams(2600.0, 800.0, 3e3), ModelKind.FOURIER),
     "mcv": (MaterialParams(2600.0, 800.0, 3e3, tau=0.05), ModelKind.MCV),
@@ -297,7 +314,7 @@ def march_step_by_step(sys, scheme, alpha0, probes):
         t0, t1 = times[n], times[n + 1]
         load = sys.load_average(t0, t1, prev_average)
         prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
-        s = condensed_step(fact, s, dt * load)
+        s = condensed_step(sys, fact, s, dt * load)
         alpha = fact.coefficients(s)
         values[:, n + 1] = [row.evaluate(sys, alpha, t1) for row in rows]
         states.append(alpha)
