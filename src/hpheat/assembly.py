@@ -1,12 +1,14 @@
-"""Global DOF numbering, assembly of the semi-discrete system, boundary data.
+"""Global DOF numbering, the semi-discrete system as element blocks, boundary data.
 
 The coefficient vector is ordered element-interleaved: the DOFs shared at a
 mesh vertex come first, then the interior DOFs of the element to its right,
 then the next vertex, and so on.  All DOFs of one element therefore live
-within a fixed index distance of each other and the assembled matrices are
-banded with a half-bandwidth independent of the element count, and each
-element's DOFs form one contiguous run, which the static condensation
-(module condense) relies on.
+within a fixed index distance of each other, and each element's DOFs form
+one contiguous run.
+
+The system is kept as one block per element (DofMap.block_dofs), which the
+static condensation (module condense) reads directly; only structure checks
+and size counts scatter the blocks into global matrices (global_matrices).
 
 Boundary conditions split by field regularity.  Prescribed temperatures are
 always essential.  Prescribed fluxes are natural data in the energy-balance
@@ -168,9 +170,20 @@ class NaturalFluxTerm:
 
 @dataclass
 class DofMap:
+    """Both fields' DOFs, element by element and at the vertices.
+
+    block_dofs holds every element's full DOFs in the local slots of its
+    blocks: the DOFs at its left vertex (T before q), those at its right
+    vertex, then its interior DOFs in ascending order.  block_slots holds,
+    per field, the slot of each of its shape functions, so that
+    element_dofs[field] is block_dofs[:, block_slots[field]].
+    """
+
     mesh: Mesh
     model: ModelKind
     spaces: tuple[SpaceSpec, SpaceSpec]
+    block_dofs: np.ndarray
+    block_slots: dict[Field, np.ndarray]
     element_dofs: dict[Field, np.ndarray]
     vertex_dofs: dict[Field, np.ndarray | None]
     full_dim: int
@@ -194,6 +207,11 @@ class DofMap:
         """Unknown coefficients after constraint elimination."""
         return self.free_to_full.size
 
+    @property
+    def per_vertex(self) -> int:
+        """DOFs at every vertex: T, and q when the flux is continuous."""
+        return 1 if self.vertex_dofs[Field.HEAT_FLUX] is None else 2
+
     def space(self, field: Field) -> SpaceSpec:
         return self.spaces[0] if field is Field.TEMPERATURE else self.spaces[1]
 
@@ -211,20 +229,22 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
 
     # Each vertex holds its T DOF (then its q DOF when q is continuous); the
     # T bubbles and the q interior DOFs of the element to its right follow.
-    per_vertex = 2 if q_c0 else 1
+    pv = 2 if q_c0 else 1
     q_interior = degQ - 1 if q_c0 else degQ + 1
-    stride = per_vertex + degT - 1 + q_interior
+    n_interior = degT - 1 + q_interior
+    stride = pv + n_interior
     vertex_t = np.arange(n + 1) * stride
     vertex_q = vertex_t + 1 if q_c0 else None
-    first = vertex_t[:-1, None] + per_vertex
-    elem_t = np.hstack(
-        (vertex_t[:-1, None], vertex_t[1:, None], first + np.arange(degT - 1))
+    at_vertex = vertex_t[:, None] + np.arange(pv)
+    block_dofs = np.hstack(
+        (at_vertex[:-1], at_vertex[1:], at_vertex[:-1, :1] + pv + np.arange(n_interior))
     )
-    interior_q = first + degT - 1 + np.arange(q_interior)
-    if q_c0:
-        elem_q = np.hstack((vertex_q[:-1, None], vertex_q[1:, None], interior_q))
-    else:
-        elem_q = interior_q
+    bubbles = 2 * pv + np.arange(degT - 1)
+    q_inner = 2 * pv + degT - 1 + np.arange(q_interior)
+    slots = {
+        Field.TEMPERATURE: np.concatenate(([0, pv], bubbles)),
+        Field.HEAT_FLUX: np.concatenate(([1, pv + 1], q_inner)) if q_c0 else q_inner,
+    }
 
     constrained: list[ConstrainedDof] = []
     natural: list[NaturalFluxTerm] = []
@@ -246,9 +266,11 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
         mesh=mesh,
         model=model,
         spaces=(t_space, q_space),
-        element_dofs={Field.TEMPERATURE: elem_t, Field.HEAT_FLUX: elem_q},
+        block_dofs=block_dofs,
+        block_slots=slots,
+        element_dofs={fld: block_dofs[:, at] for fld, at in slots.items()},
         vertex_dofs={Field.TEMPERATURE: vertex_t, Field.HEAT_FLUX: vertex_q},
-        full_dim=n * stride + per_vertex,
+        full_dim=n * stride + pv,
         constrained=tuple(constrained),
         natural_terms=tuple(natural),
     )
@@ -256,27 +278,38 @@ def build_dofmap(mesh: Mesh, model: ModelKind, p: int, bcs: BoundarySpec) -> Dof
 
 @dataclass
 class SemiDiscreteSystem:
-    """A alpha' + B alpha = f(t) on the free DOFs, plus elimination data.
+    """A alpha' + B alpha = f(t) on the free DOFs, kept as element blocks.
 
-    A and B are the free-DOF blocks; A_full and B_full keep the unconstrained
-    assembly for structure checks and for reconstructing constrained fields.
-    A_fc and B_fc are the free-rows-by-constrained-columns couplings whose
-    products with the prescribed values (and their rates) enter the load.
+    A_blocks and B_blocks hold every element's blocks of A and B, shape
+    (n_elements, k, k), in the local slots of dofmap.block_dofs, the rows
+    and columns of the constrained DOFs included.  Elements share only
+    vertex DOFs, so the blocks sum to the global matrices: a vertex's own
+    coupling, to which the elements on both sides contribute, is summed
+    once into the element to its right (the last vertex's stays in the
+    last element).
+
+    load_rows are the free rows that boundary data load, ascending: the
+    natural flux rows and the rows coupled to a constrained DOF.  A_lc and
+    B_lc couple those rows to the constrained DOFs; their products with the
+    prescribed values (and their rates) enter the load.
+
+    A_full, B_full (the unconstrained assembly), A, B (its free blocks) and
+    half_bandwidth are built from the blocks on every read, by
+    global_matrices, for structure checks and size counts; no solve reads
+    them.
     """
 
     dofmap: DofMap
     material: MaterialParams
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    A_full: sp.csr_matrix
-    B_full: sp.csr_matrix
-    A_fc: np.ndarray
-    B_fc: np.ndarray
-    half_bandwidth: int
+    A_blocks: np.ndarray
+    B_blocks: np.ndarray
+    load_rows: np.ndarray
+    A_lc: np.ndarray
+    B_lc: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.dofmap.total_dofs
 
     @property
     def mesh(self) -> Mesh:
@@ -286,6 +319,30 @@ class SemiDiscreteSystem:
     def model(self) -> ModelKind:
         return self.dofmap.model
 
+    @property
+    def A_full(self) -> sp.csr_matrix:
+        return global_matrices(self)[0]
+
+    @property
+    def B_full(self) -> sp.csr_matrix:
+        return global_matrices(self)[1]
+
+    @property
+    def A(self) -> sp.csr_matrix:
+        free = self.dofmap.free_to_full
+        return self.A_full[free][:, free].tocsr()
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        free = self.dofmap.free_to_full
+        return self.B_full[free][:, free].tocsr()
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Largest |i - j| of a nonzero entry of A or B."""
+        pattern = (abs(self.A) + abs(self.B)).tocoo()
+        return int(np.max(np.abs(pattern.row - pattern.col), initial=0))
+
     def natural_free(self) -> list[tuple[int, float, TimeFunction]]:
         """(free row, sign, flux data) of every natural flux term."""
         terms = []
@@ -294,14 +351,6 @@ class SemiDiscreteSystem:
             if free >= 0:
                 terms.append((int(free), term.sign, term.value))
         return terms
-
-    @property
-    def load_rows(self) -> np.ndarray:
-        """The free rows that boundary data load, ascending: the natural flux
-        rows and the rows coupled to a constrained DOF."""
-        loaded = self.A_fc.any(axis=1) | self.B_fc.any(axis=1)
-        loaded[[idx for idx, _, _ in self.natural_free()]] = True
-        return np.flatnonzero(loaded)
 
     def load_average(
         self, t0: float, t1: float, prev_average: np.ndarray | None = None
@@ -328,7 +377,8 @@ class SemiDiscreteSystem:
             g_avg = np.array([c.value.average(t0, t1) for c in self.dofmap.constrained])
             if prev_average is None:
                 prev_average = np.array([c.value.value(t0) for c in self.dofmap.constrained])
-            f -= self.A_fc @ ((g_avg - prev_average) / (t1 - t0)) + self.B_fc @ g_avg
+            rate = (g_avg - prev_average) / (t1 - t0)
+            f[self.load_rows] -= self.A_lc @ rate + self.B_lc @ g_avg
         return f
 
     def lowered_temperatures(self, offset: float) -> "SemiDiscreteSystem":
@@ -363,7 +413,7 @@ def assemble(
     p: int,
     bcs: BoundarySpec,
 ) -> SemiDiscreteSystem:
-    """Assemble A, B from element blocks and eliminate essential constraints.
+    """The element blocks of A and B, and the couplings of the boundary data.
 
     Block layout in field terms, with G the unweighted coupling integral:
 
@@ -378,58 +428,68 @@ def assemble(
     degT, degQ = dofmap.spaces[0].degree, dofmap.spaces[1].degree
 
     blocks = element_matrices(mesh.jacobians, mat, model, degT, degQ)
-    t_dofs = dofmap.element_dofs[Field.TEMPERATURE]
-    q_dofs = dofmap.element_dofs[Field.HEAT_FLUX]
+    t, q = dofmap.block_slots[Field.TEMPERATURE], dofmap.block_slots[Field.HEAT_FLUX]
+    k = dofmap.block_dofs.shape[1]
+    a = np.zeros((mesh.n_elements, k, k))
+    b = np.zeros_like(a)
+    # Assigned, not added to the zeros, so that every zero keeps its sign.
+    a[:, t[:, None], t] = blocks.C
+    a[:, q[:, None], q] = blocks.T
+    b[:, q[:, None], q] = blocks.K
+    b[:, q[:, None], t] = blocks.Q
+    b[:, t[:, None], q] = -blocks.Qt
+    # Each vertex's own coupling is kept once, in the element to its right.
+    own, right = slice(0, dofmap.per_vertex), slice(dofmap.per_vertex, 2 * dofmap.per_vertex)
+    for m in (a, b):
+        m[1:, own, own] += m[:-1, right, right]
+        m[:-1, right, right] = 0.0
 
-    def coo(*placed):
-        """Sum of (row DOFs, column DOFs, blocks) triples, every element at once."""
-        rows, cols, vals = [], [], []
-        for r_dofs, c_dofs, block in placed:
-            shape = (r_dofs.shape[0], r_dofs.shape[1], c_dofs.shape[1])
-            rows.append(np.broadcast_to(r_dofs[:, :, None], shape).ravel())
-            cols.append(np.broadcast_to(c_dofs[:, None, :], shape).ravel())
-            vals.append(np.broadcast_to(block, shape).ravel())
-        full = dofmap.full_dim
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(full, full),
-        ).tocsr()
-
-    a_full = coo((t_dofs, t_dofs, blocks.C), (q_dofs, q_dofs, blocks.T))
-    b_full = coo(
-        (q_dofs, q_dofs, blocks.K),
-        (q_dofs, t_dofs, blocks.Q),
-        (t_dofs, q_dofs, -blocks.Qt),
-    )
-
-    free = dofmap.free_to_full
-    cons = np.array([c.dof for c in dofmap.constrained], dtype=int)
-    a_rows, b_rows = a_full[free], b_full[free]
-    a_ff = a_rows[:, free].tocsr()
-    b_ff = b_rows[:, free].tocsr()
-    if cons.size:
-        a_fc = np.asarray(a_rows[:, cons].todense())
-        b_fc = np.asarray(b_rows[:, cons].todense())
-    else:
-        a_fc = np.zeros((free.size, 0))
-        b_fc = np.zeros((free.size, 0))
-
-    half_bw = 0
-    for m in (a_ff, b_ff):
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        half_bw = max(half_bw, int(np.abs(rows - m.indices)[m.data != 0].max(initial=0)))
+    # A constrained DOF sits at an end vertex, so its column is a column of
+    # an end element's blocks.  Constrained slots land on the extra last row.
+    a_fc = np.zeros((dofmap.total_dofs + 1, len(dofmap.constrained)))
+    b_fc = np.zeros_like(a_fc)
+    for j, c in enumerate(dofmap.constrained):
+        e = 0 if c.dof in dofmap.block_dofs[0] else -1
+        slot = np.argmax(dofmap.block_dofs[e] == c.dof)
+        rows = dofmap.full_to_free[dofmap.block_dofs[e]]
+        a_fc[rows, j], b_fc[rows, j] = a[e, :, slot], b[e, :, slot]
+    loaded = a_fc.any(axis=1) | b_fc.any(axis=1)
+    loaded[dofmap.full_to_free[[term.dof for term in dofmap.natural_terms]]] = True
+    load_rows = np.flatnonzero(loaded[:-1])
 
     return SemiDiscreteSystem(
         dofmap=dofmap,
         material=mat,
-        A=a_ff,
-        B=b_ff,
-        A_full=a_full,
-        B_full=b_full,
-        A_fc=a_fc,
-        B_fc=b_fc,
-        half_bandwidth=half_bw,
+        A_blocks=a,
+        B_blocks=b,
+        load_rows=load_rows,
+        A_lc=a_fc[load_rows],
+        B_lc=b_fc[load_rows],
     )
+
+
+def global_matrices(sys: SemiDiscreteSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """A_full and B_full, every element's field blocks scattered at once.
+
+    Where a vertex's own coupling moved into the element to its right, the
+    element to its left adds a zero to it.
+    """
+    dofmap = sys.dofmap
+    t, q = Field.TEMPERATURE, Field.HEAT_FLUX
+
+    def coo(blocks, *pairs):
+        """Sum of the (row field, column field) parts of the blocks."""
+        rows, cols, vals = [], [], []
+        for r, c in pairs:
+            r_dofs, c_dofs = dofmap.element_dofs[r], dofmap.element_dofs[c]
+            shape = (r_dofs.shape[0], r_dofs.shape[1], c_dofs.shape[1])
+            rows.append(np.broadcast_to(r_dofs[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(c_dofs[:, None, :], shape).ravel())
+            vals.append(blocks[:, dofmap.block_slots[r][:, None], dofmap.block_slots[c]].ravel())
+        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        return sp.coo_matrix(data, shape=(dofmap.full_dim,) * 2).tocsr()
+
+    return coo(sys.A_blocks, (t, t), (q, q)), coo(sys.B_blocks, (q, q), (q, t), (t, q))
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:

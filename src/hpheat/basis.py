@@ -32,25 +32,13 @@ from numpy.polynomial.legendre import leggauss
 MAX_DEGREE = 12
 
 
-def legendre_eval(degree: int, eta: float) -> float:
-    """Evaluate the Legendre polynomial L_degree at a single point.
+def _legendre_rows(max_degree: int, eta: np.ndarray) -> np.ndarray:
+    """Table of L_0..L_max_degree at the given points, one row per degree.
 
     Uses the Bonnet three-term recurrence
         (k + 1) L_{k+1}(eta) = (2k + 1) eta L_k(eta) - k L_{k-1}(eta)
     upward from L_0 = 1, L_1 = eta.
     """
-    if degree < 0:
-        raise ValueError(f"Legendre degree must be >= 0, got {degree}")
-    if degree == 0:
-        return 1.0
-    prev, cur = 1.0, float(eta)
-    for k in range(1, degree):
-        prev, cur = cur, ((2 * k + 1) * eta * cur - k * prev) / (k + 1)
-    return cur
-
-
-def _legendre_rows(max_degree: int, eta: np.ndarray) -> np.ndarray:
-    """Table of L_0..L_max_degree at the given points, one row per degree."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     rows = np.empty((max_degree + 1, eta.size))
     rows[0] = 1.0

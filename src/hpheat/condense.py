@@ -15,11 +15,10 @@ factor the implicit matrix of the theta scheme once per system:
   interiors into one CSR step operator, and the same for the load on the
   rows that boundary data load.
 
-Every element block is gathered straight from the sparse matrices: the
-element-interleaved order puts each element's DOFs in one run, so an
-entry's element and local slots follow from its row and column, and no
-step of the set-up loops over elements in Python.  `stack` joins several
-condensed systems into one block-diagonal system.
+It reads the element blocks that `assemble` keeps, SemiDiscreteSystem's
+A_blocks and B_blocks, and builds no global matrix; no step of the set-up
+loops over elements in Python.  `stack` joins several condensed systems
+into one block-diagonal system.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgetrf
 
-from .assembly import Field, ProbeRow, SemiDiscreteSystem
+from .assembly import ProbeRow, SemiDiscreteSystem
 
 
 class FactorizationError(RuntimeError):
@@ -105,37 +104,20 @@ class CondensedFactorization:
 
 
 class _Elements:
-    """Where every free DOF sits in its element and in the condensed state.
+    """Where every slot of the element blocks (DofMap.block_dofs: pv DOFs at
+    the left vertex, pv at the right one, then ni interior DOFs) sits in the
+    free numbering and in the condensed state.
 
-    In the element-interleaved numbering element e spans one run of full
-    DOFs, from its left vertex through its right vertex.  Its local slots
-    are taken in the order: the pv DOFs at its left vertex, those at its
-    right vertex (T before q), then its ni interior DOFs.  The condensed
-    state holds the free vertex DOFs in ascending order, then the interiors
-    element by element.  Slot maps hold -1 where a DOF is constrained.
+    The condensed state holds the free vertex DOFs in ascending order, then
+    the interiors element by element.  Slot maps hold -1 where a DOF is
+    constrained.
     """
 
     def __init__(self, dofmap):
-        t = dofmap.vertex_dofs[Field.TEMPERATURE]
-        q = dofmap.vertex_dofs[Field.HEAT_FLUX]
-        at_vertex = t[:, None] if q is None else np.column_stack((t, q))
-        self.pv = pv = at_vertex.shape[1]
-        stride = int(t[1] - t[0])
-        self.ni = stride - pv
-        self.local = np.concatenate(
-            (np.arange(pv), stride + np.arange(pv), pv + np.arange(self.ni))
-        )
-        self.stride, self.n_elements = stride, len(t) - 1
-        # Every free DOF's offset from the first element's run, and the
-        # element it is gathered into when the other DOF of an entry lies no
-        # further left: its own element, the one to its right for a vertex
-        # DOF (the last one for the last vertex).
-        self.offset = (dofmap.free_to_full - t[0]).astype(np.int32)
-        self.owner = np.minimum(self.offset // stride, self.n_elements - 1)
-        self.slot_of = np.argsort(self.local).astype(np.int32)
-        # Free index and state index of every element slot.
-        self.free = dofmap.full_to_free[t[:-1, None] + self.local]
-        vertex = dofmap.full_to_free[at_vertex]
+        self.pv = pv = dofmap.per_vertex
+        self.ni = dofmap.block_dofs.shape[1] - 2 * pv
+        self.free = dofmap.full_to_free[dofmap.block_dofs]
+        vertex = np.vstack((self.free[:, :pv], self.free[-1:, pv:2 * pv]))
         is_free = vertex >= 0
         self.nv = nv = int(is_free.sum())
         nodes = np.full(vertex.shape, -1, dtype=np.int32)
@@ -143,27 +125,6 @@ class _Elements:
         self.order = np.concatenate((vertex[is_free], self.free[:, 2 * pv:].ravel()))
         interiors = np.arange(nv, self.order.size, dtype=np.int32).reshape(-1, self.ni)
         self.state = np.hstack((nodes[:-1], nodes[1:], interiors))
-
-    def blocks(self, matrix: sp.spmatrix) -> np.ndarray:
-        """The element blocks of a free-DOF matrix, in local slots.
-
-        A vertex's own coupling is assembled from both elements at it; it is
-        kept once, in the element to its right (the last vertex in the last
-        element), so that the blocks sum to the matrix.
-        """
-        # Entry (i, j) lies in the leftmost of the two DOFs' owners, at the
-        # slots of their offsets into that element's run.
-        csr = matrix.tocsr()
-        csr.sum_duplicates()
-        counts = np.diff(csr.indptr)
-        element = np.minimum(np.repeat(self.owner, counts), self.owner.take(csr.indices))
-        first = element * self.stride
-        row = self.slot_of.take(np.repeat(self.offset, counts) - first)
-        col = self.slot_of.take(self.offset.take(csr.indices) - first)
-        n = len(self.local)
-        blocks = np.zeros((self.n_elements, n, n))
-        blocks.put((element * n + row) * n + col, csr.data)
-        return blocks
 
 
 def _triples(values: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -209,18 +170,19 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     elements = _Elements(sys.dofmap)
     pv, ni, nv = elements.pv, elements.ni, elements.nv
     v, i = slice(0, 2 * pv), slice(2 * pv, None)
-    # The implicit and explicit matrices, built in place to spare memory.
-    expl = elements.blocks(sys.A)
-    b = elements.blocks(sys.B)
-    impl = dt * theta * b
-    impl += expl
-    b *= dt * (1.0 - theta)
-    expl -= b
-    del b
+    # The implicit and explicit matrices on the free DOFs: the rows and
+    # columns of the constrained slots are zeroed, since their data enter
+    # the load.
+    impl = dt * theta * sys.B_blocks
+    impl += sys.A_blocks
+    expl = sys.A_blocks - dt * (1.0 - theta) * sys.B_blocks
+    slot = elements.free
+    for m in (impl, expl):
+        m[slot < 0] = 0.0
+        m.transpose(0, 2, 1)[slot < 0] = 0.0
 
     # Row and column max-norms of the implicit matrix; a constrained slot
     # (free index -1) lands on the extra last entry, and its scale is 0.
-    slot = elements.free
     r = np.zeros(dim + 1)
     np.maximum.at(r, slot, np.abs(impl).max(axis=2))
     if np.any(r[:dim] == 0.0):

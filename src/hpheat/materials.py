@@ -62,19 +62,6 @@ class MaterialParams:
         """rho * c_v [J/(m^3 K)]."""
         return self.rho * self.c_v
 
-    @property
-    def diffusivity(self) -> float:
-        """conductivity / (rho * c_v) [m^2/s]."""
-        return self.conductivity / (self.rho * self.c_v)
-
-    def model_kind(self) -> ModelKind:
-        """Classify the parameter set by which generalized terms are active."""
-        if self.kappa2 > 0.0:
-            return ModelKind.GK
-        if self.tau > 0.0:
-            return ModelKind.MCV
-        return ModelKind.FOURIER
-
     def require_kind(self, kind: ModelKind) -> None:
         """Reject parameter sets inconsistent with an explicitly requested model."""
         if kind is ModelKind.FOURIER and (self.tau != 0.0 or self.kappa2 != 0.0):

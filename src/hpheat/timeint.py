@@ -31,8 +31,9 @@ prescribed part of the probe values on the whole time grid and checks that
 the result is finite.  `integrate_stack` marches several systems on one
 grid as a single block-diagonal system through the same core.
 
-The load is f = natural fluxes - A_fc g' - B_fc g, with g the constrained
-values.  f_n* is its exact mean over the step, from the closed-form running
+The load is f = natural fluxes - A_lc g' - B_lc g on the load rows, with g
+the constrained values and A_lc, B_lc the couplings of those rows to them
+(SemiDiscreteSystem).  f_n* is its exact mean over the step, from the closed-form running
 integrals of the boundary data, so the discrete energy balance telescopes
 exactly even when the excitation varies fast compared to the step.  The rate
 g' is the change between consecutive step means of g.
@@ -147,8 +148,8 @@ def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> np.ndarray:
     loads = np.zeros((len(flux), rows.size))
     loads[:, natural_pos] += flux
     if signals:
-        coupled = rate @ sys.A_fc[rows].T
-        coupled += value @ sys.B_fc[rows].T
+        coupled = rate @ sys.A_lc.T
+        coupled += value @ sys.B_lc.T
         loads -= coupled
     loads *= scheme.dt
     return loads

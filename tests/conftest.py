@@ -1,12 +1,16 @@
 """Shared pytest wiring: collect acceptance verdict lines and echo them
-in the terminal summary, where they survive output capture; and boundary
-data held constant over each time step, shared by the tests of both time
-steppers."""
+in the terminal summary, where they survive output capture; boundary data
+held constant over each time step, shared by the tests of both time
+steppers; and a system with a row of its element blocks zeroed, shared by
+the tests of singular systems."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from hpheat.assembly import SemiDiscreteSystem
 from hpheat.timefun import TimeFunction
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -61,6 +65,24 @@ def _held_at_step_ends(signal: TimeFunction, dt: float) -> TimeFunction:
 @pytest.fixture(scope="session")
 def held_at_step_ends():
     return _held_at_step_ends
+
+
+def _zero_row(sys: SemiDiscreteSystem, row: int, columns=None) -> SemiDiscreteSystem:
+    """The system with free row `row` of A and B zeroed in every element
+    that holds it: the whole row, or only its entries in the free columns
+    `columns`."""
+    free = sys.dofmap.full_to_free[sys.dofmap.block_dofs]
+    a, b = sys.A_blocks.copy(), sys.B_blocks.copy()
+    for e, slot in zip(*np.nonzero(free == row)):
+        cut = slice(None) if columns is None else np.isin(free[e], columns)
+        a[e, slot, cut] = 0.0
+        b[e, slot, cut] = 0.0
+    return replace(sys, A_blocks=a, B_blocks=b)
+
+
+@pytest.fixture(scope="session")
+def zero_row():
+    return _zero_row
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,5 +1,7 @@
 """Unit tests for meshes, DOF numbering, global assembly, and evaluation rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from hpheat.assembly import (
     probe_row,
 )
 import hpheat.assembly
+import hpheat.cli
 import hpheat.elemmat
 from hpheat.basis import MAX_DEGREE, ShapeSet, gauss_rule
 from hpheat.elemmat import element_matrices
 from hpheat.materials import MaterialParams, ModelKind
+from hpheat.scenario import benchmark_scenario, solve_transient
+from hpheat.study import SweepSpec, compute_reference, run_sweep
 from hpheat.timefun import ZERO, constant
 
 MCV_MAT = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0, tau=0.3)
@@ -240,8 +245,10 @@ def _dense_reference(mesh, mat, model, dofmap):
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_assembly_equals_dense_per_element_accumulation_exactly(model):
     # Two addends meet at most at a shared vertex, and their sum does not
-    # depend on order, so the broadcast assembly must reproduce the
+    # depend on order, so the element blocks must reproduce the
     # element-by-element accumulation to the last bit, not just to roundoff.
+    # On one element both end vertices, and so both constrained DOFs, sit in
+    # the same element's blocks.
     mat = {
         ModelKind.FOURIER: MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0),
         ModelKind.MCV: MCV_MAT,
@@ -249,18 +256,32 @@ def test_assembly_equals_dense_per_element_accumulation_exactly(model):
     }[model]
     rng = np.random.default_rng(11)
     graded = Mesh(0.001 * np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.8, size=5)))))
-    held = BoundarySpec(left=DirichletTemperature(constant(300.0)), right=PrescribedFlux(ZERO))
+    held = DirichletTemperature(constant(300.0))
+    boundary_data = (
+        FLUX_BCS,
+        BoundarySpec(left=held, right=PrescribedFlux(ZERO)),
+        BoundarySpec(left=PrescribedFlux(constant(10000.0)), right=held),
+        BoundarySpec(left=held, right=held),
+    )
     for p in range(1, MAX_DEGREE):
-        for mesh in (Mesh.uniform(4, 0.005), graded):
-            for bcs in (FLUX_BCS, held):
+        for mesh in (Mesh.uniform(4, 0.005), graded, Mesh.uniform(1, 0.005)):
+            for bcs in boundary_data:
                 sys = assemble(mesh, mat, model, p, bcs)
                 A, B = _dense_reference(mesh, mat, model, sys.dofmap)
                 free = sys.dofmap.free_to_full
                 cons = [c.dof for c in sys.dofmap.constrained]
                 assert np.array_equal(sys.A.toarray(), A[np.ix_(free, free)])
                 assert np.array_equal(sys.B.toarray(), B[np.ix_(free, free)])
-                assert np.array_equal(sys.A_fc, A[np.ix_(free, cons)])
-                assert np.array_equal(sys.B_fc, B[np.ix_(free, cons)])
+                # The couplings to the constrained DOFs, kept on load_rows:
+                # the natural rows and the rows with a nonzero coupling.
+                a_fc, b_fc = A[np.ix_(free, cons)], B[np.ix_(free, cons)]
+                loaded = a_fc.any(axis=1) | b_fc.any(axis=1)
+                loaded[[idx for idx, _, _ in sys.natural_free()]] = True
+                assert np.array_equal(sys.load_rows, np.flatnonzero(loaded))
+                assert np.array_equal(sys.A_lc, a_fc[sys.load_rows])
+                assert np.array_equal(sys.B_lc, b_fc[sys.load_rows])
+                assert not np.delete(a_fc, sys.load_rows, axis=0).any()
+                assert not np.delete(b_fc, sys.load_rows, axis=0).any()
 
 
 def test_setup_table_work_does_not_grow_with_element_count(monkeypatch):
@@ -295,8 +316,43 @@ def test_setup_table_work_does_not_grow_with_element_count(monkeypatch):
 def test_half_bandwidth_matches_pattern():
     for mat, model in ((MCV_MAT, ModelKind.MCV), (GK_MAT, ModelKind.GK)):
         sys = uniform_system(mat, model, 5, 4)
-        pattern = (abs(sys.A) + abs(sys.B)).tocoo()
-        assert sys.half_bandwidth == int(np.max(np.abs(pattern.row - pattern.col)))
+        rows, cols = np.nonzero((sys.A.toarray() != 0.0) | (sys.B.toarray() != 0.0))
+        assert sys.half_bandwidth == int(np.max(np.abs(rows - cols)))
+
+
+def test_no_solve_builds_a_global_matrix(monkeypatch, tmp_path):
+    # Solves read the element blocks; only structure checks and size counts
+    # build the global matrices.
+    def refuse(sys):
+        raise AssertionError("a global matrix was built")
+
+    monkeypatch.setattr(hpheat.assembly, "global_matrices", refuse)
+    gk = benchmark_scenario(ModelKind.GK, tau=0.3, kappa2=8e-6, n_steps=20)
+    held = replace(gk, bcs=replace(gk.bcs, left=DirichletTemperature(constant(293.5))))
+    for scenario in (gk, held):
+        run = solve_transient(scenario, 4, 2)
+        assert np.all(np.isfinite(run.solution.final_state))
+
+    def make(tau):
+        return benchmark_scenario(ModelKind.MCV, tau=tau, n_steps=20)
+
+    spec = SweepSpec(
+        family="mcv", kind="h", values=(3, 5), fixed=2, taus=(0.3,), scenario_factory=make
+    )
+    report = run_sweep(spec, {0.3: compute_reference(make(0.3), 6, 2)})
+    assert not report.failures and np.all(np.isfinite(report.errors[(0.3, "T_rear")]))
+
+    config = tmp_path / "transient.conf"
+    config.write_text(
+        "mode = transient\nmodel = gk\nconductivity_w_per_m_k = 3.0\n"
+        "density_kg_per_m3 = 2600\nspecific_heat_j_per_kg_k = 800\n"
+        "relaxation_time_s = 0.3\nkappa2_m2 = 8e-6\n"
+        "n_steps = 5\nelements = 4\ndegree = 2\n"
+    )
+    assert hpheat.cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    with pytest.raises(AssertionError, match="global matrix"):
+        run.system.A
 
 
 def test_assemble_rejects_mismatched_material():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hpheat.basis import (
     MAX_DEGREE,
     ShapeSet,
+    _legendre_rows,
     gauss_rule,
-    legendre_eval,
 )
 
 # Hand-computed reference values, independent of the implementation:
@@ -36,12 +36,12 @@ def shape_deriv(shapes: ShapeSet, k: int, eta: float) -> float:
 
 
 def test_legendre_frozen_values():
-    assert legendre_eval(0, 0.3) == 1.0
-    assert legendre_eval(1, 0.3) == pytest.approx(0.3, abs=1e-15)
-    assert legendre_eval(2, 0.5) == pytest.approx(LEGENDRE_2_AT_HALF, abs=1e-15)
-    # P5(1) = 1 for every degree
-    for degree in range(9):
-        assert legendre_eval(degree, 1.0) == pytest.approx(1.0, abs=1e-13)
+    # The recurrence the shape sets evaluate, one row per degree.
+    assert _legendre_rows(0, 0.3)[0, 0] == 1.0
+    assert _legendre_rows(1, 0.3)[1, 0] == pytest.approx(0.3, abs=1e-15)
+    assert _legendre_rows(2, 0.5)[2, 0] == pytest.approx(LEGENDRE_2_AT_HALF, abs=1e-15)
+    # P_k(1) = 1 for every degree
+    assert _legendre_rows(8, 1.0)[:, 0] == pytest.approx(np.ones(9), abs=1e-13)
 
 
 def test_vertex_shapes_interpolate_endpoints():

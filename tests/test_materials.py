@@ -1,20 +1,13 @@
-"""Unit tests for material parameter validation and model classification."""
+"""Unit tests for material parameter validation and model selection."""
 
 import pytest
 
 from hpheat.materials import MaterialParams, ModelKind
 
 
-def test_classification_by_parameters():
-    assert MaterialParams(2600, 800, 3.0).model_kind() is ModelKind.FOURIER
-    assert MaterialParams(2600, 800, 3.0, tau=0.3).model_kind() is ModelKind.MCV
-    assert MaterialParams(2600, 800, 3.0, tau=0.3, kappa2=8e-6).model_kind() is ModelKind.GK
-
-
 def test_derived_quantities():
     mat = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0)
     assert mat.volumetric_heat_capacity == pytest.approx(2.08e6)
-    assert mat.diffusivity == pytest.approx(3.0 / 2.08e6, rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -124,7 +124,7 @@ def test_benchmark_material_defaults():
     assert mat.rho == 2600.0
     assert mat.c_v == 800.0
     assert mat.conductivity == SUGGESTED_CONDUCTIVITY
-    assert mat.model_kind() is ModelKind.FOURIER
+    assert mat.tau == 0.0 and mat.kappa2 == 0.0
 
 
 def test_standard_probes_layout():
