@@ -11,9 +11,10 @@ factor the implicit matrix of the theta scheme once per system:
 - it factors the Schur complement left on the vertex DOFs with dgbtrf: a
   band of half-bandwidth 1 for the local models and 3 for GK whatever the
   degree;
-- it folds the row scaling, the explicit matrix and the elimination of the
-  interiors into one CSR step operator, and the same for the load on the
-  rows that boundary data load.
+- it folds the row scaling, the explicit matrix, the elimination of the
+  interiors and their recovery from the vertex DOFs into one CSR step
+  operator, so that a step is one sparse product and one banded solve, and
+  folds the load on the rows that boundary data load the same way.
 
 It reads the element blocks that `assemble` keeps, SemiDiscreteSystem's
 A_blocks and B_blocks, and builds no global matrix; no step of the set-up
@@ -54,19 +55,25 @@ class CondensedFactorization:
     of at most unit max-norm; otherwise the back-substitution overflows
     long before the coefficients do.
 
-    Interior DOFs couple only within their element.  The march runs on the
-    condensed state y = alpha / c in the order `order`: the vertex DOFs
-    first, then each element's interior run.  lu and ipiv are the dgbtrf
-    factors of the vertex Schur complement M_vv - M_vi M_ii^-1 M_iv, whose
-    half-bandwidths kl = ku are 1 for the local models and 3 for GK at any
-    degree.  m_expl maps y to the right-hand side of the condensed step:
-    the vertex rows with the interiors eliminated, then M_ii^-1 times the
-    interior rows, with the row scaling and the explicit matrix folded in.
-    load_fold does the same for a load on SemiDiscreteSystem.load_rows, the
-    free rows that boundary data load: it maps the load on them, in that
-    order, to the right-hand side on the condensed rows load_rows it
-    reaches.  `interior` is N, which recovers the interiors once the vertex
-    DOFs are known.
+    Interior DOFs couple only within their element.  The scaled
+    coefficients y = alpha / c, in the order `order` (the vertex DOFs first,
+    then each element's interior run), are the vertex values v and the
+    interiors y_i.  The march runs on the condensed state w = (v, y_i + N v)
+    instead, with N = M_ii^-1 M_iv the matrix `interior`: its interior part
+    is the interiors' right-hand side before their recovery from v.  lu and
+    ipiv are the dgbtrf factors of the vertex Schur complement
+    M_vv - M_vi M_ii^-1 M_iv, whose half-bandwidths kl = ku are 1 for the
+    local models and 3 for GK at any degree.  m_expl maps w to the
+    right-hand side of the condensed step: the vertex rows with the
+    interiors eliminated, then M_ii^-1 times the interior rows, with the
+    row scaling and the explicit matrix folded in, and the recovery -N v of
+    the interiors folded into the vertex columns.  The interior rows of the
+    right-hand side are thus already the next state's, and a step is one
+    sparse product, the load and the back-substitution for v.  load_fold
+    does the same for a load on SemiDiscreteSystem.load_rows, the free rows
+    that boundary data load: it maps the load on them, in that order, to
+    the right-hand side on the condensed rows load_rows it reaches.
+    `interior` only converts between the state and the coefficients.
     """
 
     lu: np.ndarray
@@ -85,22 +92,50 @@ class CondensedFactorization:
 
     def state(self, alpha: np.ndarray) -> np.ndarray:
         """The condensed state of a free coefficient vector."""
-        return alpha[self.order] / self.col_scale[self.order]
+        w = alpha[self.order] / self.col_scale[self.order]
+        w[self.n_vertex:] += self.interior @ w[:self.n_vertex]
+        return w
 
-    def coefficients(self, y: np.ndarray) -> np.ndarray:
+    def coefficients(self, w: np.ndarray) -> np.ndarray:
         """The free coefficient vector of a condensed state."""
+        y = w.copy()
+        y[self.n_vertex:] -= self.interior @ w[:self.n_vertex]
         alpha = np.empty(self.dim)
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
 
-    def probe(self, rows: Sequence[ProbeRow]) -> tuple[np.ndarray, np.ndarray]:
-        """Where the free DOFs of the probe rows, one row after the other,
-        sit in the condensed state, and their column scales: c * y[at] is
-        the rows' part of coefficients(y), bit for bit."""
+    def probe(
+        self, rows: Sequence[ProbeRow]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, sp.csr_matrix]:
+        """What to gather from the condensed state w for the free DOFs of
+        the probe rows, one row after the other, and how to turn it into
+        their coefficients.
+
+        Returns at, scale, inner and recover.  at holds the positions of
+        the free DOFs in w, then those of the vertex DOFs that the recovery
+        of their interiors reads; g = w[at] is what to gather.  inner lists
+        the free DOFs that are interiors, and recover maps g to N v on
+        them.  With g[inner] -= recover @ g, scale * g[:scale.size] is the
+        rows' part of coefficients(w).
+
+        That is bit for bit where scipy's csr_matvecs, which recovers, and
+        csr_matvec, which computes N v in coefficients, round alike: both
+        sum each row from zero in N's column order, and agree unless the
+        compiler fused the multiply-adds of one kernel into FMAs and not
+        those of the other, a platform dependence.
+        """
         position = np.empty(self.dim, dtype=int)
         position[self.order] = np.arange(self.dim)
         free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in rows])
-        return position[free], self.col_scale[free]
+        at = position[free]
+        inner = np.flatnonzero(at >= self.n_vertex)
+        # Selecting rows keeps each row's column order.
+        n = self.interior[at[inner] - self.n_vertex]
+        reads, cols = np.unique(n.indices, return_inverse=True)
+        recover = sp.csr_matrix(
+            (n.data, cols + at.size, n.indptr), shape=(inner.size, at.size + reads.size)
+        )
+        return np.concatenate((at, reads)), self.col_scale[free], inner, recover
 
 
 class _Elements:
@@ -253,6 +288,9 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     expl *= np.append(c, 0.0).take(slot)[:, None, :]
     expl_v = expl[:, v] * np.append(rs, 0.0).take(vertex_slots)[:, :, None]
     folded = np.concatenate((expl_v - eliminate @ expl[:, i], inverse @ expl[:, i]), axis=1)
+    # The state holds y_i + N v in place of the interiors y_i, so the
+    # interior columns, applied to -N v, fold into the vertex columns.
+    folded[:, :, v] -= folded[:, :, i] @ across
     # A vertex row gathers the vertex-slot rows of the elements on both
     # sides; the conversion from triples adds them up.
     state = elements.state

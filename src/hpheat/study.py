@@ -249,8 +249,8 @@ def run_sweep(
     and the members that share a time grid and theta (all of them, in the
     benchmark sweeps) are stacked into one block-diagonal system: each
     member is condensed on its own, and the stack marches once, with one
-    step operator product, load update, narrow vertex back-substitution and
-    interior product per step for all of them.  That replaces one Python
+    sparse product, load update and narrow vertex back-substitution per
+    step for all of them.  That replaces one Python
     time loop per member by one per stack, and every member's histories stay
     bit for bit those of solve_transient.
 

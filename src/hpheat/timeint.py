@@ -19,12 +19,15 @@ Its inputs are built once, before the loop:
 - the free-DOF weight rows of the probes;
 - the initial state.
 
-It returns the probe histories and the final state.  A step is one CSR
+It returns the probe histories and the final state.  A step is one sparse
 product with the step operator, an update of the few folded load rows, one
-narrow banded back-substitution for the vertex DOFs, one CSR product that
-recovers the interiors from them, and one gather of the state entries the
-probes read.  The probe dot products run once per block of steps, one
-stacked product per probe that sums each step as ProbeRow.evaluate does.
+narrow banded back-substitution for the vertex DOFs, and one gather of the
+state entries the probes read.  The condensed state holds the interiors'
+right-hand side, not the interiors, so no step recovers them: that happens
+once per block of steps for the few interior entries the probes read, and
+once per run for the final state.  The probe dot products also run once per
+block of steps, one stacked product per probe that sums each step as
+ProbeRow.evaluate does.
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
 prescribed part of the probe values on the whole time grid and checks that
@@ -86,10 +89,13 @@ def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> Condens
     return condense(sys, scheme.dt, scheme.theta)
 
 
-def advance(fact: CondensedFactorization, y: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """One theta step of the condensed state y, with a load folded onto the
-    condensed rows fact.load_rows (fact.load_fold applied to it)."""
-    rhs = fact.m_expl @ y
+def advance(fact: CondensedFactorization, w: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """One theta step of the condensed state w, with a load folded onto the
+    condensed rows fact.load_rows (fact.load_fold applied to it): one sparse
+    product, the load update and one banded back-substitution for the
+    vertex DOFs.  The interior rows of the product are the next state's as
+    they stand (CondensedFactorization)."""
+    rhs = fact.m_expl @ w
     rhs[fact.load_rows] += load
     nv = fact.n_vertex
     if nv:
@@ -97,7 +103,6 @@ def advance(fact: CondensedFactorization, y: np.ndarray, load: np.ndarray) -> np
         if info != 0:
             raise RuntimeError(f"banded back-substitution failed with info {info}")
         rhs[:nv] = vertex
-        rhs[nv:] -= fact.interior @ vertex
     return rhs
 
 
@@ -181,9 +186,11 @@ def march(
 
     The steps run in blocks of _BLOCK_STEPS.  Before a block, the load
     table is folded for its steps.  A step is advance and one gather of the
-    probes' entries of the state into a row of a buffer.  After the block,
-    the buffer is scaled to coefficients and reduced to the probe values of
-    all its steps."""
+    state entries the probes read into a row of a buffer: the probes' own
+    entries, and the vertex entries that recover their interior ones.  After
+    the block, the buffer is turned into coefficients, rounded as
+    fact.coefficients rounds them (CondensedFactorization.probe), and
+    reduced to the probe values of all its steps."""
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (fact.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
@@ -194,11 +201,11 @@ def march(
     if not n_steps:
         return values, alpha
 
-    at, scale = fact.probe(probes)
+    at, scale, inner, recover = fact.probe(probes)
     ends = np.cumsum([len(r.free_w) for r in probes], dtype=int)
     terms = [(r.free_w[:, None], slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
     seen = np.empty((min(n_steps, _BLOCK_STEPS), at.size))
-    y = fact.state(alpha)
+    state = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,19 +213,21 @@ def march(
         for first in range(0, n_steps, _BLOCK_STEPS):
             table = fact.load_fold @ loads[first:first + _BLOCK_STEPS].T
             for load, row in zip(table.T, seen):
-                y = advance(fact, y, load)
+                state = advance(fact, state, load)
                 # at is in range: mode "clip" writes straight into the row,
                 # where "raise" goes through a buffer.
-                y.take(at, out=row, mode="clip")
+                state.take(at, out=row, mode="clip")
             block = seen[:table.shape[1]]
+            block[:, inner] -= (recover @ block.T).T
+            block = block[:, :scale.size]
             block *= scale
-            # ProbeRow.evaluate's dot products on coefficients(y): a stack of
+            # ProbeRow.evaluate's dot products on coefficients(state): a stack of
             # row-by-column products is one ddot per step, where a matrix-vector
             # product would sum in another order.
             done = slice(first + 1, first + 1 + len(block))
             for i, (w, part) in enumerate(terms):
                 values[i, done] = np.matmul(block[:, None, part], w)[:, 0, 0]
-    return values, fact.coefficients(y)
+    return values, fact.coefficients(state)
 
 
 def _solution(
@@ -272,9 +281,8 @@ def integrate_stack(
     grid as a single block-diagonal system, and split the result per member.
 
     Every member is condensed on its own, and the stack concatenates the
-    condensed operators: every step is one CSR product, one load update,
-    one back-substitution on the narrow vertex band and one interior
-    product for all members.  A member's histories are bit for bit those of
+    condensed operators: every step is one sparse product, one load update
+    and one back-substitution on the narrow vertex band for all members.  A member's histories are bit for bit those of
     integrate on its own.
 
     Failures stay per member.  A member whose factorization fails keeps its
