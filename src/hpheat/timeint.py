@@ -22,12 +22,14 @@ Its inputs are built once, before the loop:
 It returns the probe histories and the final state.  A step is one sparse
 product with the step operator, an update of the few folded load rows, one
 narrow banded back-substitution for the vertex DOFs, and one gather of the
-state entries the probes read.  The condensed state holds the interiors'
-right-hand side, not the interiors, so no step recovers them: that happens
-once per block of steps for the few interior entries the probes read, and
-once per run for the final state.  The probe dot products also run once per
-block of steps, one stacked product per probe that sums each step as
-ProbeRow.evaluate does.
+state entries the probes read.  The condensed state holds each element's
+interiors' right-hand side, not the interiors, and in the orthogonal basis
+in which the element's interior block of the step operator is upper
+Hessenberg, which the product skips below the subdiagonal.  So no step
+recovers the interiors: that happens once per block of steps for the few
+interior entries the probes read, and once per run for the final state.
+The probe dot products also run once per block of steps, one stacked
+product per probe that sums each step as ProbeRow.evaluate does.
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
 prescribed part of the probe values on the whole time grid and checks that
@@ -187,7 +189,7 @@ def march(
     The steps run in blocks of _BLOCK_STEPS.  Before a block, the load
     table is folded for its steps.  A step is advance and one gather of the
     state entries the probes read into a row of a buffer: the probes' own
-    entries, and the vertex entries that recover their interior ones.  After
+    entries, and the state entries that recover their interior ones.  After
     the block, the buffer is turned into coefficients, rounded as
     fact.coefficients rounds them (CondensedFactorization.probe), and
     reduced to the probe values of all its steps."""
@@ -218,7 +220,7 @@ def march(
                 # where "raise" goes through a buffer.
                 state.take(at, out=row, mode="clip")
             block = seen[:table.shape[1]]
-            block[:, inner] -= (recover @ block.T).T
+            block[:, inner] = (recover @ block.T).T
             block = block[:, :scale.size]
             block *= scale
             # ProbeRow.evaluate's dot products on coefficients(state): a stack of

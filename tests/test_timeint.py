@@ -394,12 +394,15 @@ def dense_theta_march(sys, scheme, alpha0, probes):
 # The largest gap, relative to each history's range, allowed between
 # integrate and the dense march over 500 steps: ten times the largest gap
 # measured when a step still recovered the interiors with a second sparse
-# product (6.7e-10 for GK, on T_rear, and 2.7e-10 for MCV). The margin
-# covers roundoff that differs, not roundoff that grows with the step count:
-# the float64 dense march itself is 1.3e-9 away from the same march in
-# extended precision on the GK case.
+# product (6.7e-10 for GK, on T_rear, and 2.7e-10 for MCV), and for the
+# over-diffuse GK case ten times the gap measured before the interiors were
+# marched in their Hessenberg basis (2.1e-8, on T_rear). The margin covers
+# roundoff that differs, not roundoff that grows with the step count: the
+# float64 dense march itself is 1.3e-9 away from the same march in extended
+# precision on the GK case.
 DENSE_MARCH_CASES = {
     "gk_dirichlet_left": ("gk_wave", "dirichlet", 6.7e-9),
+    "gk_diffuse_flux": ("gk_diffuse", "flux", 2.1e-7),
     "mcv_flux": ("mcv", "flux", 2.7e-9),
 }
 
@@ -478,7 +481,8 @@ def test_per_step_helpers_are_not_called_per_step(monkeypatch):
 
 def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     # Every factorization that timeint builds or stacks counts the products
-    # with its `interior`.
+    # with its conversion operator `interior`, [-N | Q], and with its
+    # transpose.
     calls = Counter()
 
     class Counted(sp.csr_matrix):
@@ -486,6 +490,10 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
         def __matmul__(self, other):
             calls["products"] += 1
             return super().__matmul__(other)
+
+        def __rmatmul__(self, other):
+            calls["products"] += 1
+            return super().__rmatmul__(other)
 
     def counted(build):
         def wrapped(*args):
@@ -511,14 +519,49 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
         members = [prepare(sys, scheme, ALL_PROBES), prepare(sys, scheme, ALL_PROBES[2:])]
         integrate_stack(members, scheme)
 
-    # Once into the state and once back, whatever the step count.
+    # Once into the state, as two products, -N v and then Q^T (y_i + N v)
+    # with the transpose, and once back out, Q u - N v, whatever the step
+    # count.
     for run in (alone, stacked):
-        assert products(run, 10) == products(run, 40) == 2
+        assert products(run, 10) == products(run, 40) == 3
     fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
     w = fact.state(a0)
     calls.clear()
     advance(fact, w, np.zeros(fact.load_rows.size))
     assert calls["products"] == 0
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_interior_blocks_are_hessenberg_and_reduced_once_per_distinct_block(monkeypatch, graded):
+    # Mesh.uniform's nodes give a few distinct Jacobians, so few distinct
+    # interior blocks; graded nodes give every element a block of its own.
+    reduced = []
+    real = hpheat.condense.dgehrd
+
+    def dgehrd(a, *args, **kwargs):
+        reduced.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(hpheat.condense, "dgehrd", dgehrd)
+    n = 100
+    mesh = Mesh.uniform(n, 0.005)
+    if graded:
+        mesh = Mesh(0.005 * (np.geomspace(1.0, 3.0, n + 1) - 1.0) / 2.0)
+    sys = assemble(mesh, GK_MAT, ModelKind.GK, 10, BOUNDARY_DATA["flux"])
+    fact = build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
+    nv = fact.n_vertex
+    ni = (fact.dim - nv) // n
+    # Each element's interior rows hold an upper Hessenberg block in the
+    # interior columns, and nothing of the other elements' interiors.
+    rows = np.repeat(np.arange(fact.dim), np.diff(fact.m_expl.indptr))
+    inner = (rows >= nv) & (fact.m_expl.indices >= nv)
+    row, col = divmod(rows[inner] - nv, ni), divmod(fact.m_expl.indices[inner] - nv, ni)
+    assert inner.sum() == n * (ni * (ni + 1) // 2 + ni - 1)
+    assert np.array_equal(row[0], col[0])
+    assert np.all(col[1] >= row[1] - 1)
+    # One reduction per distinct block.
+    assert len({a.tobytes() for a in reduced}) == len(reduced)
+    assert len(reduced) == n if graded else len(reduced) < n
 
 
 def nan_from(signal: TimeFunction, t_bad: float) -> TimeFunction:
