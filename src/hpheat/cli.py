@@ -19,23 +19,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import BoundarySpec, Field, PrescribedFlux
+from .assembly import Field
 from .basis import MAX_DEGREE
 from .materials import MaterialParams, ModelKind
 from .scenario import (
     SUGGESTED_CONDUCTIVITY,
-    Probe,
     PulseParams,
-    Scenario,
     benchmark_scenario,
     dimensionless_temperature,
-    flash_pulse,
     solve_transient,
     standard_probes,
 )
@@ -51,10 +47,10 @@ from .study import (
     history_error,
     run_sweep,
 )
-from .timefun import constant
-from .timeint import FactorizationError
 
-MODES = ("transient", "h_sweep", "p_sweep", "oracle_check")
+# The sweep modes and the kind of sweep each runs.
+_SWEEPS = {"h_sweep": "h", "p_sweep": "p"}
+MODES = ("transient", *_SWEEPS, "oracle_check")
 MODELS = {"fourier": ModelKind.FOURIER, "mcv": ModelKind.MCV, "gk": ModelKind.GK}
 
 # Unset keys fall back to the benchmark: its scenario, its pulse, and the
@@ -159,10 +155,9 @@ def _benchmark_family(mode: str, model: str, kappa2: float) -> SweepSpec:
         family = "gk_diffuse"
     else:
         family = "gk_wave"
-    kind = "h" if mode == "h_sweep" else "p"
     return next(
         spec for spec in benchmark_sweep_families()
-        if spec.family == family and spec.kind == kind
+        if spec.family == family and spec.kind == _SWEEPS[mode]
     )
 
 
@@ -205,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
         attr: parse(key, raw[key]) if key in raw else default
         for key, (attr, parse, default) in _KEYS.items()
     }
-    sweep_mode = mode in ("h_sweep", "p_sweep")
+    sweep_mode = mode in _SWEEPS
 
     if "conductivity_w_per_m_k" not in raw:
         raise ConfigError(
@@ -299,6 +294,12 @@ def _validate_numbers(config: RunConfig) -> None:
         raise ConfigError("sweep_values needs at least two entries")
     if config.sweep_taus is not None and len(config.sweep_taus) < 1:
         raise ConfigError("sweep_taus_s needs at least one entry")
+    # A sweep keeps one run per distinct (value, tau) point.
+    for name, entries in (
+        ("sweep_values", config.sweep_values), ("sweep_taus_s", config.sweep_taus)
+    ):
+        if entries is not None and len(set(entries)) < len(entries):
+            raise ConfigError(f"{name} must not repeat an entry, got {entries}")
     # A pulse that carries no energy leaves nothing to measure: the transient
     # has no rise to scale by, and the sweeps an identically zero reference.
     if config.pulse_amplitude == 0.0:
@@ -315,34 +316,33 @@ def _material(config: RunConfig, tau: float) -> MaterialParams:
     )
 
 
-def _scenario(config: RunConfig, tau: float) -> Scenario:
-    pulse = PulseParams(
-        amplitude=config.pulse_amplitude,
-        c1=config.pulse_c1,
-        c2=config.pulse_c2,
-        t_p=config.pulse_t_p,
-    )
-    return Scenario(
-        material=_material(config, tau),
-        model=MODELS[config.model],
-        length=config.length,
-        bcs=BoundarySpec(
-            left=PrescribedFlux(flash_pulse(pulse)),
-            right=PrescribedFlux(constant(0.0)),
+def _scenario(config: RunConfig, tau: float):
+    """The benchmark's flash slab with the configured material at relaxation
+    time tau, pulse, geometry and time grid."""
+    scenario = benchmark_scenario(
+        MODELS[config.model],
+        pulse=PulseParams(
+            amplitude=config.pulse_amplitude,
+            c1=config.pulse_c1,
+            c2=config.pulse_c2,
+            t_p=config.pulse_t_p,
         ),
+        length=config.length,
         initial_temperature=config.initial_temperature,
         dt=config.dt,
         n_steps=config.n_steps,
-        probes=standard_probes(config.length),
     )
+    return replace(scenario, material=_material(config, tau))
 
 
 @dataclass(frozen=True)
 class OutputTable:
-    """One plot-ready table; cells are floats except optional leading labels."""
+    """One plot-ready table: a 2-D array of rows, or a sequence of row
+    tuples.  Cells are reals except optional leading labels, which need an
+    object array."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: np.ndarray | tuple[tuple, ...]
 
 
 # Rows rendered at once by write_table, which bounds the memory the text of
@@ -352,20 +352,17 @@ _WRITE_ROWS = 1024
 
 def write_table(table: OutputTable, path: Path, fmt: str) -> None:
     """Write the header, then the rows in one %-format pass per block of
-    rows: labels as they are, reals as f"{float(cell):.16e}" renders them."""
+    rows, each block read as an object array: labels as they are, reals as
+    f"{float(cell):.16e}" renders them."""
     sep = "," if fmt == "csv" else " "
     rows = table.rows
-    cells = rows[0] if rows else ()
+    cells = rows[0] if len(rows) else ()
     line = sep.join("%s" if isinstance(cell, str) else "%.16e" for cell in cells) + "\n"
     with path.open("w") as out:
         out.write(sep.join(table.columns) + "\n")
         for first in range(0, len(rows), _WRITE_ROWS):
-            block = rows[first:first + _WRITE_ROWS]
-            out.write((line * len(block)) % tuple(chain.from_iterable(block)))
-
-
-def _probe_value_column(probe: Probe) -> str:
-    return "temperature_k" if probe.quantity is Field.TEMPERATURE else "heat_flux_w_per_m2"
+            block = np.asarray(rows[first:first + _WRITE_ROWS], dtype=object)
+            out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _run_transient(config: RunConfig, out: Path, fmt: str) -> None:
@@ -375,31 +372,28 @@ def _run_transient(config: RunConfig, out: Path, fmt: str) -> None:
         series = run.series[probe.label]
         if probe.quantity is Field.TEMPERATURE:
             dim = dimensionless_temperature(series, scenario)
-            columns = ("t_s", _probe_value_column(probe), "dimensionless")
-            rows = tuple(
-                zip(series.times.tolist(), series.values.tolist(), dim.values.tolist())
-            )
+            columns = ("t_s", "temperature_k", "dimensionless")
+            rows = np.column_stack((series.times, series.values, dim.values))
         else:
-            columns = ("t_s", _probe_value_column(probe))
-            rows = tuple(zip(series.times.tolist(), series.values.tolist()))
+            columns = ("t_s", "heat_flux_w_per_m2")
+            rows = np.column_stack((series.times, series.values))
         name = f"{config.mode}_{probe.label}_{config.model}.{fmt}"
         write_table(OutputTable(columns, rows), out / name, fmt)
 
 
 def _run_sweep_mode(config: RunConfig, out: Path, fmt: str) -> None:
-    kind = "h" if config.mode == "h_sweep" else "p"
-    fixed = config.degree if kind == "h" else config.elements
+    kind = _SWEEPS[config.mode]
     spec = SweepSpec(
         family=config.model,
         kind=kind,
         values=config.sweep_values,
-        fixed=fixed,
+        fixed=config.degree if kind == "h" else config.elements,
         taus=config.sweep_taus,
         scenario_factory=lambda tau: _scenario(config, tau),
     )
     references: dict[float, ReferenceSolution] = {
         tau: compute_reference(
-            _scenario(config, tau),
+            spec.scenario_factory(tau),
             n_elements=config.reference_elements,
             degree=config.reference_degree,
             theta=config.theta,
@@ -414,17 +408,12 @@ def _run_sweep_mode(config: RunConfig, out: Path, fmt: str) -> None:
             ),
             file=_sys.stderr,
         )
-    probes = _scenario(config, config.sweep_taus[0]).probes
-    for probe in probes:
-        columns = ("dof",) + tuple(f"err_tau_{tau:g}" for tau in config.sweep_taus)
-        rows = []
-        for i, dof in enumerate(report.dofs):
-            row = [float(dof)]
-            for tau in config.sweep_taus:
-                row.append(report.errors[(tau, probe.label)][i])
-            rows.append(tuple(row))
+    columns = ("dof",) + tuple(f"err_tau_{tau:g}" for tau in config.sweep_taus)
+    for probe in standard_probes(config.length):
+        errors = [report.errors[(tau, probe.label)] for tau in config.sweep_taus]
+        rows = np.column_stack((report.dofs, *errors))
         name = f"{config.mode}_{probe.label}_{config.model}.{fmt}"
-        write_table(OutputTable(columns, tuple(rows)), out / name, fmt)
+        write_table(OutputTable(columns, rows), out / name, fmt)
 
 
 def _run_oracle_check(config: RunConfig, out: Path, fmt: str) -> None:
@@ -436,14 +425,16 @@ def _run_oracle_check(config: RunConfig, out: Path, fmt: str) -> None:
     tables, summary_rows = [], []
     for probe in scenario.probes:
         fem, fd = run.series[probe.label], oracle.series[probe.label]
-        rows = tuple(zip(fem.times.tolist(), fem.values.tolist(), fd.values.tolist()))
+        rows = np.column_stack((fem.times, fem.values, fd.values))
         name = f"{config.mode}_{probe.label}_{config.model}.{fmt}"
         tables.append((OutputTable(("t_s", "fem", "fd"), rows), name))
         summary_rows.append((probe.label, history_error(fem, fd, scenario)))
     for (table, name), (label, discrepancy) in zip(tables, summary_rows):
         write_table(table, out / name, fmt)
         print(f"{label}: relative max-norm discrepancy {discrepancy:.3e}")
-    summary = OutputTable(("probe", "relative_max_discrepancy"), tuple(summary_rows))
+    summary = OutputTable(
+        ("probe", "relative_max_discrepancy"), np.array(summary_rows, dtype=object)
+    )
     write_table(summary, out / f"oracle_check_summary_{config.model}.{fmt}", fmt)
 
 
@@ -455,7 +446,7 @@ def run(config: RunConfig, out_dir: str = ".", fmt: str = "dat") -> None:
     out.mkdir(parents=True, exist_ok=True)
     if config.mode == "transient":
         _run_transient(config, out, fmt)
-    elif config.mode in ("h_sweep", "p_sweep"):
+    elif config.mode in _SWEEPS:
         _run_sweep_mode(config, out, fmt)
     else:
         _run_oracle_check(config, out, fmt)
@@ -495,9 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(_error_record("io", str(exc)), file=_sys.stderr)
         return 4
-    except (
-        FactorizationError, np.linalg.LinAlgError, ValueError, RuntimeError, OverflowError
-    ) as exc:
+    # The solver's FactorizationError and NonFiniteStateError are
+    # RuntimeErrors, and numpy's LinAlgError is a ValueError.
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(_error_record("numerical", str(exc)), file=_sys.stderr)
         return 3
     return 0

@@ -75,6 +75,9 @@ class SweepSpec:
             raise ValueError(f"sweep kind must be 'h' or 'p', got {self.kind!r}")
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two points")
+        for name, entries in (("values", self.values), ("taus", self.taus)):
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"sweep {name} must not repeat an entry, got {entries}")
 
     def discretization(self, value: int) -> tuple[int, int]:
         """(n_elements, degree) of one sweep point."""

@@ -1,8 +1,9 @@
 """Shared pytest wiring: collect acceptance verdict lines and echo them
 in the terminal summary, where they survive output capture; boundary data
 held constant over each time step, shared by the tests of both time
-steppers; and a system with a row of its element blocks zeroed, shared by
-the tests of singular systems."""
+steppers; boundary data cut to NaN from a given time on, shared by the
+tests of non-finite data; and a system with a row of its element blocks
+zeroed, shared by the tests of singular systems."""
 
 import math
 from dataclasses import replace
@@ -65,6 +66,20 @@ def _held_at_step_ends(signal: TimeFunction, dt: float) -> TimeFunction:
 @pytest.fixture(scope="session")
 def held_at_step_ends():
     return _held_at_step_ends
+
+
+def _nan_from(signal: TimeFunction, t_bad: float) -> TimeFunction:
+    """The signal, with value and running integral NaN from t_bad on."""
+
+    def cut(fn):
+        return lambda t: fn(t) if t < t_bad else float("nan")
+
+    return TimeFunction(cut(signal.value), cut(signal.integral))
+
+
+@pytest.fixture(scope="session")
+def nan_from():
+    return _nan_from
 
 
 def _zero_row(sys: SemiDiscreteSystem, row: int, columns=None) -> SemiDiscreteSystem:

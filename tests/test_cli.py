@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hpheat.cli
+import hpheat.scenario
 from hpheat.cli import (
     ConfigError,
     OutputTable,
@@ -19,7 +20,6 @@ from hpheat.cli import (
 from hpheat.assembly import PrescribedFlux
 from hpheat.scenario import flash_pulse
 from hpheat.study import benchmark_sweep_families
-from hpheat.timefun import TimeFunction
 
 MINIMAL_FOURIER = """
 mode = transient
@@ -423,12 +423,15 @@ def test_main_success_and_error_paths(tmp_path, capsys):
         ("length_m", "inf"),
         ("dt_s", "-inf"),
         ("sweep_taus_s", "0.1 nan"),
+        # A sweep keeps one run per distinct point, so a repeat is refused.
+        ("sweep_taus_s", "0.3 0.3"),
+        ("sweep_values", "2 2 3"),
     ],
 )
 def test_main_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     kept = [line for line in FAST_TRANSIENT.splitlines() if not line.startswith(key)]
     text = "\n".join(kept) + f"\n{key} = {value}\n"
-    if key == "sweep_taus_s":
+    if key.startswith("sweep_"):
         text = text.replace("mode = transient", "mode = p_sweep")
     config = tmp_path / "non_finite.conf"
     config.write_text(text)
@@ -440,16 +443,12 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert not out.exists() or list(out.glob("*")) == []
 
 
-def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch):
+def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch, nan_from):
     # The pulse turns NaN from the third of five 1 ms steps on.
-    def cut(fn):
-        return lambda t: fn(t) if t < 2.5e-3 else float("nan")
-
     def broken_pulse(params):
-        pulse = flash_pulse(params)
-        return TimeFunction(cut(pulse.value), cut(pulse.integral))
+        return nan_from(flash_pulse(params), 2.5e-3)
 
-    monkeypatch.setattr(hpheat.cli, "flash_pulse", broken_pulse)
+    monkeypatch.setattr(hpheat.scenario, "flash_pulse", broken_pulse)
     config = tmp_path / "nan.conf"
     config.write_text(FAST_TRANSIENT)
     out = tmp_path / "out"
@@ -460,17 +459,13 @@ def test_main_reports_non_finite_boundary_data(tmp_path, capsys, monkeypatch):
     assert list(out.glob("*")) == []
 
 
-def test_oracle_check_reports_non_finite_oracle_data(tmp_path, capsys, monkeypatch):
+def test_oracle_check_reports_non_finite_oracle_data(tmp_path, capsys, monkeypatch, nan_from):
     # Only the oracle sees the pulse turn NaN, from the third of five 1 ms
     # steps on; the element solution is fine.
-    def cut(fn):
-        return lambda t: fn(t) if t < 2.5e-3 else float("nan")
-
     real_oracle = hpheat.cli.fd_oracle
 
     def oracle_with_broken_pulse(scenario, **kwargs):
-        pulse = scenario.bcs.left.value
-        broken = TimeFunction(cut(pulse.value), cut(pulse.integral))
+        broken = nan_from(scenario.bcs.left.value, 2.5e-3)
         bcs = replace(scenario.bcs, left=PrescribedFlux(broken))
         return real_oracle(replace(scenario, bcs=bcs), **kwargs)
 

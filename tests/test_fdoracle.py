@@ -419,20 +419,16 @@ def test_histories_do_not_depend_on_the_probe_block(block, monkeypatch):
         assert np.array_equal(got.final.q, ref.final.q)
 
 
-def _nan_from(fn, t_cut):
-    return lambda t: fn(t) if t < t_cut else float("nan")
-
-
 @pytest.mark.parametrize("load", ["average", "sampled"])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_non_finite_boundary_data_name_their_step(k, load, held_at_step_ends):
+def test_non_finite_boundary_data_name_their_step(k, load, held_at_step_ends, nan_from):
     # Data NaN from t_k on (cut halfway into step k) poison step k first,
     # and are caught before the march; so do data held at their step-end
     # samples, whose first NaN sample is the one at t_k.
     pulse = flash_pulse(PulseParams())
     dt = 1e-3
     cut = (k - 0.5) * dt
-    broken = TimeFunction(_nan_from(pulse.value, cut), _nan_from(pulse.integral, cut))
+    broken = nan_from(pulse, cut)
     if load == "sampled":
         broken = held_at_step_ends(broken, dt)
     with pytest.raises(NonFiniteStateError) as info:
@@ -442,11 +438,11 @@ def test_non_finite_boundary_data_name_their_step(k, load, held_at_step_ends):
     assert "boundary data" in str(info.value)
 
 
-def test_non_finite_history_names_its_step():
+def test_non_finite_history_names_its_step(nan_from):
     # Finite step means but a NaN pointwise value from t_3 on: the march is
     # fine, the boundary flux probe that reads the data is not.
     pulse = flash_pulse(PulseParams())
-    broken = TimeFunction(_nan_from(pulse.value, 2.5e-3), pulse.integral)
+    broken = TimeFunction(nan_from(pulse, 2.5e-3).value, pulse.integral)
     with pytest.raises(NonFiniteStateError) as info:
         fd_solve(MCV_MAT, 0.005, 293.0, broken, ZERO, cells=10, dt=1e-3, n_steps=5,
                  probe_fluxes=(0.0,))

@@ -16,7 +16,7 @@ from hpheat.scenario import (
     flash_pulse,
     solve_transient,
 )
-from hpheat.timefun import ZERO, NonFiniteStateError, TimeFunction
+from hpheat.timefun import ZERO, NonFiniteStateError
 from hpheat.timeint import FactorizationError, build_factorization
 from hpheat.study import (
     PRE_FLOOR_FACTOR,
@@ -144,6 +144,10 @@ def test_sweep_spec_validation():
         SweepSpec("x", "hp", (2, 3), 2, (0.3,), lambda tau: None)
     with pytest.raises(ValueError):
         SweepSpec("x", "h", (2,), 2, (0.3,), lambda tau: None)
+    with pytest.raises(ValueError, match="values"):
+        SweepSpec("x", "p", (2, 2, 3), 2, (0.3,), lambda tau: None)
+    with pytest.raises(ValueError, match="taus"):
+        SweepSpec("x", "p", (2, 3), 2, (0.3, 0.3), lambda tau: None)
     spec = tiny_spec("h")
     assert spec.discretization(4) == (4, 2)
     assert tiny_spec("p").discretization(2) == (4, 2)
@@ -204,7 +208,7 @@ def test_run_sweep_records_failures_and_continues():
     assert np.isfinite(good[0]) and np.isnan(good[1])
 
 
-def test_run_sweep_records_non_finite_data_as_a_failure():
+def test_run_sweep_records_non_finite_data_as_a_failure(nan_from):
     # At tau = 0.05 the pulse turns NaN from step 4 on; tau = 0.3 is intact.
     def make(tau):
         return benchmark_scenario(
@@ -216,12 +220,7 @@ def test_run_sweep_records_non_finite_data_as_a_failure():
         scenario = make(tau)
         if tau != 0.05:
             return scenario
-
-        def cut(fn):
-            return lambda t: fn(t) if t < 3.5e-3 else float("nan")
-
-        pulse = scenario.bcs.left.value
-        nan_late = TimeFunction(cut(pulse.value), cut(pulse.integral))
+        nan_late = nan_from(scenario.bcs.left.value, 3.5e-3)
         bcs = BoundarySpec(PrescribedFlux(nan_late), PrescribedFlux(ZERO))
         return replace(scenario, bcs=bcs)
 

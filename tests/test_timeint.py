@@ -564,18 +564,9 @@ def test_interior_blocks_are_hessenberg_and_reduced_once_per_distinct_block(monk
     assert len(reduced) == n if graded else len(reduced) < n
 
 
-def nan_from(signal: TimeFunction, t_bad: float) -> TimeFunction:
-    """The signal, with value and running integral NaN from t_bad on."""
-
-    def cut(fn):
-        return lambda t: fn(t) if t < t_bad else float("nan")
-
-    return TimeFunction(cut(signal.value), cut(signal.integral))
-
-
 @pytest.mark.parametrize("load", ["average", "sampled"])
 @pytest.mark.parametrize("data", ["flux", "dirichlet"])
-def test_non_finite_boundary_data_name_their_step(data, load, held_at_step_ends):
+def test_non_finite_boundary_data_name_their_step(data, load, held_at_step_ends, nan_from):
     # Step k runs from t_(k-1) to t_k, the first grid time where the data are
     # NaN; data held at their step-end samples first hold the NaN over step k.
     k, dt = 7, 1e-3

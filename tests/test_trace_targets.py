@@ -4,7 +4,8 @@ perfbench/spans.py lists those names, and computes sizes and per-step
 counts from fields of the system and the factorization; a refactor that
 renames or moves one would otherwise only surface when a traced benchmark
 run fails.  These tests resolve every listed name the way the recorder does,
-and compute the counts from a real system and factorization.
+compute the counts from a real system and factorization, and read the
+sizes of a real table write.
 """
 
 import importlib
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 
 from hpheat.assembly import BoundarySpec, Mesh, PrescribedFlux, assemble, global_matrices
+from hpheat.cli import OutputTable, write_table
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.timefun import ZERO, constant
 from hpheat.timeint import ThetaScheme, build_factorization
@@ -83,3 +85,13 @@ def test_derived_counts_read_a_real_system():
     assert counts["assembly.nnz"] == pattern.nnz
     assert counts["timeint.steps"] == 7
     assert counts["timeint.lu_bytes"] == fact.lu.nbytes
+
+
+def test_write_table_capture_reads_an_array_table(tmp_path):
+    # The traced CLI run sums the rows and bytes of every table written, and
+    # the CLI hands write_table its rows as a 2-D array.
+    path = tmp_path / "table.dat"
+    args = (OutputTable(("t_s", "a", "b"), np.arange(15.0).reshape(5, 3)), path, "dat")
+    captured = _spans_module()._CAPTURE["cli.write_table"](args, {}, write_table(*args))
+    assert captured == {"rows": 5, "bytes": path.stat().st_size}
+    assert len(path.read_text().splitlines()) == 1 + 5
