@@ -316,10 +316,6 @@ class SemiDiscreteSystem:
         return self.dofmap.mesh
 
     @property
-    def model(self) -> ModelKind:
-        return self.dofmap.model
-
-    @property
     def A_full(self) -> sp.csr_matrix:
         return global_matrices(self)[0]
 
@@ -345,12 +341,10 @@ class SemiDiscreteSystem:
 
     def natural_free(self) -> list[tuple[int, float, TimeFunction]]:
         """(free row, sign, flux data) of every natural flux term."""
-        terms = []
-        for term in self.dofmap.natural_terms:
-            free = self.dofmap.full_to_free[term.dof]
-            if free >= 0:
-                terms.append((int(free), term.sign, term.value))
-        return terms
+        return [
+            (int(self.dofmap.full_to_free[term.dof]), term.sign, term.value)
+            for term in self.dofmap.natural_terms
+        ]
 
     def load_average(
         self, t0: float, t1: float, prev_average: np.ndarray | None = None
@@ -520,16 +514,15 @@ def apply_initial_conditions(sys: SemiDiscreteSystem, T0, q0) -> np.ndarray:
         vertex = _sample(fun, nodes)
         full[dofs[:, 0]] = vertex[:-1]
         full[dofs[:, 1]] = vertex[1:]
-        if deg >= 2:
-            rule = gauss_rule(deg + 2)
-            values = ShapeSet(deg).values(rule.points)
-            bub = values[2:]
-            f_g = _sample(fun, centers + jac * rule.points)
-            # N_1 = 1 - N_2 written out, so a constant leaves an exact zero.
-            left, right = vertex[:-1, None], vertex[1:, None]
-            resid = (f_g - left) - (right - left) * values[1]
-            mass = (bub * rule.weights) @ bub.T
-            full[dofs[:, 2:]] = np.linalg.solve(mass, bub @ (rule.weights * resid).T).T
+        rule = gauss_rule(deg + 2)
+        values = ShapeSet(deg).values(rule.points)
+        bub = values[2:]
+        f_g = _sample(fun, centers + jac * rule.points)
+        # N_1 = 1 - N_2 written out, so a constant leaves an exact zero.
+        left, right = vertex[:-1, None], vertex[1:, None]
+        resid = (f_g - left) - (right - left) * values[1]
+        mass = (bub * rule.weights) @ bub.T
+        full[dofs[:, 2:]] = np.linalg.solve(mass, bub @ (rule.weights * resid).T).T
     return full[dofmap.free_to_full]
 
 

@@ -72,10 +72,9 @@ class ShapeSet:
         table = np.empty((self.count, eta.size))
         table[0] = 0.5 * (1.0 - eta)
         table[1] = 0.5 * (1.0 + eta)
-        if self.degree >= 2:
-            leg = _legendre_rows(self.degree, eta)
-            for k in range(3, self.degree + 2):
-                table[k - 1] = (leg[k - 1] - leg[k - 3]) / np.sqrt(2.0 * (2 * k - 3))
+        leg = _legendre_rows(self.degree, eta)
+        for k in range(3, self.degree + 2):
+            table[k - 1] = (leg[k - 1] - leg[k - 3]) / np.sqrt(2.0 * (2 * k - 3))
         return table
 
     def derivatives(self, eta: np.ndarray) -> np.ndarray:
@@ -84,10 +83,9 @@ class ShapeSet:
         table = np.empty((self.count, eta.size))
         table[0] = -0.5
         table[1] = 0.5
-        if self.degree >= 2:
-            leg = _legendre_rows(self.degree - 1, eta)
-            for k in range(3, self.degree + 2):
-                table[k - 1] = np.sqrt((2 * k - 3) / 2.0) * leg[k - 2]
+        leg = _legendre_rows(self.degree - 1, eta)
+        for k in range(3, self.degree + 2):
+            table[k - 1] = np.sqrt((2 * k - 3) / 2.0) * leg[k - 2]
         return table
 
 

@@ -292,18 +292,28 @@ def _validate_numbers(config: RunConfig) -> None:
         raise ConfigError(f"oracle_cells must be >= 3, got {config.oracle_cells}")
     if config.sweep_values is not None and len(config.sweep_values) < 2:
         raise ConfigError("sweep_values needs at least two entries")
-    if config.sweep_taus is not None and len(config.sweep_taus) < 1:
-        raise ConfigError("sweep_taus_s needs at least one entry")
     # A sweep keeps one run per distinct (value, tau) point.
     for name, entries in (
         ("sweep_values", config.sweep_values), ("sweep_taus_s", config.sweep_taus)
     ):
         if entries is not None and len(set(entries)) < len(entries):
             raise ConfigError(f"{name} must not repeat an entry, got {entries}")
+    # Each tau names an error column of the sweep tables.
+    if config.sweep_taus is not None:
+        columns = [_error_column(tau) for tau in config.sweep_taus]
+        if len(set(columns)) < len(columns):
+            raise ConfigError(
+                f"sweep_taus_s entries must differ in their error column names, got {columns}"
+            )
     # A pulse that carries no energy leaves nothing to measure: the transient
     # has no rise to scale by, and the sweeps an identically zero reference.
     if config.pulse_amplitude == 0.0:
         raise ConfigError("pulse_amplitude_w_per_m2 must be nonzero")
+
+
+def _error_column(tau: float) -> str:
+    """The sweep tables' column of the errors at relaxation time tau."""
+    return f"err_tau_{tau:g}"
 
 
 def _material(config: RunConfig, tau: float) -> MaterialParams:
@@ -408,7 +418,7 @@ def _run_sweep_mode(config: RunConfig, out: Path, fmt: str) -> None:
             ),
             file=_sys.stderr,
         )
-    columns = ("dof",) + tuple(f"err_tau_{tau:g}" for tau in config.sweep_taus)
+    columns = ("dof",) + tuple(_error_column(tau) for tau in config.sweep_taus)
     for probe in standard_probes(config.length):
         errors = [report.errors[(tau, probe.label)] for tau in config.sweep_taus]
         rows = np.column_stack((report.dofs, *errors))
@@ -480,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         run(config, out_dir=args.out, fmt=args.format)
-    except ConfigError as exc:
-        print(_error_record("config", str(exc)), file=_sys.stderr)
-        return 2
     except OSError as exc:
         print(_error_record("io", str(exc)), file=_sys.stderr)
         return 4

@@ -11,7 +11,8 @@ factor the implicit matrix of the theta scheme once per system:
   all in one batched call;
 - it factors the Schur complement left on the vertex DOFs with dgbtrf: a
   band of half-bandwidth 1 for the local models and 3 for GK whatever the
-  degree;
+  degree, and an empty band, which dgbtrf returns as it is, when no vertex
+  DOF is free;
 - it folds the row scaling, the explicit matrix, the elimination of the
   interiors and their recovery from the vertex DOFs into one CSR step
   operator, so that a step is one sparse product and one banded solve, and
@@ -20,7 +21,9 @@ factor the implicit matrix of the theta scheme once per system:
   upper Hessenberg H = Q^T F_ii Q with an orthogonal Q (LAPACK dgehrd and
   dorghr), each distinct block once, and marches the element's interiors
   in the basis Q: the step operator leaves out the exact zeros below H's
-  subdiagonal, a third fewer entries for the product of every step.
+  subdiagonal, a third fewer entries for the product of every step.  A
+  block of two rows or fewer is Hessenberg already: LAPACK's reflectors
+  are then the identity, so it comes back unchanged, with Q = I.
 
 Elements are grouped by the bytes of their blocks, which is exact, since
 equal inputs give equal outputs.  It pays because a uniform mesh has few
@@ -76,11 +79,13 @@ class CondensedFactorization:
     instead, with u = Q^T (y_i + N v) per element: N = M_ii^-1 M_iv, and
     y_i + N v is the interiors' right-hand side before their recovery from
     v.  Q is the orthogonal matrix that reduces the element's interior block
-    F_ii of the step to the upper Hessenberg H = Q^T F_ii Q.  It is computed
-    once per distinct block: elements whose blocks are bitwise equal share
-    it.  lu and ipiv are the dgbtrf factors of the vertex Schur complement
+    F_ii of the step to the upper Hessenberg H = Q^T F_ii Q, and the
+    identity for a block of two rows or fewer.  It is computed once per
+    distinct block: elements whose blocks are bitwise equal share it.  lu
+    and ipiv are the dgbtrf factors of the vertex Schur complement
     M_vv - M_vi M_ii^-1 M_iv, whose half-bandwidths kl = ku are 1 for the
-    local models and 3 for GK at any degree.  m_expl maps w to the
+    local models and 3 for GK at any degree, and have no column when no
+    vertex DOF is free.  m_expl maps w to the
     right-hand side of the condensed step: the vertex rows with the
     interiors eliminated, then Q^T M_ii^-1 times the interior rows, with
     the row scaling and the explicit matrix folded in, the recovery -N v of
@@ -141,8 +146,9 @@ class CondensedFactorization:
         the free DOFs in w, then those of the state entries that the
         recovery of their interiors reads; g = w[at] is what to gather.
         inner lists the free DOFs that are interiors, and recover maps g to
-        their y_i.  With g[inner] = recover @ g, scale * g[:scale.size] is
-        the rows' part of coefficients(w).
+        their y_i: it holds their rows of `interior`, each in its column
+        order, on the gathered entries.  With g[inner] = recover @ g,
+        scale * g[:scale.size] is the rows' part of coefficients(w).
 
         That is bit for bit where scipy's csr_matvecs, which recovers, and
         csr_matvec, which computes the interiors in coefficients, round
@@ -155,17 +161,12 @@ class CondensedFactorization:
         free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in rows])
         at = position[free]
         inner = np.flatnonzero(at >= self.n_vertex)
-        # The rows of `interior` that recover them, each in its column order,
-        # selected from indptr; int32 indices go into the CSR uncopied.
-        ptr = self.interior.indptr
-        start = ptr[at[inner] - self.n_vertex]
-        counts = ptr[at[inner] - self.n_vertex + 1] - start
-        indptr = np.zeros(inner.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        entries = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
-        reads, cols = np.unique(self.interior.indices[entries], return_inverse=True)
+        # The rows of `interior` that recover them; row indexing keeps each
+        # row's column order.
+        rec = self.interior[at[inner] - self.n_vertex]
+        reads, cols = np.unique(rec.indices, return_inverse=True)
         recover = sp.csr_matrix(
-            (self.interior.data[entries], (cols + at.size).astype(np.int32), indptr),
+            (rec.data, (cols + at.size).astype(np.int32), rec.indptr),
             shape=(inner.size, at.size + reads.size),
         )
         return np.concatenate((at, reads)), self.col_scale[free], inner, recover
@@ -316,14 +317,11 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     cs = np.abs(ab).max(axis=0)
     cs = np.where(cs > 0.0, 1.0 / cs, 1.0)
     ab *= cs
-    if nv:
-        lu, ipiv, info = dgbtrf(ab, kl, ku)
-        if info > 0:
-            raise FactorizationError(int(elements.order[info - 1]) + 1)
-        if info < 0:
-            raise RuntimeError(f"illegal argument {-info} in banded factorization")
-    else:
-        lu, ipiv = ab, np.zeros(0, dtype=np.int32)
+    lu, ipiv, info = dgbtrf(ab, kl, ku)
+    if info > 0:
+        raise FactorizationError(int(elements.order[info - 1]) + 1)
+    if info < 0:
+        raise RuntimeError(f"illegal argument {-info} in banded factorization")
 
     # N = M_ii^-1 M_iv on the rescaled vertex columns; the interior columns
     # are scaled by d >= 1 so that its rows have at most unit max-norm, and
@@ -350,17 +348,13 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     folded[:, :, v] -= folded[:, :, i] @ across
     # The state holds Q^T (y_i + N v), with Q the orthogonal basis in which
     # the interior block F_ii is the upper Hessenberg H = Q^T F_ii Q:
-    # F_ii becomes H, F_iv becomes Q^T F_iv and F_vi becomes F_vi Q.  Blocks
-    # of two rows or fewer are Hessenberg already, and keep Q = I.
+    # F_ii becomes H, F_iv becomes Q^T F_iv and F_vi becomes F_vi Q.
     first, label = _groups(folded[:, i, i])
     hessenberg = folded[first, i, i]
-    if ni > 2:
-        basis = np.empty_like(hessenberg)
-        for g, block in enumerate(hessenberg):
-            hessenberg[g], tau, _ = dgehrd(block)
-            basis[g], _ = dorghr(hessenberg[g], tau)
-    else:
-        basis = np.broadcast_to(np.eye(ni), hessenberg.shape)
+    basis = np.empty_like(hessenberg)
+    for g, block in enumerate(hessenberg):
+        hessenberg[g], tau, _ = dgehrd(block)
+        basis[g], _ = dorghr(hessenberg[g], tau)
     # Per element, [-N | Q] gives the interiors y_i = Q u - N v of the state.
     conversion = np.concatenate((-across, basis[label]), axis=2)
     q = conversion[:, :, 2 * pv:]

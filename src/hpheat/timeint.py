@@ -154,10 +154,9 @@ def _step_loads(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> np.ndarray:
     # add to the peak memory.
     loads = np.zeros((len(flux), rows.size))
     loads[:, natural_pos] += flux
-    if signals:
-        coupled = rate @ sys.A_lc.T
-        coupled += value @ sys.B_lc.T
-        loads -= coupled
+    coupled = rate @ sys.A_lc.T
+    coupled += value @ sys.B_lc.T
+    loads -= coupled
     loads *= scheme.dt
     return loads
 

@@ -189,6 +189,11 @@ specific_heat_j_per_kg_k = 800
         ("oracle_cells = 2", "oracle_cells"),
         ("relaxation_time_s = 0.3", "relaxation_time_s = 0"),
         ("pulse_amplitude_w_per_m2 = 0", "pulse_amplitude_w_per_m2 must be nonzero"),
+        ("n_steps = -1", "n_steps must be >= 0"),
+        ("elements = 0", "elements must be >= 1"),
+        # The default pulse_c2.
+        ("pulse_c1 = 6.0", "pulse_c1 and pulse_c2 must differ"),
+        ("pulse_t_p_s = 0", "pulse_t_p_s must be positive"),
     ],
 )
 def test_invalid_values_rejected(mutation, needle):
@@ -219,6 +224,8 @@ def test_unknown_and_duplicate_keys_report_line_numbers():
 
 
 def test_missing_required_keys():
+    with pytest.raises(ConfigError, match="missing required key 'density_kg_per_m3'"):
+        parse_config(MINIMAL_FOURIER.replace("density_kg_per_m3 = 2600\n", ""))
     with pytest.raises(ConfigError) as err:
         parse_config("mode = transient\nmodel = fourier\n"
                       "density_kg_per_m3 = 2600\nspecific_heat_j_per_kg_k = 800\n")
@@ -244,6 +251,10 @@ def test_sweep_key_scoping():
         )
     with pytest.raises(ConfigError, match="only valid in the sweep modes"):
         parse_config(MINIMAL_FOURIER + "sweep_values = 4 6\n")
+    with pytest.raises(ConfigError, match="sweep_values needs at least two entries"):
+        parse_config(
+            MINIMAL_FOURIER.replace("mode = transient", "mode = h_sweep") + "sweep_values = 4\n"
+        )
 
 
 def test_malformed_lines():
@@ -386,6 +397,27 @@ reference_degree = 3
     assert all(np.isfinite(e) and e > 0.0 for e in errors)
 
 
+def test_sweep_point_failures_are_reported_and_kept_as_rows(tmp_path, capsys):
+    # Degree 12 lifts the temperature above the shape set cap; the sweep
+    # reports it and goes on.
+    config = tmp_path / "p_sweep.conf"
+    config.write_text(
+        MINIMAL_FOURIER.replace("mode = transient", "mode = p_sweep").replace("fourier", "mcv")
+        + "n_steps = 5\nelements = 4\nsweep_taus_s = 0.3\nsweep_values = 2 12\n"
+        + "reference_elements = 8\nreference_degree = 3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["warning"] == "sweep_point_failed"
+    assert (record["value"], record["tau"]) == (12, 0.3)
+    lines = (out / "p_sweep_T_front_mcv.dat").read_text().splitlines()
+    assert lines[0] == "dof err_tau_0.3"
+    dof, error = map(float, lines[2].split())
+    assert dof == -1 and np.isnan(error)
+
+
 def test_run_rejects_unknown_format(tmp_path):
     config = parse_config(FAST_TRANSIENT)
     with pytest.raises(ConfigError):
@@ -414,6 +446,11 @@ def test_main_success_and_error_paths(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "io"
 
+    # An output directory that is a file.
+    assert main(["run", str(good), "--out", str(good)]) == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "io"
+
 
 @pytest.mark.parametrize(
     "key,value",
@@ -425,6 +462,8 @@ def test_main_success_and_error_paths(tmp_path, capsys):
         ("sweep_taus_s", "0.1 nan"),
         # A sweep keeps one run per distinct point, so a repeat is refused.
         ("sweep_taus_s", "0.3 0.3"),
+        # Distinct taus that would share the error column err_tau_0.3.
+        ("sweep_taus_s", "0.3 0.3000001"),
         ("sweep_values", "2 2 3"),
     ],
 )

@@ -7,7 +7,7 @@ import pytest
 
 import hpheat.study
 import hpheat.timeint
-from hpheat.assembly import BoundarySpec, Field, PrescribedFlux
+from hpheat.assembly import BoundarySpec, DirichletTemperature, Field, PrescribedFlux
 from hpheat.materials import ModelKind
 from hpheat.scenario import (
     PulseParams,
@@ -409,6 +409,11 @@ def test_fd_oracle_provenance_and_grid():
     assert set(ref.series) == {"T_front", "T_rear", "q_mid"}
     for label, series in ref.series.items():
         assert series.times.shape == (11,)
+    # The oracle marches flux data only.
+    for side in ("left", "right"):
+        held = replace(scenario, bcs=replace(scenario.bcs, **{side: DirichletTemperature(ZERO)}))
+        with pytest.raises(ValueError, match="flux conditions on both ends"):
+            fd_oracle(held, cells=50, theta=1.0)
 
 
 # ------------------------------------------------------------ families

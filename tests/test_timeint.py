@@ -157,6 +157,11 @@ DENSE_CASES = {
     "gk_badly_scaled": (BADLY_SCALED, ModelKind.GK, 8, 4),
     # Both end vertices, and every constrained DOF, in one element.
     "gk_one_element": (GK_MAT, ModelKind.GK, 1, 3),
+    # Interior blocks of two rows, which are Hessenberg already.
+    "gk_p1": (GK_MAT, ModelKind.GK, 6, 1),
+    # With a temperature prescribed on both faces no vertex DOF is free, and
+    # the vertex band is empty.
+    "fourier_one_element": (MaterialParams(2600.0, 800.0, 3.0), ModelKind.FOURIER, 1, 2),
 }
 
 
@@ -686,3 +691,12 @@ def test_singular_interior_block_fails_only_its_member(zero_row):
         want = integrate(m.system, STACK_SCHEME, np.zeros(m.system.dim), ALL_PROBES)
         assert np.array_equal(results[k].probe_values, want.probe_values)
         assert np.array_equal(results[k].final_state, want.final_state)
+
+
+def test_a_stack_of_singular_members_marches_nothing(zero_row, monkeypatch):
+    members = [replace(m, system=zero_row(m.system, 0)) for m in stack_members()]
+    marches = Counter()
+    monkeypatch.setattr(hpheat.timeint, "march", lambda *args: marches.update(["calls"]))
+    results = integrate_stack(members, STACK_SCHEME)
+    assert not marches
+    assert all(isinstance(r, FactorizationError) and r.pivot == 1 for r in results)
