@@ -193,10 +193,7 @@ class DofMap:
     free_to_full: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        constrained = np.array([c.dof for c in self.constrained], dtype=int)
-        if np.unique(constrained).size != constrained.size:
-            raise ValueError("a DOF is constrained twice")
-        free = np.setdiff1d(np.arange(self.full_dim), constrained)
+        free = np.setdiff1d(np.arange(self.full_dim), [c.dof for c in self.constrained])
         full_to_free = np.full(self.full_dim, -1, dtype=int)
         full_to_free[free] = np.arange(free.size)
         self.full_to_free = full_to_free

@@ -241,7 +241,7 @@ def parse_config(text: str) -> RunConfig:
         if fixed not in raw:
             values[fixed] = family.fixed
         if values["sweep_taus"] is None:
-            values["sweep_taus"] = family.taus
+            values["sweep_taus"] = (0.0,) if model == "fourier" else family.taus
         if values["sweep_values"] is None:
             values["sweep_values"] = family.values
 
@@ -252,6 +252,12 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid material parameters: {exc}") from None
     _validate_numbers(config)
+    # Last, so that the other checks keep precedence; only Fourier sweeps fail it.
+    for tau in config.sweep_taus or ():
+        try:
+            _material(config, tau).require_kind(MODELS[model])
+        except ValueError as exc:
+            raise ConfigError(f"invalid material parameters: {exc}") from None
     return config
 
 

@@ -73,8 +73,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("h", "p"):
             raise ValueError(f"sweep kind must be 'h' or 'p', got {self.kind!r}")
-        if len(self.values) < 2:
-            raise ValueError("a sweep needs at least two points")
+        if len(self.values) < 2 or not self.taus:
+            raise ValueError("a sweep needs at least two points and one relaxation time")
         for name, entries in (("values", self.values), ("taus", self.taus)):
             if len(set(entries)) < len(entries):
                 raise ValueError(f"sweep {name} must not repeat an entry, got {entries}")
@@ -300,15 +300,12 @@ def run_sweep(
 
 
 def pre_floor_count(errors: np.ndarray) -> int:
-    """Points before (and including) the first entry at the curve's floor."""
+    """Points before (and including) the first entry at the curve's floor.
+    The errors are >= 0 or NaN, so the floor itself is such an entry."""
     finite = errors[np.isfinite(errors)]
     if finite.size == 0:
         return 0
-    floor = float(np.min(finite))
-    for i, e in enumerate(errors):
-        if e <= PRE_FLOOR_FACTOR * floor:
-            return i + 1
-    return len(errors)
+    return int(np.argmax(errors <= PRE_FLOOR_FACTOR * np.min(finite))) + 1
 
 
 def loglog_slope(dofs: np.ndarray, errors: np.ndarray, count: int | None = None) -> float:

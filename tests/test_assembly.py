@@ -79,6 +79,19 @@ def test_uniform_mesh():
     assert np.allclose(mesh.nodes, np.linspace(0.0, 0.005, 5))
 
 
+def test_uniform_mesh_rejects_no_elements():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one element"):
+            Mesh.uniform(n, 0.005)
+
+
+def test_dofmap_rejects_an_unsupported_boundary_condition():
+    # A bare signal, not a DirichletTemperature or PrescribedFlux.
+    bcs = BoundarySpec(left=PrescribedFlux(ZERO), right=ZERO)
+    with pytest.raises(TypeError, match="unsupported boundary condition"):
+        build_dofmap(Mesh.uniform(3, 0.005), ModelKind.MCV, 2, bcs)
+
+
 def test_mesh_rejects_non_increasing_nodes():
     with pytest.raises(ValueError):
         Mesh(np.array([0.0, 1.0, 1.0, 2.0]))

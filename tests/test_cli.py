@@ -1,6 +1,8 @@
 """End-to-end tests of the command line front end and its config dialect."""
 
 import json
+import runpy
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -78,6 +80,7 @@ kappa2_m2 = 8e-6
 """
 
 SWEEP_FOURIER = MINIMAL_FOURIER.replace("mode = transient", "mode = p_sweep")
+SWEEP_MCV = SWEEP_FOURIER.replace("model = fourier", "model = mcv")
 
 
 # (base document, key, value text, RunConfig field, parsed value), one per key.
@@ -103,7 +106,8 @@ FIELD_CASES = [
     (TRANSIENT_GK, "reference_elements", "30", "reference_elements", 30),
     (TRANSIENT_GK, "reference_degree", "5", "reference_degree", 5),
     (TRANSIENT_GK, "oracle_cells", "50", "oracle_cells", 50),
-    (SWEEP_FOURIER, "sweep_taus_s", "0.1 0.2", "sweep_taus", (0.1, 0.2)),
+    # A Fourier sweep's only tau is 0.
+    (SWEEP_MCV, "sweep_taus_s", "0.1 0.2", "sweep_taus", (0.1, 0.2)),
     (SWEEP_FOURIER, "sweep_values", "2 3 4", "sweep_values", (2, 3, 4)),
 ]
 
@@ -170,7 +174,8 @@ specific_heat_j_per_kg_k = 800
     (spec,) = [
         s for s in benchmark_sweep_families() if s.family == family and s.kind == kind
     ]
-    assert config.sweep_taus == spec.taus
+    # The diffusive model has one relaxation time, 0.
+    assert config.sweep_taus == ((0.0,) if model == "fourier" else spec.taus)
     assert config.sweep_values == spec.values
     fixed = config.degree if kind == "h" else config.elements
     assert fixed == spec.fixed
@@ -224,6 +229,8 @@ def test_unknown_and_duplicate_keys_report_line_numbers():
 
 
 def test_missing_required_keys():
+    with pytest.raises(ConfigError, match="missing required key 'mode'"):
+        parse_config(MINIMAL_FOURIER.replace("mode = transient\n", ""))
     with pytest.raises(ConfigError, match="missing required key 'density_kg_per_m3'"):
         parse_config(MINIMAL_FOURIER.replace("density_kg_per_m3 = 2600\n", ""))
     with pytest.raises(ConfigError) as err:
@@ -418,6 +425,60 @@ def test_sweep_point_failures_are_reported_and_kept_as_rows(tmp_path, capsys):
     assert dof == -1 and np.isnan(error)
 
 
+def test_a_mesh_of_no_elements_is_a_failed_sweep_point(tmp_path, capsys):
+    config = tmp_path / "h_sweep.conf"
+    config.write_text(
+        MINIMAL_FOURIER.replace("mode = transient", "mode = h_sweep").replace("fourier", "mcv")
+        + "n_steps = 5\nsweep_taus_s = 0.3\nsweep_values = 0 4\n"
+        + "reference_elements = 8\nreference_degree = 3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {
+        "warning": "sweep_point_failed",
+        "value": 0,
+        "tau": 0.3,
+        "message": "need at least one element, got 0",
+    }
+    lines = (out / "h_sweep_T_front_mcv.dat").read_text().splitlines()
+    dof, error = map(float, lines[1].split())
+    assert dof == -1 and np.isnan(error)
+    dof, error = map(float, lines[2].split())
+    assert dof > 0 and np.isfinite(error)
+
+
+FOURIER_P_SWEEP = MINIMAL_FOURIER.replace("mode = transient", "mode = p_sweep") + """
+n_steps = 5
+elements = 4
+sweep_values = 1 2
+reference_elements = 8
+reference_degree = 3
+"""
+
+
+def test_a_fourier_sweep_defaults_to_tau_zero(tmp_path, capsys):
+    config = tmp_path / "fourier.conf"
+    config.write_text(FOURIER_P_SWEEP)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "p_sweep_T_rear_fourier.dat").read_text().splitlines()
+    assert lines[0] == "dof err_tau_0"
+    assert len(lines) == 3
+
+
+def test_a_fourier_sweep_with_a_nonzero_tau_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "fourier.conf"
+    config.write_text(FOURIER_P_SWEEP + "sweep_taus_s = 0 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert "Fourier model requires tau = 0" in record["message"]
+    assert not out.exists()
+
+
 def test_run_rejects_unknown_format(tmp_path):
     config = parse_config(FAST_TRANSIENT)
     with pytest.raises(ConfigError):
@@ -450,6 +511,23 @@ def test_main_success_and_error_paths(tmp_path, capsys):
     assert main(["run", str(good), "--out", str(good)]) == 4
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "io"
+
+
+def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    # `python -m hpheat.cli` exits with main's status.  The module runs
+    # afresh as __main__; left in sys.modules, runpy would warn about it.
+    bad = tmp_path / "bad.conf"
+    bad.write_text("mode = transient\n")
+    good = tmp_path / "good.conf"
+    good.write_text(FAST_TRANSIENT)
+    monkeypatch.delitem(sys.modules, "hpheat.cli")
+    for path, status in ((bad, 2), (good, 0)):
+        monkeypatch.setattr(sys, "argv", ["hpheat", "run", str(path), "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("hpheat.cli", run_name="__main__")
+        assert exit_.value.code == status
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert (tmp_path / "transient_T_rear_fourier.dat").exists()
 
 
 @pytest.mark.parametrize(

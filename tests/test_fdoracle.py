@@ -183,6 +183,14 @@ def test_probes_outside_the_slab_are_rejected(probes, monkeypatch):
         fd_solve(MCV_MAT, 0.005, 293.0, ZERO, ZERO, cells=10, dt=1e-3, n_steps=5, **probes)
 
 
+def test_a_failing_flux_factorization_is_reported(monkeypatch):
+    # S is positive definite for every valid input, so only a faked dpttrf
+    # reaches the error LAPACK reports for a non-positive pivot.
+    monkeypatch.setattr(hpheat.fdoracle, "dpttrf", lambda d, e: (d, e, 3))
+    with pytest.raises(RuntimeError, match=r"not positive definite \(info 3\)"):
+        fd_solve(MCV_MAT, 0.005, 293.0, ZERO, ZERO, cells=10, dt=1e-3, n_steps=5)
+
+
 def test_probes_on_the_faces_within_roundoff_are_accepted():
     # The tolerance of the element solver's probe_row, 1e-12 of the length.
     length = 0.005

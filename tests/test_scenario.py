@@ -88,6 +88,20 @@ def test_pulse_rejects_a_zero_rate(rates):
         PulseParams(c1=c1, c2=c2)
 
 
+@pytest.mark.parametrize(
+    "params,needle",
+    [
+        # The closed form divides by c2 - c1.
+        ({"c1": 6.0, "c2": 6.0}, "must differ"),
+        ({"t_p": 0.0}, "time scale must be positive"),
+        ({"t_p": -0.008}, "time scale must be positive"),
+    ],
+)
+def test_pulse_rejects_equal_rates_and_a_non_positive_time_scale(params, needle):
+    with pytest.raises(ValueError, match=needle):
+        PulseParams(**params)
+
+
 @pytest.mark.parametrize("name", ["amplitude", "c1", "c2", "t_p"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_pulse_rejects_non_finite_parameters_by_name(name, value):
@@ -191,6 +205,25 @@ def test_dimensionless_temperature_maps_steady_state_to_one():
     )
     dim = dimensionless_temperature(series, scenario)
     assert np.allclose(dim.values, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-10)
+
+
+def test_a_pulse_without_energy_has_no_temperature_scale():
+    # A zero-amplitude pulse marches, but leaves no steady rise to scale by.
+    scenario = benchmark_scenario(ModelKind.FOURIER, pulse=PulseParams(amplitude=0.0), n_steps=5)
+    run = solve_transient(scenario, 4, 2)
+    with pytest.raises(ValueError, match="zero net energy input"):
+        dimensionless_temperature(run.series["T_rear"], scenario)
+
+
+def test_probe_series_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="equal length"):
+        ProbeSeries(
+            label="q_mid",
+            location=0.0025,
+            quantity=Field.HEAT_FLUX,
+            times=np.zeros(3),
+            rise=np.zeros(2),
+        )
 
 
 def test_dimensionless_temperature_rejects_flux_series():

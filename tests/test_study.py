@@ -148,6 +148,10 @@ def test_sweep_spec_validation():
         SweepSpec("x", "p", (2, 2, 3), 2, (0.3,), lambda tau: None)
     with pytest.raises(ValueError, match="taus"):
         SweepSpec("x", "p", (2, 3), 2, (0.3, 0.3), lambda tau: None)
+    # Every sweep member and error column is per tau; the sweep used to
+    # fail later with an IndexError.
+    with pytest.raises(ValueError, match="one relaxation time"):
+        benchmark_sweep_families(taus=())
     spec = tiny_spec("h")
     assert spec.discretization(4) == (4, 2)
     assert tiny_spec("p").discretization(2) == (4, 2)

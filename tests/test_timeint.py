@@ -22,6 +22,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import hpheat.condense
 import hpheat.timeint
 from hpheat.assembly import (
     BoundarySpec,
@@ -120,6 +121,60 @@ def test_singular_implicit_matrix_reported(zero_row):
     with pytest.raises(FactorizationError) as info:
         build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
     assert info.value.pivot == 5
+
+
+def one_element_blocks():
+    """The blocks of one MCV element of degree 2 under flux data, with the
+    interior rows cut off the vertex columns, so that the vertex Schur
+    complement is the vertex-vertex block.  Its two vertex DOFs, T at
+    either end, are free, at free indices 0 and 6."""
+    sys = assemble(Mesh.uniform(1, 0.005), MCV_MAT, ModelKind.MCV, 2, QUIET_BCS)
+    v, i = [0, 1], slice(2, None)
+    assert list(sys.dofmap.full_to_free[sys.dofmap.block_dofs[0, v]]) == [0, 6]
+    a, b = sys.A_blocks.copy(), sys.B_blocks.copy()
+    a[:, i, v] = b[:, i, v] = 0.0
+    return sys, a, b, v, i
+
+
+def test_a_zero_row_of_the_vertex_schur_complement_is_reported():
+    # The rear temperature row keeps its interior couplings, so the implicit
+    # matrix has no zero row, but nothing is left of it on the vertices.
+    sys, a, b, v, _ = one_element_blocks()
+    a[0, 1, v] = b[0, 1, v] = 0.0
+    with pytest.raises(FactorizationError) as info:
+        build_factorization(replace(sys, A_blocks=a, B_blocks=b), ThetaScheme(1.0, 1e-3, 1))
+    assert info.value.pivot == 7
+
+
+def test_a_singular_vertex_schur_complement_is_reported():
+    # Two equal vertex rows with no interior couplings equilibrate to the
+    # all-ones 2 x 2 block, which dgbtrf finds singular at its second pivot.
+    sys, a, b, v, i = one_element_blocks()
+    a[:, v, i] = b[:, v, i] = 0.0
+    a[:, :2, :2] = b[:, :2, :2] = 1.0
+    with pytest.raises(FactorizationError) as info:
+        build_factorization(replace(sys, A_blocks=a, B_blocks=b), ThetaScheme(1.0, 1e-3, 1))
+    assert info.value.pivot == 7
+
+
+def test_an_illegal_argument_to_the_band_factorization_is_reported(monkeypatch):
+    # Only a malformed call returns info < 0, so dgbtrf is faked.
+    sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
+    monkeypatch.setattr(
+        hpheat.condense, "dgbtrf", lambda ab, kl, ku: (ab, np.zeros(ab.shape[1], np.int32), -4)
+    )
+    with pytest.raises(RuntimeError, match="illegal argument 4 in banded factorization"):
+        build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
+
+
+def test_a_malformed_back_substitution_is_reported():
+    # A factorization that claims more subdiagonals than its band holds:
+    # dgbtrs rejects the leading dimension of the band.
+    sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
+    fact = build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
+    w = fact.state(np.zeros(sys.dim))
+    with pytest.raises(RuntimeError, match="banded back-substitution failed with info -"):
+        advance(replace(fact, kl=fact.kl + 5), w, np.zeros(len(fact.load_rows)))
 
 
 def check_step_against_dense_solve(sys, scheme, a0):
