@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import MAX_DEGREE, ShapeSet, gauss_rule
+from .basis import MAX_DEGREE, QuadratureRule, ShapeSet, gauss_rule
 from .elemmat import element_matrices
 from .materials import MaterialParams, ModelKind
 from .timefun import TimeFunction
@@ -193,7 +194,9 @@ class DofMap:
     free_to_full: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        free = np.setdiff1d(np.arange(self.full_dim), [c.dof for c in self.constrained])
+        is_free = np.ones(self.full_dim, dtype=bool)
+        is_free[[c.dof for c in self.constrained]] = False
+        free = np.flatnonzero(is_free)
         full_to_free = np.full(self.full_dim, -1, dtype=int)
         full_to_free[free] = np.arange(free.size)
         self.full_to_free = full_to_free
@@ -490,6 +493,20 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
+@lru_cache(maxsize=None)
+def _bubble_projection(deg: int) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
+    """The Gauss rule of the initial projection at degree deg, the shape
+    functions at its points and the reference bubble mass, computed once
+    per degree; the cached arrays are read-only."""
+    rule = gauss_rule(deg + 2)
+    values = ShapeSet(deg).values(rule.points)
+    bub = values[2:]
+    mass = (bub * rule.weights) @ bub.T
+    values.setflags(write=False)
+    mass.setflags(write=False)
+    return rule, values, mass
+
+
 def apply_initial_conditions(sys: SemiDiscreteSystem, T0, q0) -> np.ndarray:
     """Free coefficient vector matching the initial fields.
 
@@ -511,14 +528,12 @@ def apply_initial_conditions(sys: SemiDiscreteSystem, T0, q0) -> np.ndarray:
         vertex = _sample(fun, nodes)
         full[dofs[:, 0]] = vertex[:-1]
         full[dofs[:, 1]] = vertex[1:]
-        rule = gauss_rule(deg + 2)
-        values = ShapeSet(deg).values(rule.points)
+        rule, values, mass = _bubble_projection(deg)
         bub = values[2:]
         f_g = _sample(fun, centers + jac * rule.points)
         # N_1 = 1 - N_2 written out, so a constant leaves an exact zero.
         left, right = vertex[:-1, None], vertex[1:, None]
         resid = (f_g - left) - (right - left) * values[1]
-        mass = (bub * rule.weights) @ bub.T
         full[dofs[:, 2:]] = np.linalg.solve(mass, bub @ (rule.weights * resid).T).T
     return full[dofmap.free_to_full]
 

@@ -17,38 +17,38 @@ factor the implicit matrix of the theta scheme once per system:
   interiors and their recovery from the vertex DOFs into one CSR step
   operator, so that a step is one sparse product and one banded solve, and
   folds the load on the rows that boundary data load the same way;
-- it reduces each element's interior block of that operator, F_ii, to the
-  upper Hessenberg H = Q^T F_ii Q with an orthogonal Q (LAPACK dgehrd and
-  dorghr), each distinct block once, and marches the element's interiors
-  in the basis Q: the step operator leaves out the exact zeros below H's
-  subdiagonal, a third fewer entries for the product of every step.  A
-  block of two rows or fewer is Hessenberg already: LAPACK's reflectors
-  are then the identity, so it comes back unchanged, with Q = I.
+- it diagonalizes each element's interior block of that operator, F_ii,
+  in a real basis of its eigenvectors (module `eigenbasis`), each distinct
+  block once, and marches the element's interiors in that basis: an
+  interior row of the step operator then holds one or two entries in the
+  interior columns, where the block holds ni, which halves the entries of
+  the whole operator at GK 100x10.
 
 Elements are grouped by the bytes of their blocks, which is exact, since
 equal inputs give equal outputs.  It pays because a uniform mesh has few
 distinct Jacobians: 12 distinct interior blocks of the step operator in
-100 elements at GK degree 10.  H and Q come from LAPACK's Householder
-reflections, so their last bits, like those of the dgbtrf factors, depend
-on the LAPACK build.
+100 elements at GK degree 10.  The eigenvectors come from LAPACK's QR
+iteration, so their last bits, like those of the dgbtrf factors, depend on
+the LAPACK build.
 
 It reads the element blocks that `assemble` keeps, SemiDiscreteSystem's
 A_blocks and B_blocks, and builds no global matrix.  No step of the set-up
-loops over elements in Python but the Hessenberg reduction, which loops
-over the distinct blocks.  `stack` joins several condensed systems into
-one block-diagonal system.
+loops over elements in Python but the diagonalization, which loops over
+the distinct blocks.  `stack` joins several condensed systems into one
+block-diagonal system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgehrd, dgetrf, dorghr
+from scipy.linalg.lapack import dgbtrf, dgetrf
 
 from .assembly import ProbeRow, SemiDiscreteSystem
+from .eigenbasis import EigenbasisRun, diagonalize
 
 
 class FactorizationError(RuntimeError):
@@ -76,29 +76,32 @@ class CondensedFactorization:
     coefficients y = alpha / c, in the order `order` (the vertex DOFs first,
     then each element's interior run), are the vertex values v and the
     interiors y_i.  The march runs on the condensed state w = (v, u)
-    instead, with u = Q^T (y_i + N v) per element: N = M_ii^-1 M_iv, and
+    instead, with u = W^-1 (y_i + N v) per element: N = M_ii^-1 M_iv, and
     y_i + N v is the interiors' right-hand side before their recovery from
-    v.  Q is the orthogonal matrix that reduces the element's interior block
-    F_ii of the step to the upper Hessenberg H = Q^T F_ii Q, and the
-    identity for a block of two rows or fewer.  It is computed once per
-    distinct block: elements whose blocks are bitwise equal share it.  lu
+    v.  W holds the eigenvectors of the element's interior block F_ii of
+    the step, so that T = W^-1 F_ii W is diagonal but for a 2x2 block per
+    complex pair of eigenvalues; where they are ill-conditioned, W = I and
+    T = F_ii (eigenbasis.diagonalize).  W is computed once per distinct
+    block: elements whose blocks are bitwise equal share it.  lu
     and ipiv are the dgbtrf factors of the vertex Schur complement
     M_vv - M_vi M_ii^-1 M_iv, whose half-bandwidths kl = ku are 1 for the
     local models and 3 for GK at any degree, and have no column when no
     vertex DOF is free.  m_expl maps w to the
     right-hand side of the condensed step: the vertex rows with the
-    interiors eliminated, then Q^T M_ii^-1 times the interior rows, with
+    interiors eliminated, then W^-1 M_ii^-1 times the interior rows, with
     the row scaling and the explicit matrix folded in, the recovery -N v of
-    the interiors folded into the vertex columns and Q into the interior
-    columns.  Its interior rows hold H, without the zeros below the
-    subdiagonal, and their right-hand side is already the next state's, so
-    a step is one sparse product, the load and the back-substitution for
-    v.  load_fold does the same for a load on SemiDiscreteSystem.load_rows,
-    the free rows that boundary data load: it maps the load on them, in
-    that order, to the right-hand side on the condensed rows load_rows it
-    reaches.  `interior`, the rows [-N | Q] on w, gives the interiors
-    y_i = Q u - N v; it and its transpose only convert between the state
-    and the coefficients.
+    the interiors folded into the vertex columns and W into the interior
+    columns.  Its interior rows hold T, with entries only on the diagonal
+    and the pairs' 2x2 blocks (all of them where W = I), and their
+    right-hand side is already the
+    next state's, so a step is one sparse product, the load and the
+    back-substitution for v.  load_fold does the same for a load on
+    SemiDiscreteSystem.load_rows, the free rows that boundary data load: it
+    maps the load on them, in that order, to the right-hand side on the
+    condensed rows load_rows it reaches.  `interior`, the rows [-N | W] on
+    w, gives the interiors y_i = W u - N v, and to_eigenbasis applies W^-1
+    per distinct block; they only convert between the state and the
+    coefficients.
     """
 
     lu: np.ndarray
@@ -114,6 +117,7 @@ class CondensedFactorization:
     interior: sp.csr_matrix
     load_rows: np.ndarray
     load_fold: sp.csr_matrix
+    to_eigenbasis: tuple[EigenbasisRun, ...]
 
     def state(self, alpha: np.ndarray) -> np.ndarray:
         """The condensed state of a free coefficient vector."""
@@ -121,10 +125,10 @@ class CondensedFactorization:
         w = alpha[self.order] / self.col_scale[self.order]
         vertex = np.zeros(self.dim)
         vertex[:nv] = w[:nv]
-        # y_i + N v, and then Q^T (y_i + N v), the interior columns of the
-        # product with the transpose.
+        # y_i + N v, and then W^-1 (y_i + N v).
         w[nv:] -= self.interior @ vertex
-        w[nv:] = (w[nv:] @ self.interior)[nv:]
+        for run in self.to_eigenbasis:
+            run.apply(w)
         return w
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
@@ -206,16 +210,15 @@ def _triples(values: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 def _csr(values: np.ndarray, cols: np.ndarray, n_cols: int, head=None, pattern=None) -> sp.csr_matrix:
     """CSR matrix with the rows of head, if given, and then the rows of
     values, element by element: row values[e, k] holds the entries whose
-    column cols[e] is not -1 and, if a pattern is given, where pattern[k]
-    holds.  Each row's columns must ascend."""
-    if pattern is None:
-        pattern = np.ones(values.shape[1:], dtype=bool)
-    free = cols >= 0
-    keep = free[:, None, :] & pattern
-    # Entry counts as a product of 0/1 matrices, exact in floating point.
-    counts = (free.astype(float) @ pattern.T.astype(float)).ravel().astype(np.int32)
+    column cols[e] is not -1 and, if a pattern of values' shape is given,
+    where pattern[e, k] holds.  Each row's columns must ascend."""
+    keep = np.repeat((cols >= 0)[:, None, :], values.shape[1], axis=1)
+    if pattern is not None:
+        keep &= pattern
     data = values[keep]
     indices = np.repeat(cols[:, None, :], values.shape[1], axis=1)[keep]
+    # Entry counts as a product with ones, exact in floating point.
+    counts = (keep.reshape(-1, values.shape[2]) @ np.ones(values.shape[2])).astype(np.int32)
     if head is not None:
         data = np.concatenate((head.data, data))
         indices = np.concatenate((head.indices, indices))
@@ -266,7 +269,8 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     # the load.
     impl = dt * theta * sys.B_blocks
     impl += sys.A_blocks
-    expl = sys.A_blocks - dt * (1.0 - theta) * sys.B_blocks
+    expl = np.multiply(sys.B_blocks, dt * (1.0 - theta))
+    np.subtract(sys.A_blocks, expl, out=expl)
     slot = elements.free
     for m in (impl, expl):
         m[slot < 0] = 0.0
@@ -343,29 +347,25 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     expl *= np.append(c, 0.0).take(slot)[:, None, :]
     expl_v = expl[:, v] * np.append(rs, 0.0).take(vertex_slots)[:, :, None]
     folded = np.concatenate((expl_v - eliminate @ expl[:, i], inverse @ expl[:, i]), axis=1)
+    # Blocks that are done with are freed as soon as they are, so that they
+    # do not add to the peak memory of the set-up.
+    del impl, expl
     # The state holds y_i + N v in place of the interiors y_i, so the
     # interior columns, applied to -N v, fold into the vertex columns.
     folded[:, :, v] -= folded[:, :, i] @ across
-    # The state holds Q^T (y_i + N v), with Q the orthogonal basis in which
-    # the interior block F_ii is the upper Hessenberg H = Q^T F_ii Q:
-    # F_ii becomes H, F_iv becomes Q^T F_iv and F_vi becomes F_vi Q.
+    # The state holds W^-1 (y_i + N v), with W the eigenvectors of the
+    # interior block F_ii (eigenbasis.diagonalize): F_ii becomes
+    # T = W^-1 F_ii W, F_iv becomes W^-1 F_iv and F_vi becomes F_vi W.
     first, label = _groups(folded[:, i, i])
-    hessenberg = folded[first, i, i]
-    basis = np.empty_like(hessenberg)
-    for g, block in enumerate(hessenberg):
-        hessenberg[g], tau, _ = dgehrd(block)
-        basis[g], _ = dorghr(hessenberg[g], tau)
-    # Per element, [-N | Q] gives the interiors y_i = Q u - N v of the state.
+    t, basis, to_basis, pattern = diagonalize(folded[first, i, i])
+    # Per element, [-N | W] gives the interiors y_i = W u - N v of the state.
     conversion = np.concatenate((-across, basis[label]), axis=2)
-    q = conversion[:, :, 2 * pv:]
-    folded[:, v, i] = folded[:, v, i] @ q
-    folded[:, i, v] = q.transpose(0, 2, 1) @ folded[:, i, v]
-    # Below H's subdiagonal dgehrd leaves its reflectors, which the
-    # pattern of m_expl leaves out.
-    folded[:, i, i] = hessenberg[label]
+    folded[:, v, i] = folded[:, v, i] @ conversion[:, :, 2 * pv:]
+    folded[:, i, v] = to_basis[label] @ folded[:, i, v]
+    folded[:, i, i] = t[label]
 
     # The load operator: the load on a vertex row is row-scaled, and the
-    # load on an interior row is eliminated, and turned into the basis Q,
+    # load on an interior row is eliminated, and turned into the basis W,
     # as m_expl eliminates the interior rows.
     state = elements.state
     loaded = sys.load_rows
@@ -375,7 +375,7 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     on_vertex, inner = np.flatnonzero(at < nv), np.flatnonzero(at >= nv)
     e, k = np.divmod(at[inner] - nv, ni)
     scaled = r.take(loaded[inner])[:, None]
-    into = np.matmul(inverse[e, None, :, k], q[e])[:, 0]
+    into = np.matmul(to_basis[label[e]], inverse[e, :, k, None])[:, :, 0]
     l_row, l_col, l_val = _triples(
         np.hstack((-eliminate[e, :, k] * scaled, into * scaled)),
         state[e],
@@ -394,23 +394,41 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
         shape=(load_rows.size, loaded.size),
     )
 
-    # Blocks that are done with are freed before the CSR structures are
-    # built, so that they do not add to the peak memory of the set-up.
-    del impl, expl, inverse, eliminate
+    del inverse, eliminate
 
     # A vertex row gathers the vertex-slot rows of the elements on both
-    # sides; the conversion from triples adds them up.
-    k_row, k_col, k_val = _triples(folded[:, v], vertex_slots[:, :, None], state[:, None, :])
-    vertex_rows = sp.csr_matrix((k_val, (k_row, k_col)), shape=(nv, dim))
-    # H's exact zeros below the subdiagonal stay out of the structure.
-    hessenberg_pattern = ~np.tri(ni, 2 * pv + ni, 2 * pv - 2, dtype=bool)
-    hessenberg_pattern[:, v] = True
-    m_expl = _csr(folded[:, i], state, dim, head=vertex_rows, pattern=hessenberg_pattern)
+    # sides, laid out in the order of the columns they reach: the left
+    # element's first vertex, the vertex itself, where the two elements'
+    # rows add up, the right element's second vertex, then the left and the
+    # right element's interiors.  An end vertex has one side; the other is
+    # a zero row on columns -1.
+    on = slice(pv, 2 * pv)
+    left = np.concatenate((np.zeros_like(folded[:1, on]), folded[:, on]))
+    right = np.concatenate((folded[:, :pv], np.zeros_like(left[:1])))
+    none = np.full_like(state[:1], -1)
+    left_cols, right_cols = np.concatenate((none, state)), np.concatenate((state, none))
+    rows = np.concatenate(
+        (left[..., :pv], left[..., on] + right[..., :pv], right[..., on], left[..., i], right[..., i]),
+        axis=2,
+    )
+    cols = np.concatenate(
+        (left_cols[:, :pv], np.maximum(left_cols[:, on], right_cols[:, :pv]), right_cols[:, on],
+         left_cols[:, i], right_cols[:, i]),
+        axis=1,
+    )
+    free = cols[:, on].ravel() >= 0
+    vertex_rows = _csr(rows.reshape(-1, 1, cols.shape[1])[free], np.repeat(cols, pv, axis=0)[free], dim)
+    # T's exact zeros stay out of the structure.
+    structure = np.ones(folded[:, i].shape, dtype=bool)
+    structure[:, :, i] = pattern[label]
+    m_expl = _csr(folded[:, i], state, dim, head=vertex_rows, pattern=structure)
+    del folded
     interior = _csr(conversion, state, dim)
     return CondensedFactorization(
         lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
         row_scale=r, col_scale=c, order=elements.order, n_vertex=nv,
         interior=interior, load_rows=load_rows, load_fold=load_fold,
+        to_eigenbasis=(EigenbasisRun(nv, to_basis, label),),
     )
 
 
@@ -458,4 +476,9 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
         interior=interior,
         load_rows=np.concatenate([place[f.load_rows + s] for f, s in zip(facts, free_start)]),
         load_fold=sp.block_diag([f.load_fold for f in facts], format="csr"),
+        to_eigenbasis=tuple(
+            replace(run, start=int(run.start - f.n_vertex + s))
+            for f, s in zip(facts, interior_start)
+            for run in f.to_eigenbasis
+        ),
     )

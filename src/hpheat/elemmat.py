@@ -28,6 +28,7 @@ points and the coupling rule max(degT, degQ) + 1, enough for every integrand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,32 @@ class ElementMatrices:
     Qt: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _reference(degT: int, degQ: int) -> tuple[np.ndarray, ...]:
+    """The reference integrals of the blocks of a degree pair: T mass, q
+    mass, q gradient Gram and the two coupling blocks, computed once per
+    pair; the cached arrays are read-only."""
+    shapes_t, shapes_q = ShapeSet(degT), ShapeSet(degQ)
+    rule_t = gauss_rule(degT + 1)
+    vt = shapes_t.values(rule_t.points)
+    rule_q = gauss_rule(degQ + 1)
+    vq = shapes_q.values(rule_q.points)
+    dq = shapes_q.derivatives(rule_q.points)
+    rule = gauss_rule(max(degT, degQ) + 1)
+    vq_g = shapes_q.values(rule.points)
+    dt_g = shapes_t.derivatives(rule.points)
+    integrals = (
+        _gram(vt, vt, rule_t.weights),
+        _gram(vq, vq, rule_q.weights),
+        _gram(dq, dq, rule_q.weights),
+        _gram(vq_g, dt_g, rule.weights),
+        _gram(dt_g, vq_g, rule.weights),
+    )
+    for integral in integrals:
+        integral.setflags(write=False)
+    return integrals
+
+
 def element_matrices(
     jacobians: np.ndarray,
     mat: MaterialParams,
@@ -67,25 +94,15 @@ def element_matrices(
     The gradient term of K is controlled by the model, not by the stored
     kappa2: the local models never see it regardless of the parameter value.
     """
-    shapes_t, shapes_q = ShapeSet(degT), ShapeSet(degQ)
-    rule_t = gauss_rule(degT + 1)
-    vt = shapes_t.values(rule_t.points)
-    rule_q = gauss_rule(degQ + 1)
-    vq = shapes_q.values(rule_q.points)
-    rule = gauss_rule(max(degT, degQ) + 1)
-    vq_g = shapes_q.values(rule.points)
-    dt_g = shapes_t.derivatives(rule.points)
-
+    mass_t, mass_q, gradient_q, coupling, coupling_t = _reference(degT, degQ)
     jac = np.asarray(jacobians, dtype=float)[:, None, None]
-    mass_q = _gram(vq, vq, rule_q.weights)
     K = jac * mass_q
     if model is ModelKind.GK:
-        dq = shapes_q.derivatives(rule_q.points)
-        K = K + (mat.kappa2 / jac) * _gram(dq, dq, rule_q.weights)
+        K = K + (mat.kappa2 / jac) * gradient_q
     return ElementMatrices(
-        C=mat.rho * mat.c_v * jac * _gram(vt, vt, rule_t.weights),
+        C=mat.rho * mat.c_v * jac * mass_t,
         T=mat.tau * jac * mass_q,
         K=K,
-        Q=mat.conductivity * _gram(vq_g, dt_g, rule.weights),
-        Qt=_gram(dt_g, vq_g, rule.weights),
+        Q=mat.conductivity * coupling,
+        Qt=coupling_t,
     )

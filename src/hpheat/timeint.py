@@ -23,9 +23,11 @@ It returns the probe histories and the final state.  A step is one sparse
 product with the step operator, an update of the few folded load rows, one
 narrow banded back-substitution for the vertex DOFs, and one gather of the
 state entries the probes read.  The condensed state holds each element's
-interiors' right-hand side, not the interiors, and in the orthogonal basis
-in which the element's interior block of the step operator is upper
-Hessenberg, which the product skips below the subdiagonal.  So no step
+interiors' right-hand side, not the interiors, and in the basis of
+eigenvectors in which the element's interior block of the step operator is
+diagonal but for a 2x2 block per complex pair of eigenvalues, so the
+product holds one or two entries per interior row there.  The bits of that
+basis come from LAPACK's dgeev and depend on the LAPACK build.  No step
 recovers the interiors: that happens once per block of steps for the few
 interior entries the probes read, and once per run for the final state.
 The probe dot products also run once per block of steps, one stacked

@@ -315,6 +315,10 @@ def test_setup_table_work_does_not_grow_with_element_count(monkeypatch):
         monkeypatch.setattr(ShapeSet, name, counted("tables", getattr(ShapeSet, name)))
 
     def setup_calls(model, mat, n):
+        # Every call starts without the reference integrals and the
+        # projection tables, which are cached per degree.
+        hpheat.elemmat._reference.cache_clear()
+        hpheat.assembly._bubble_projection.cache_clear()
         calls.update(rules=0, tables=0)
         sys = assemble(Mesh.uniform(n, 0.005), mat, model, 3, FLUX_BCS)
         apply_initial_conditions(sys, lambda x: 293.0 + x, 0.0)
@@ -324,6 +328,26 @@ def test_setup_table_work_does_not_grow_with_element_count(monkeypatch):
         few = setup_calls(model, mat, 5)
         assert few["rules"] > 0 and few["tables"] > 0
         assert setup_calls(model, mat, 100) == few
+
+
+def test_reference_integrals_are_computed_once_per_degree_pair(monkeypatch):
+    calls = []
+    for name in ("values", "derivatives"):
+        real = getattr(ShapeSet, name)
+
+        def counted(self, eta, _real=real):
+            calls.append(self.degree)
+            return _real(self, eta)
+
+        monkeypatch.setattr(ShapeSet, name, counted)
+    hpheat.elemmat._reference.cache_clear()
+    assemble(Mesh.uniform(5, 0.005), GK_MAT, ModelKind.GK, 3, FLUX_BCS)
+    assert calls
+    calls.clear()
+    assemble(Mesh.uniform(7, 0.005), GK_MAT, ModelKind.GK, 3, FLUX_BCS)
+    assert not calls
+    # Qt is shared by every element of every call, so it is read-only.
+    assert not element_matrices(np.ones(2), GK_MAT, ModelKind.GK, 3, 3).Qt.flags.writeable
 
 
 def test_half_bandwidth_matches_pattern():

@@ -23,6 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import hpheat.condense
+import hpheat.eigenbasis
 import hpheat.timeint
 from hpheat.assembly import (
     BoundarySpec,
@@ -212,7 +213,7 @@ DENSE_CASES = {
     "gk_badly_scaled": (BADLY_SCALED, ModelKind.GK, 8, 4),
     # Both end vertices, and every constrained DOF, in one element.
     "gk_one_element": (GK_MAT, ModelKind.GK, 1, 3),
-    # Interior blocks of two rows, which are Hessenberg already.
+    # Interior blocks of two rows.
     "gk_p1": (GK_MAT, ModelKind.GK, 6, 1),
     # With a temperature prescribed on both faces no vertex DOF is free, and
     # the vertex band is empty.
@@ -541,8 +542,8 @@ def test_per_step_helpers_are_not_called_per_step(monkeypatch):
 
 def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     # Every factorization that timeint builds or stacks counts the products
-    # with its conversion operator `interior`, [-N | Q], and with its
-    # transpose.
+    # with its conversion operator `interior`, [-N | W], and the
+    # conversions into the eigenbasis W^-1.
     calls = Counter()
 
     class Counted(sp.csr_matrix):
@@ -562,15 +563,22 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
 
         return wrapped
 
+    apply = hpheat.eigenbasis.EigenbasisRun.apply
+
+    def converted(run, w):
+        calls["conversions"] += 1
+        apply(run, w)
+
+    monkeypatch.setattr(hpheat.eigenbasis.EigenbasisRun, "apply", converted)
     monkeypatch.setattr(hpheat.timeint, "build_factorization", counted(build_factorization))
     monkeypatch.setattr(hpheat.timeint, "stack", counted(hpheat.timeint.stack))
     sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
     a0 = apply_initial_conditions(sys, 293.0, 0.0)
 
-    def products(run, n_steps):
+    def count(run, n_steps):
         calls.clear()
         run(ThetaScheme(0.5, 1e-3, n_steps))
-        return calls["products"]
+        return calls["products"], calls["conversions"]
 
     def alone(scheme):
         integrate(sys, scheme, a0, probes=ALL_PROBES)
@@ -579,49 +587,111 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
         members = [prepare(sys, scheme, ALL_PROBES), prepare(sys, scheme, ALL_PROBES[2:])]
         integrate_stack(members, scheme)
 
-    # Once into the state, as two products, -N v and then Q^T (y_i + N v)
-    # with the transpose, and once back out, Q u - N v, whatever the step
+    # Once into the state, as the product -N v and one conversion W^-1 (y_i
+    # + N v) per member, and once back out, W u - N v, whatever the step
     # count.
-    for run in (alone, stacked):
-        assert products(run, 10) == products(run, 40) == 3
+    assert count(alone, 10) == count(alone, 40) == (2, 1)
+    assert count(stacked, 10) == count(stacked, 40) == (2, 2)
     fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
     w = fact.state(a0)
     calls.clear()
     advance(fact, w, np.zeros(fact.load_rows.size))
-    assert calls["products"] == 0
+    assert not calls
+
+
+def interior_entries(fact, n):
+    """Element, row and column within the element of every entry of the
+    step operator that an element's interior rows hold in interior columns,
+    and the element's interior size."""
+    nv = fact.n_vertex
+    ni = (fact.dim - nv) // n
+    rows = np.repeat(np.arange(fact.dim), np.diff(fact.m_expl.indptr))
+    inner = (rows >= nv) & (fact.m_expl.indices >= nv)
+    (element, row), (other, col) = divmod(rows[inner] - nv, ni), divmod(fact.m_expl.indices[inner] - nv, ni)
+    # Nothing of the other elements' interiors.
+    assert np.array_equal(element, other)
+    return element, row, col, fact.m_expl.data[inner], ni
 
 
 @pytest.mark.parametrize("graded", [False, True])
-def test_interior_blocks_are_hessenberg_and_reduced_once_per_distinct_block(monkeypatch, graded):
+@pytest.mark.parametrize("model", [ModelKind.GK, ModelKind.MCV])
+def test_interior_blocks_are_diagonalized_once_per_distinct_block(monkeypatch, model, graded):
     # Mesh.uniform's nodes give a few distinct Jacobians, so few distinct
     # interior blocks; graded nodes give every element a block of its own.
+    # The GK blocks have real eigenvalues only, the MCV blocks mostly
+    # complex pairs.
     reduced = []
-    real = hpheat.condense.dgehrd
+    real = hpheat.eigenbasis.dgeev
 
-    def dgehrd(a, *args, **kwargs):
+    def dgeev(a, *args, **kwargs):
         reduced.append(np.array(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(hpheat.condense, "dgehrd", dgehrd)
+    monkeypatch.setattr(hpheat.eigenbasis, "dgeev", dgeev)
     n = 100
     mesh = Mesh.uniform(n, 0.005)
     if graded:
         mesh = Mesh(0.005 * (np.geomspace(1.0, 3.0, n + 1) - 1.0) / 2.0)
-    sys = assemble(mesh, GK_MAT, ModelKind.GK, 10, BOUNDARY_DATA["flux"])
+    mat = GK_MAT if model is ModelKind.GK else MCV_MAT
+    sys = assemble(mesh, mat, model, 10, BOUNDARY_DATA["flux"])
     fact = build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
-    nv = fact.n_vertex
-    ni = (fact.dim - nv) // n
-    # Each element's interior rows hold an upper Hessenberg block in the
-    # interior columns, and nothing of the other elements' interiors.
-    rows = np.repeat(np.arange(fact.dim), np.diff(fact.m_expl.indptr))
-    inner = (rows >= nv) & (fact.m_expl.indices >= nv)
-    row, col = divmod(rows[inner] - nv, ni), divmod(fact.m_expl.indices[inner] - nv, ni)
-    assert inner.sum() == n * (ni * (ni + 1) // 2 + ni - 1)
-    assert np.array_equal(row[0], col[0])
-    assert np.all(col[1] >= row[1] - 1)
+    # Each element's interior rows hold its block T in the interior
+    # columns: the diagonal, and the 2x2 block [[a, b], [-b, a]] of each
+    # complex pair, stored where b != 0 and nowhere else.
+    element, row, col, value, ni = interior_entries(fact, n)
+    (run,) = fact.to_eigenbasis
+    assert not np.any([np.array_equal(b, np.eye(ni)) for b in run.inverse])
+    pair = row != col
+    assert np.all(np.abs(row - col) <= 1)
+    assert np.all(value[pair] != 0.0)
+    upper = pair & (col > row)
+    at = np.flatnonzero(upper)
+    # The entries follow each other row by row, so a pair's four entries
+    # are a, b in row j and then -b, a in row j + 1.
+    assert np.array_equal(value[at + 1], -value[at])
+    assert np.array_equal(value[at + 2], value[at - 1])
+    assert element.size == n * ni + 2 * upper.sum()
+    assert (upper.sum() > 0) == (model is ModelKind.MCV)
     # One reduction per distinct block.
     assert len({a.tobytes() for a in reduced}) == len(reduced)
     assert len(reduced) == n if graded else len(reduced) < n
+
+
+def test_a_singular_eigenbasis_marches_every_block_as_it_stands():
+    # A nilpotent Jordan block has one eigenvector, and dgeev returns it
+    # three times: W is exactly singular.  The diagonal block beside it has
+    # a perfect eigenbasis, but a singular W sends every block back.
+    blocks = np.stack((np.eye(3, k=1), np.diag([1.0, 2.0, 3.0])))
+    t, basis, to_basis, structure = hpheat.eigenbasis.diagonalize(blocks)
+    assert np.array_equal(t, blocks)
+    assert np.array_equal(basis, np.broadcast_to(np.eye(3), blocks.shape))
+    assert np.array_equal(to_basis, basis)
+    assert structure.all()
+    # Alone, the diagonal block is diagonalized.
+    t, basis, to_basis, structure = hpheat.eigenbasis.diagonalize(blocks[1:])
+    assert np.array_equal(t, blocks[1:]) and np.array_equal(structure[0], np.eye(3, dtype=bool))
+
+
+def test_ill_conditioned_interior_blocks_march_as_they_stand():
+    # Nonlocal GK without the gradient term, at a long relaxation time, high
+    # degree and a tiny step: the eigenvectors of both interior blocks have
+    # kappa_1 far above the bound, so they march as they stand, W = I, and
+    # their blocks are full.
+    mat = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0, tau=3.0, kappa2=0.0)
+    sys = assemble(Mesh.uniform(2, 0.005), mat, ModelKind.GK, 8, PULSE_BCS)
+    scheme = ThetaScheme(theta=0.5, dt=1e-6, n_steps=500)
+    fact = build_factorization(sys, scheme)
+    element, _, _, _, ni = interior_entries(fact, 2)
+    assert element.size == 2 * ni * ni
+    (run,) = fact.to_eigenbasis
+    assert all(np.array_equal(b, np.eye(ni)) for b in run.inverse)
+    # Ten times the largest gap to the dense march measured with the
+    # fallback (3.3e-11, on q_mid).
+    a0 = np.zeros(sys.dim)
+    got = integrate(sys, scheme, a0, probes=ALL_PROBES).probe_values
+    want = dense_theta_march(sys, scheme, a0, ALL_PROBES)
+    gap = np.max(np.abs(got - want), axis=1) / np.ptp(want, axis=1)
+    assert np.all(gap <= 3.3e-10)
 
 
 @pytest.mark.parametrize("load", ["average", "sampled"])
