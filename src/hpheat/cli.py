@@ -500,7 +500,9 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_record("io", str(exc)), file=_sys.stderr)
         return 4
     # The solver's FactorizationError and NonFiniteStateError are
-    # RuntimeErrors, and numpy's LinAlgError is a ValueError.
+    # RuntimeErrors, and numpy's LinAlgError is a ValueError.  Python float
+    # arithmetic raises OverflowError where numpy returns inf, as the
+    # oracle's kappa2 / dx**2 does on an absurdly long slab.
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(_error_record("numerical", str(exc)), file=_sys.stderr)
         return 3

@@ -287,17 +287,17 @@ def fd_solve(
         q_hist[:, steps] = done[:, 2 * k:].T
 
     # Probes on a boundary face read the data, not the marched fluxes.
+    faces = on_grid((q_left, q_right), times, "value")
     for i, j in enumerate(q_faces):
         if j in (0, m):
-            q_hist[i] = on_grid((q_left if j == 0 else q_right,), times, "value")[:, 0]
+            q_hist[i] = faces[:, j // m]
     bad = ~np.isfinite(np.vstack((t_hist, q_hist))).all(axis=0)
     bad[-1] |= not np.isfinite(z).all()
     if bad.any():
         raise NonFiniteStateError(int(np.argmax(bad)), "state")
 
     q_final = np.empty(m + 1)
-    q_final[0] = q_left.value(times[-1])
-    q_final[-1] = q_right.value(times[-1])
+    q_final[[0, -1]] = faces[-1]
     q_final[1:-1] = q
     t0 = float(initial_temperature)
     final = StaggeredGrid(length=length, T=T + t0, q=q_final)

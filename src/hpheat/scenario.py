@@ -10,7 +10,7 @@ adiabatic steady state sits at one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .assembly import (
     field_integral_weights,
 )
 from .materials import MaterialParams, ModelKind
-from .timefun import TimeFunction, constant
+from .timefun import FloatOrArray, TimeFunction, constant
 from .timeint import ThetaScheme, TransientSolution, integrate
 
 # Conduction coefficient suggestion for the rock-like benchmark material.
@@ -66,13 +66,13 @@ def flash_pulse(params: PulseParams = PulseParams()) -> TimeFunction:
     a, c1, c2, t_p = params.amplitude, params.c1, params.c2, params.t_p
     scale = a * c1 * c2 / (c2 - c1)
 
-    def value(t: float) -> float:
-        return scale * (exp(-c1 * t / t_p) - exp(-c2 * t / t_p))
+    def value(t: FloatOrArray) -> FloatOrArray:
+        return scale * (np.exp(-c1 * t / t_p) - np.exp(-c2 * t / t_p))
 
-    def integral(t: float) -> float:
+    def integral(t: FloatOrArray) -> FloatOrArray:
         return scale * (
-            t_p / c1 * (1.0 - exp(-c1 * t / t_p))
-            - t_p / c2 * (1.0 - exp(-c2 * t / t_p))
+            t_p / c1 * (1.0 - np.exp(-c1 * t / t_p))
+            - t_p / c2 * (1.0 - np.exp(-c2 * t / t_p))
         )
 
     return TimeFunction(value=value, integral=integral)

@@ -6,6 +6,12 @@ however fast the data varies within a step.  The means come from differences
 of the running integral, so a TimeFunction bundles the value with its
 closed-form integral instead of leaving quadrature to the consumer.
 
+A signal's value and integral take a float or an ndarray of times and return
+a result of that shape, so on_grid samples a signal on a whole time grid in
+one call per part.  Closed forms built on numpy's exp carry a platform
+dependence: numpy picks its exp kernel by CPU features, and libm need not
+match it, so pulse data can differ by an ulp between machines.
+
 NonFiniteStateError lives here, with the boundary data, because both time
 steppers raise it: the element solver and the finite difference oracle, which
 must not import the element solver.
@@ -14,9 +20,11 @@ must not import the element solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
+
+FloatOrArray = Union[float, np.ndarray]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -36,11 +44,13 @@ class TimeFunction:
     """A scalar signal t -> value(t) with its running integral.
 
     integral(t) must return the definite integral from 0 to t, so that
-    integral(0) == 0 and per-step averages follow from differences.
+    integral(0) == 0 and per-step averages follow from differences.  Both
+    accept a float or an ndarray of times and return a result of that
+    shape; the ulp caveat of the module docstring applies to their values.
     """
 
-    value: Callable[[float], float]
-    integral: Callable[[float], float]
+    value: Callable[[FloatOrArray], FloatOrArray]
+    integral: Callable[[FloatOrArray], FloatOrArray]
 
     def average(self, t0: float, t1: float) -> float:
         """Exact mean value over [t0, t1] via the running integral."""
@@ -58,7 +68,7 @@ class TimeFunction:
 
 def constant(value: float) -> TimeFunction:
     return TimeFunction(
-        value=lambda t: value,
+        value=lambda t: np.full(np.shape(t), value, dtype=float),
         integral=lambda t: value * t,
     )
 
@@ -68,10 +78,14 @@ ZERO = constant(0.0)
 
 def on_grid(signals: Sequence[TimeFunction], times: np.ndarray, part: str) -> np.ndarray:
     """One part ("value" or "integral") of every signal at
-    every time, as a (len(times), len(signals)) array."""
+    every time, as a (len(times), len(signals)) array, from one call per
+    signal on the whole grid.  Data that overflow come out inf or NaN,
+    without a warning, for the callers' finiteness checks to report by
+    step."""
     out = np.empty((times.size, len(signals)))
-    for j, signal in enumerate(signals):
-        out[:, j] = np.fromiter(map(getattr(signal, part), times), float, times.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, signal in enumerate(signals):
+            out[:, j] = getattr(signal, part)(times)
     return out
 
 
@@ -80,4 +94,5 @@ def step_averages(signals: Sequence[TimeFunction], times: np.ndarray) -> np.ndar
     (len(times) - 1, len(signals)) array, with the arithmetic of
     TimeFunction.average but one running-integral evaluation per time."""
     running = on_grid(signals, times, "integral")
-    return (running[1:] - running[:-1]) / (times[1:] - times[:-1])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (running[1:] - running[:-1]) / (times[1:] - times[:-1])[:, None]

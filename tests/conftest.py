@@ -5,7 +5,6 @@ steppers; boundary data cut to NaN from a given time on, shared by the
 tests of non-finite data; and a system with a row of its element blocks
 zeroed, shared by the tests of singular systems."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,36 +28,28 @@ def _held_at_step_ends(signal: TimeFunction, dt: float) -> TimeFunction:
     """The signal held, over each step (t_(n-1), t_n] of a grid with spacing
     dt, at its sample at the step end t_n.  The exact step mean of such data
     is that sample, so a reference march can load each step with a pointwise
-    value where the steppers take differences of the running integral."""
-    samples: list[float] = []
-    sums = [0.0]
+    value where the steppers take differences of the running integral.
+    Like every signal, it takes a float or an array of times."""
 
-    def sample(j: int) -> float:
-        while len(samples) <= j:
-            samples.append(signal.value(len(samples) * dt))
-        return samples[j]
+    def grid_index(t):
+        s = np.asarray(t) / dt
+        m = np.rint(s)
+        on_grid = np.abs(s - m) <= 1e-9 * np.maximum(1.0, np.abs(s))
+        return np.where(on_grid, m, np.floor(s)).astype(int), on_grid
 
-    def summed(m: int) -> float:
-        while len(sums) <= m:
-            sums.append(sums[-1] + dt * sample(len(sums)))
-        return sums[m]
+    def samples(m) -> np.ndarray:
+        """The signal at t_0 .. t_(max(m) + 1), from one call on the grid."""
+        return signal.value(np.arange(np.max(m) + 2) * dt)
 
-    def grid_index(t: float) -> tuple[int, bool]:
-        s = t / dt
-        m = round(s)
-        if abs(s - m) <= 1e-9 * max(1.0, abs(s)):
-            return m, True
-        return math.floor(s), False
-
-    def value(t: float) -> float:
+    def value(t):
         m, on_grid = grid_index(t)
-        return sample(m if on_grid else m + 1)
+        return samples(m)[np.where(on_grid, m, m + 1)]
 
-    def integral(t: float) -> float:
+    def integral(t):
         m, on_grid = grid_index(t)
-        if on_grid:
-            return summed(m)
-        return summed(m) + (t - m * dt) * sample(m + 1)
+        held = samples(m)
+        summed = np.concatenate(([0.0], np.cumsum(dt * held[1:])))[m]
+        return np.where(on_grid, summed, summed + (t - m * dt) * held[m + 1])
 
     return TimeFunction(value, integral)
 
@@ -72,7 +63,7 @@ def _nan_from(signal: TimeFunction, t_bad: float) -> TimeFunction:
     """The signal, with value and running integral NaN from t_bad on."""
 
     def cut(fn):
-        return lambda t: fn(t) if t < t_bad else float("nan")
+        return lambda t: np.where(np.less(t, t_bad), fn(t), np.nan)
 
     return TimeFunction(cut(signal.value), cut(signal.integral))
 

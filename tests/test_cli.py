@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end and its config dialect."""
 
 import json
+import math
 import runpy
 import sys
 from dataclasses import fields, replace
@@ -600,7 +601,7 @@ def test_oracle_check_reports_non_finite_oracle_data(tmp_path, capsys, monkeypat
 
 
 # The README transient config with negative pulse rates: they pass config
-# validation, and the pulse's running integral overflows math.exp.
+# validation, and the pulse's exponentials overflow to inf within a few steps.
 OVERFLOWING_PULSE = """
 mode = transient
 model = gk
@@ -628,7 +629,32 @@ def test_main_reports_overflow_as_numerical_failure(tmp_path, capsys):
     assert main(["run", str(config), "--out", str(out)]) == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
+    # exp(-c t / t_p) overflows first for the most negative rate, once
+    # -c t / t_p passes log(DBL_MAX), and the step ending at the first grid
+    # time past that is the first whose mean is not finite.  The steps before
+    # it stay finite: their exponents lie ~110 below the limit, far more than
+    # the log of the pulse's prefactors and the 1 / dt of a step mean.
+    pulse = parse_config(OVERFLOWING_PULSE)
+    fastest = -min(pulse.pulse_c1, pulse.pulse_c2)
+    limit = np.log(np.finfo(float).max) * pulse.pulse_t_p / fastest
+    first = math.floor(limit / pulse.dt) + 1
+    assert record["message"] == f"non-finite boundary data at step {first}"
     assert list(out.glob("*")) == []
+
+
+def test_main_reports_a_float_overflow_as_numerical_failure(tmp_path, capsys):
+    # Python float arithmetic raises OverflowError where numpy returns inf:
+    # here the oracle's kappa2 / dx**2 on an absurdly long slab.
+    kept = [line for line in OVERFLOWING_PULSE.splitlines() if not line.startswith("pulse_")]
+    text = "\n".join(kept).replace("length_m = 0.005", "length_m = 1e200") + "\noracle_cells = 3\n"
+    config = tmp_path / "long.conf"
+    config.write_text(text.replace("mode = transient", "mode = oracle_check"))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "out of range" in record["message"]
+    assert not out.exists() or list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("key", ["pulse_c1", "pulse_c2"])

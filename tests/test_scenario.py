@@ -1,5 +1,6 @@
 """Unit tests for time signals, the flash benchmark scenario, and its helpers."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from hpheat.scenario import (
     temperature_integral,
 )
 from hpheat.study import STUDY_CONDUCTIVITY
-from hpheat.timefun import TimeFunction, constant
+from hpheat.timefun import ZERO, TimeFunction, constant, on_grid, step_averages
 
 # Frozen pulse values for the default parameters (amplitude 1e4 W/m^2,
 # c1 = 1/0.075, c2 = 6, t_p = 8 ms), evaluated from the closed forms in
@@ -131,6 +132,61 @@ def test_time_function_shifted_moves_value_integral_and_average(offset):
         assert moved.average(t0, t1) == pytest.approx(
             pulse.average(t0, t1) + offset, rel=1e-12, abs=1e-9
         )
+
+
+# The 10^4-step grid of the benchmark runs: 10 s at 1 ms.
+GRID = np.arange(10**4 + 1) * 1e-3
+
+
+def test_on_grid_calls_each_part_once_per_signal_with_the_whole_grid():
+    calls = []
+
+    def spy(name, fn):
+        def call(t):
+            calls.append((name, t))
+            return fn(t)
+
+        return call
+
+    signals = [
+        TimeFunction(spy(("value", j), s.value), spy(("integral", j), s.integral))
+        for j, s in enumerate((flash_pulse(PulseParams()), constant(2.0)))
+    ]
+    for part in ("value", "integral"):
+        calls.clear()
+        table = on_grid(signals, GRID, part)
+        assert [name for name, _ in calls] == [(part, 0), (part, 1)]
+        assert all(t is GRID for _, t in calls)
+        assert table.shape == (GRID.size, 2)
+    calls.clear()
+    assert step_averages(signals, GRID).shape == (GRID.size - 1, 2)
+    assert [name for name, _ in calls] == [("integral", 0), ("integral", 1)]
+
+
+def test_flash_pulse_on_the_grid_is_the_scalar_closed_form_to_a_few_ulp():
+    # numpy's exp and libm's may round differently by an ulp (timefun's
+    # docstring), so the comparison is relative, with an absolute floor far
+    # below the smallest normal value for the subnormal tail.
+    params = PulseParams()
+    a, c1, c2, t_p = params.amplitude, params.c1, params.c2, params.t_p
+    scale = a * c1 * c2 / (c2 - c1)
+    decays = [(math.exp(-c1 * t / t_p), math.exp(-c2 * t / t_p)) for t in GRID]
+    value = [scale * (e1 - e2) for e1, e2 in decays]
+    integral = [scale * (t_p / c1 * (1.0 - e1) - t_p / c2 * (1.0 - e2)) for e1, e2 in decays]
+    pulse = flash_pulse(params)
+    eps, floor = np.finfo(float).eps, 4 * abs(scale) * np.finfo(float).tiny
+    np.testing.assert_allclose(pulse.value(GRID), value, rtol=4 * eps, atol=floor)
+    np.testing.assert_allclose(pulse.integral(GRID), integral, rtol=4 * eps, atol=floor)
+    assert pulse.integral(GRID)[-1] == pytest.approx(a * t_p, rel=4 * eps)
+
+
+@pytest.mark.parametrize("level", [0.0, -293.0, 2.5])
+def test_constant_signals_return_arrays_of_the_grid_shape(level):
+    for signal in (constant(level), ZERO.shifted(level)):
+        for part, want in ((signal.value, level), (signal.integral, level * GRID)):
+            got = part(GRID)
+            assert isinstance(got, np.ndarray) and got.shape == GRID.shape
+            assert np.array_equal(got, np.broadcast_to(want, GRID.shape))
 
 
 def test_benchmark_material_defaults():

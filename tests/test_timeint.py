@@ -15,7 +15,6 @@ the state, through the factorization's single-step primitives.
 
 from collections import Counter
 from dataclasses import replace
-from math import exp
 
 import numpy as np
 import pytest
@@ -62,8 +61,8 @@ QUIET_BCS = BoundarySpec(left=PrescribedFlux(ZERO), right=PrescribedFlux(ZERO))
 # A prescribed temperature that climbs 10 mK within a few steps, so per-step
 # averages, their rates and endpoint samples all differ.
 RISING = TimeFunction(
-    value=lambda t: 293.0 + 0.01 * (1.0 - exp(-t / 0.004)),
-    integral=lambda t: 293.0 * t + 0.01 * (t - 0.004 * (1.0 - exp(-t / 0.004))),
+    value=lambda t: 293.0 + 0.01 * (1.0 - np.exp(-t / 0.004)),
+    integral=lambda t: 293.0 * t + 0.01 * (t - 0.004 * (1.0 - np.exp(-t / 0.004))),
 )
 
 
