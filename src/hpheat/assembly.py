@@ -463,27 +463,21 @@ def assemble(
 
 
 def global_matrices(sys: SemiDiscreteSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """A_full and B_full, every element's field blocks scattered at once.
+    """A_full and B_full, every element block scattered whole through
+    block_dofs at once.
 
-    Where a vertex's own coupling moved into the element to its right, the
-    element to its left adds a zero to it.
+    The blocks' zeros become stored zeros: the field pairs that a matrix
+    does not couple (A's T-q and q-T, B's T-T), and, where a vertex's own
+    coupling moved into the element to its right, the left element's entry.
     """
-    dofmap = sys.dofmap
-    t, q = Field.TEMPERATURE, Field.HEAT_FLUX
-
-    def coo(blocks, *pairs):
-        """Sum of the (row field, column field) parts of the blocks."""
-        rows, cols, vals = [], [], []
-        for r, c in pairs:
-            r_dofs, c_dofs = dofmap.element_dofs[r], dofmap.element_dofs[c]
-            shape = (r_dofs.shape[0], r_dofs.shape[1], c_dofs.shape[1])
-            rows.append(np.broadcast_to(r_dofs[:, :, None], shape).ravel())
-            cols.append(np.broadcast_to(c_dofs[:, None, :], shape).ravel())
-            vals.append(blocks[:, dofmap.block_slots[r][:, None], dofmap.block_slots[c]].ravel())
-        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        return sp.coo_matrix(data, shape=(dofmap.full_dim,) * 2).tocsr()
-
-    return coo(sys.A_blocks, (t, t), (q, q)), coo(sys.B_blocks, (q, q), (q, t), (t, q))
+    dofs = sys.dofmap.block_dofs
+    # Block entry (e, i, j) sits at (dofs[e, i], dofs[e, j]).
+    at = (np.repeat(dofs, dofs.shape[1], axis=1).ravel(), np.tile(dofs, dofs.shape[1]).ravel())
+    shape = (sys.dofmap.full_dim,) * 2
+    return tuple(
+        sp.coo_matrix((blocks.ravel(), at), shape=shape).tocsr()
+        for blocks in (sys.A_blocks, sys.B_blocks)
+    )
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,33 +63,6 @@ class ConfigError(ValueError):
     """Invalid configuration document or value set."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    model: str
-    conductivity: float
-    density: float
-    specific_heat: float
-    relaxation_time: float | None
-    kappa2: float
-    length: float
-    initial_temperature: float
-    dt: float
-    n_steps: int
-    elements: int
-    degree: int
-    theta: float
-    pulse_amplitude: float
-    pulse_c1: float
-    pulse_c2: float
-    pulse_t_p: float
-    sweep_taus: tuple[float, ...] | None
-    sweep_values: tuple[int, ...] | None
-    reference_elements: int
-    reference_degree: int
-    oracle_cells: int
-
-
 def _parse_text(key: str, text: str) -> str:
     return text
 
@@ -116,45 +89,103 @@ def _list_of(parse):
     return lambda key, text: tuple(parse(key, item) for item in text.split())
 
 
-# key -> (RunConfig attribute, parser, default), in the order the values are
-# parsed, so that a document with several faults reports the first of them.
-# None marks a value that the required-key, model and sweep rules settle; the
-# sweep modes also replace the default of the sweep's fixed elements or degree.
-_KEYS = {
-    "mode": ("mode", _parse_text, None),
-    "model": ("model", _parse_text, None),
-    "conductivity_w_per_m_k": ("conductivity", _parse_float, None),
-    "density_kg_per_m3": ("density", _parse_float, None),
-    "specific_heat_j_per_kg_k": ("specific_heat", _parse_float, None),
-    "relaxation_time_s": ("relaxation_time", _parse_float, None),
-    "kappa2_m2": ("kappa2", _parse_float, None),
-    "length_m": ("length", _parse_float, _BENCHMARK.length),
-    "initial_temperature_k": ("initial_temperature", _parse_float, _BENCHMARK.initial_temperature),
-    "dt_s": ("dt", _parse_float, _BENCHMARK.dt),
-    "theta": ("theta", _parse_float, 0.5),
-    "pulse_amplitude_w_per_m2": ("pulse_amplitude", _parse_float, _PULSE.amplitude),
-    "pulse_c1": ("pulse_c1", _parse_float, _PULSE.c1),
-    "pulse_c2": ("pulse_c2", _parse_float, _PULSE.c2),
-    "pulse_t_p_s": ("pulse_t_p", _parse_float, _PULSE.t_p),
-    "n_steps": ("n_steps", _parse_int, _BENCHMARK.n_steps),
-    "elements": ("elements", _parse_int, REFERENCE_ELEMENTS),
-    "degree": ("degree", _parse_int, REFERENCE_DEGREE),
-    "reference_elements": ("reference_elements", _parse_int, REFERENCE_ELEMENTS),
-    "reference_degree": ("reference_degree", _parse_int, REFERENCE_DEGREE),
-    "oracle_cells": ("oracle_cells", _parse_int, ORACLE_CELLS),
-    "sweep_taus_s": ("sweep_taus", _list_of(_parse_float), None),
-    "sweep_values": ("sweep_values", _list_of(_parse_int), None),
-}
+def _rule(holds, complaint: str):
+    """A range rule: a value v for which holds(v) is false is reported as
+    its key followed by complaint, with {v} in complaint standing for v."""
+    return lambda v: None if holds(v) else complaint.format(v=v)
+
+
+def _at_least(low: int):
+    return _rule(lambda v: v >= low, f"must be >= {low}, got {{v}}")
+
+
+_POSITIVE = _rule(lambda v: v > 0, "must be positive, got {v}")
+_NONZERO = _rule(lambda v: v != 0.0, "must be nonzero")
+_DEGREE = _rule(
+    lambda v: 1 <= v <= MAX_DEGREE - 1,
+    f"must be in 1..{MAX_DEGREE - 1} (temperature degree cap), got {{v}}",
+)
+_HALF_TO_ONE = _rule(lambda v: 0.5 <= v <= 1.0, "must be in [1/2, 1], got {v}")
+_TWO_OR_MORE = _rule(lambda v: len(v) >= 2, "needs at least two entries")
+# A sweep keeps one run per distinct (value, tau) point.
+_DISTINCT = _rule(lambda v: len(set(v)) == len(v), "must not repeat an entry, got {v}")
+
+
+def _error_column(tau: float) -> str:
+    """The sweep tables' column of the errors at relaxation time tau."""
+    return f"err_tau_{tau:g}"
+
+
+def _distinct_columns(taus: tuple[float, ...]) -> str | None:
+    """Each tau names an error column of the sweep tables."""
+    columns = [_error_column(tau) for tau in taus]
+    if len(set(columns)) < len(columns):
+        return f"entries must differ in their error column names, got {columns}"
+
+
+def _key(key: str, parse, default=None, *rules):
+    """A RunConfig field read from config key `key` by parse, else `default`,
+    and checked by each rule unless None.  The required-key, model and sweep
+    rules settle None defaults, and a sweep's default fixed elements or degree."""
+    return field(metadata={"key": key, "parse": parse, "default": default, "rules": rules})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A validated run, one field per config key.  The fields are declared in
+    the order the keys are parsed and their range rules checked, so that a
+    document with several faults reports the first of them."""
+
+    mode: str = _key("mode", _parse_text)
+    model: str = _key("model", _parse_text)
+    conductivity: float = _key("conductivity_w_per_m_k", _parse_float)
+    density: float = _key("density_kg_per_m3", _parse_float)
+    specific_heat: float = _key("specific_heat_j_per_kg_k", _parse_float)
+    relaxation_time: float | None = _key("relaxation_time_s", _parse_float)
+    kappa2: float = _key("kappa2_m2", _parse_float)
+    length: float = _key("length_m", _parse_float, _BENCHMARK.length, _POSITIVE)
+    initial_temperature: float = _key(
+        "initial_temperature_k", _parse_float, _BENCHMARK.initial_temperature
+    )
+    dt: float = _key("dt_s", _parse_float, _BENCHMARK.dt, _POSITIVE)
+    theta: float = _key("theta", _parse_float, 0.5, _HALF_TO_ONE)
+    # A pulse that carries no energy leaves nothing to measure: the transient
+    # has no rise to scale by, and the sweeps an identically zero reference.
+    pulse_amplitude: float = _key(
+        "pulse_amplitude_w_per_m2", _parse_float, _PULSE.amplitude, _NONZERO
+    )
+    # Negative rates are accepted on purpose: the closed form and its running
+    # integral hold for any distinct nonzero rates.  A pulse that overflows
+    # is reported at run time as exit 3 "numerical".
+    pulse_c1: float = _key("pulse_c1", _parse_float, _PULSE.c1, _NONZERO)
+    pulse_c2: float = _key("pulse_c2", _parse_float, _PULSE.c2, _NONZERO)
+    pulse_t_p: float = _key("pulse_t_p_s", _parse_float, _PULSE.t_p, _POSITIVE)
+    n_steps: int = _key("n_steps", _parse_int, _BENCHMARK.n_steps, _at_least(0))
+    elements: int = _key("elements", _parse_int, REFERENCE_ELEMENTS, _at_least(1))
+    degree: int = _key("degree", _parse_int, REFERENCE_DEGREE, _DEGREE)
+    reference_elements: int = _key(
+        "reference_elements", _parse_int, REFERENCE_ELEMENTS, _at_least(1)
+    )
+    reference_degree: int = _key("reference_degree", _parse_int, REFERENCE_DEGREE, _DEGREE)
+    oracle_cells: int = _key("oracle_cells", _parse_int, ORACLE_CELLS, _at_least(3))
+    sweep_taus: tuple[float, ...] | None = _key(
+        "sweep_taus_s", _list_of(_parse_float), None, _DISTINCT, _distinct_columns
+    )
+    sweep_values: tuple[int, ...] | None = _key(
+        "sweep_values", _list_of(_parse_int), None, _TWO_OR_MORE, _DISTINCT
+    )
+
+
+# Config key -> its RunConfig field, in declaration order.
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _benchmark_family(mode: str, model: str, kappa2: float) -> SweepSpec:
     """The study's benchmark sweep that a sweep config falls back to."""
-    if model in ("fourier", "mcv"):
+    if model != "gk":
         family = "mcv"
-    elif kappa2 >= 0.1:
-        family = "gk_diffuse"
     else:
-        family = "gk_wave"
+        family = "gk_diffuse" if kappa2 >= 0.1 else "gk_wave"
     return next(
         spec for spec in benchmark_sweep_families()
         if spec.family == family and spec.kind == _SWEEPS[mode]
@@ -174,7 +205,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in raw:
             raise ConfigError(
@@ -185,20 +216,16 @@ def parse_config(text: str) -> RunConfig:
         raw[key] = value
         lines_of[key] = lineno
 
-    mode = raw.get("mode")
-    if mode is None:
-        raise ConfigError("missing required key 'mode'")
-    if mode not in MODES:
-        raise ConfigError(f"key 'mode': expected one of {MODES}, got {mode!r}")
-    model = raw.get("model")
-    if model is None:
-        raise ConfigError("missing required key 'model'")
-    if model not in MODELS:
-        raise ConfigError(f"key 'model': expected one of {tuple(MODELS)}, got {model!r}")
+    for key, allowed in (("mode", MODES), ("model", tuple(MODELS))):
+        if key not in raw:
+            raise ConfigError(f"missing required key '{key}'")
+        if raw[key] not in allowed:
+            raise ConfigError(f"key '{key}': expected one of {allowed}, got {raw[key]!r}")
+    mode, model = raw["mode"], raw["model"]
 
     values = {
-        attr: parse(key, raw[key]) if key in raw else default
-        for key, (attr, parse, default) in _KEYS.items()
+        f.name: f.metadata["parse"](key, raw[key]) if key in raw else f.metadata["default"]
+        for key, f in _FIELDS.items()
     }
     sweep_mode = mode in _SWEEPS
 
@@ -262,64 +289,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_numbers(config: RunConfig) -> None:
-    if config.length <= 0:
-        raise ConfigError(f"length_m must be positive, got {config.length}")
-    if config.dt <= 0:
-        raise ConfigError(f"dt_s must be positive, got {config.dt}")
-    if config.n_steps < 0:
-        raise ConfigError(f"n_steps must be >= 0, got {config.n_steps}")
-    if not 0.5 <= config.theta <= 1.0:
-        raise ConfigError(f"theta must be in [1/2, 1], got {config.theta}")
-    for name, value in (
-        ("elements", config.elements),
-        ("reference_elements", config.reference_elements),
-    ):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    for name, value in (
-        ("degree", config.degree),
-        ("reference_degree", config.reference_degree),
-    ):
-        if not 1 <= value <= MAX_DEGREE - 1:
-            raise ConfigError(
-                f"{name} must be in 1..{MAX_DEGREE - 1} (temperature degree cap), got {value}"
-            )
-    # Negative rates are accepted on purpose: the closed form and its running
-    # integral hold for any distinct nonzero rates.  A pulse that overflows
-    # is reported at run time as exit 3 "numerical".
-    for name, value in (("pulse_c1", config.pulse_c1), ("pulse_c2", config.pulse_c2)):
-        if value == 0.0:
-            raise ConfigError(f"{name} must be nonzero")
+    """Check each set value by its key's range rules, in declaration order,
+    then the rules that read two keys."""
+    for key, f in _FIELDS.items():
+        value = getattr(config, f.name)
+        for rule in f.metadata["rules"] if value is not None else ():
+            complaint = rule(value)
+            if complaint:
+                raise ConfigError(f"{key} {complaint}")
     if config.pulse_c1 == config.pulse_c2:
         raise ConfigError("pulse_c1 and pulse_c2 must differ")
-    if config.pulse_t_p <= 0:
-        raise ConfigError(f"pulse_t_p_s must be positive, got {config.pulse_t_p}")
-    if config.oracle_cells < 3:
-        raise ConfigError(f"oracle_cells must be >= 3, got {config.oracle_cells}")
-    if config.sweep_values is not None and len(config.sweep_values) < 2:
-        raise ConfigError("sweep_values needs at least two entries")
-    # A sweep keeps one run per distinct (value, tau) point.
-    for name, entries in (
-        ("sweep_values", config.sweep_values), ("sweep_taus_s", config.sweep_taus)
-    ):
-        if entries is not None and len(set(entries)) < len(entries):
-            raise ConfigError(f"{name} must not repeat an entry, got {entries}")
-    # Each tau names an error column of the sweep tables.
-    if config.sweep_taus is not None:
-        columns = [_error_column(tau) for tau in config.sweep_taus]
-        if len(set(columns)) < len(columns):
-            raise ConfigError(
-                f"sweep_taus_s entries must differ in their error column names, got {columns}"
-            )
-    # A pulse that carries no energy leaves nothing to measure: the transient
-    # has no rise to scale by, and the sweeps an identically zero reference.
-    if config.pulse_amplitude == 0.0:
-        raise ConfigError("pulse_amplitude_w_per_m2 must be nonzero")
-
-
-def _error_column(tau: float) -> str:
-    """The sweep tables' column of the errors at relaxation time tau."""
-    return f"err_tau_{tau:g}"
 
 
 def _material(config: RunConfig, tau: float) -> MaterialParams:
@@ -500,9 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_record("io", str(exc)), file=_sys.stderr)
         return 4
     # The solver's FactorizationError and NonFiniteStateError are
-    # RuntimeErrors, and numpy's LinAlgError is a ValueError.  Python float
-    # arithmetic raises OverflowError where numpy returns inf, as the
-    # oracle's kappa2 / dx**2 does on an absurdly long slab.
+    # RuntimeErrors, and numpy's LinAlgError is a ValueError.  Python raises
+    # OverflowError when it converts a huge integer key to float, as the
+    # oracle's length / cells does with a 400-digit oracle_cells.
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(_error_record("numerical", str(exc)), file=_sys.stderr)
         return 3

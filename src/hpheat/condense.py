@@ -154,11 +154,11 @@ class CondensedFactorization:
         order, on the gathered entries.  With g[inner] = recover @ g,
         scale * g[:scale.size] is the rows' part of coefficients(w).
 
-        That is bit for bit where scipy's csr_matvecs, which recovers, and
-        csr_matvec, which computes the interiors in coefficients, round
-        alike: both sum each row of `interior` from zero in its column
-        order, and agree unless the compiler fused the multiply-adds of one
-        kernel into FMAs and not those of the other, a platform dependence.
+        That is bit for bit where scipy's csr_matvec (coefficients, and a
+        block of one step) and csr_matvecs (longer blocks) round alike: both
+        sum each row of `interior` from zero in its column order, and agree
+        unless the compiler fused the multiply-adds of one kernel into FMAs
+        and not those of the other, a platform dependence.
         """
         position = np.empty(self.dim, dtype=int)
         position[self.order] = np.arange(self.dim)

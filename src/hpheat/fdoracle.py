@@ -197,8 +197,8 @@ def fd_solve(
     Temperature probes interpolate (or extrapolate, at the faces) linearly
     between cell centers; flux probes snap to the nearest face and read the
     boundary data when that face is a boundary.  Probe points outside
-    [0, length], beyond the 1e-12 * length tolerance of probe_row, raise
-    ValueError before marching.
+    [0, length], beyond the 1e-12 * length tolerance of probe_row, and a
+    cell width whose square overflows raise ValueError before marching.
 
     As in the element solver, the unknown is the rise T - T0 over the
     uniform initial temperature, so the millikelvin signal is not rounded at
@@ -235,6 +235,8 @@ def fd_solve(
 
     m = cells
     dx = length / m
+    if not np.isfinite(dx * dx):
+        raise ValueError(f"cell width length / cells = {length} / {cells} squares to inf")
     mass, stiff, b_left, b_right = _operator(m, dx, mat)
     lhs = (sp.diags(mass) + dt * theta * stiff).tocsr()
     m_expl = (sp.diags(mass) - dt * (1.0 - theta) * stiff).tocsr()

@@ -197,6 +197,9 @@ specific_heat_j_per_kg_k = 800
         ("pulse_amplitude_w_per_m2 = 0", "pulse_amplitude_w_per_m2 must be nonzero"),
         ("n_steps = -1", "n_steps must be >= 0"),
         ("elements = 0", "elements must be >= 1"),
+        ("reference_elements = 0", "reference_elements must be >= 1"),
+        ("reference_degree = 12", "reference_degree must be in 1..11"),
+        ("pulse_c2 = 0", "pulse_c2 must be nonzero"),
         # The default pulse_c2.
         ("pulse_c1 = 6.0", "pulse_c1 and pulse_c2 must differ"),
         ("pulse_t_p_s = 0", "pulse_t_p_s must be positive"),
@@ -210,6 +213,45 @@ def test_invalid_values_rejected(mutation, needle):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert needle in str(err.value)
+
+
+# (key, faulty value) for every key with a range rule, in the order of
+# RunConfig's fields.
+RANGE_FAULTS = [
+    ("length_m", "-1"),
+    ("dt_s", "0"),
+    ("theta", "2"),
+    ("pulse_amplitude_w_per_m2", "0"),
+    ("pulse_c1", "0"),
+    ("pulse_c2", "0"),
+    ("pulse_t_p_s", "0"),
+    ("n_steps", "-1"),
+    ("elements", "0"),
+    ("degree", "0"),
+    ("reference_elements", "0"),
+    ("reference_degree", "0"),
+    ("oracle_cells", "2"),
+    ("sweep_taus_s", "0.3 0.3"),
+    ("sweep_values", "4"),
+]
+
+
+def test_several_faults_report_the_first_declared_key():
+    field_of = {case[1]: case[3] for case in FIELD_CASES}
+    ranged = [field_of[key] for key, _ in RANGE_FAULTS]
+    assert ranged == [f.name for f in fields(RunConfig) if f.name in ranged]
+    # Equal rates, a rule that reads two keys, come after every key's own rules.
+    base = SWEEP_MCV + "pulse_c1 = 6.0\npulse_c2 = 6.0\n"
+    for first in range(len(RANGE_FAULTS) + 1):
+        faults = dict(RANGE_FAULTS[first:])
+        kept = [line for line in base.splitlines() if line.split("=")[0].strip() not in faults]
+        text = "\n".join(kept + [f"{key} = {value}" for key, value in faults.items()])
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\n")
+        if faults:
+            assert str(err.value).startswith(f"{RANGE_FAULTS[first][0]} ")
+        else:
+            assert str(err.value) == "pulse_c1 and pulse_c2 must differ"
 
 
 def test_negative_relaxation_time_hits_material_validation():
@@ -643,8 +685,8 @@ def test_main_reports_overflow_as_numerical_failure(tmp_path, capsys):
 
 
 def test_main_reports_a_float_overflow_as_numerical_failure(tmp_path, capsys):
-    # Python float arithmetic raises OverflowError where numpy returns inf:
-    # here the oracle's kappa2 / dx**2 on an absurdly long slab.
+    # The oracle's cell width on an absurdly long slab has no finite square,
+    # which its kappa2 / dx**2 needs; the oracle says so before marching.
     kept = [line for line in OVERFLOWING_PULSE.splitlines() if not line.startswith("pulse_")]
     text = "\n".join(kept).replace("length_m = 0.005", "length_m = 1e200") + "\noracle_cells = 3\n"
     config = tmp_path / "long.conf"
@@ -653,7 +695,21 @@ def test_main_reports_a_float_overflow_as_numerical_failure(tmp_path, capsys):
     assert main(["run", str(config), "--out", str(out)]) == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
-    assert "out of range" in record["message"]
+    assert record["message"] == "cell width length / cells = 1e+200 / 3 squares to inf"
+    assert not out.exists() or list(out.glob("*")) == []
+
+
+def test_main_reports_a_huge_integer_key_as_numerical_failure(tmp_path, capsys):
+    # Python raises OverflowError when it converts an integer beyond the
+    # double range to float, here in the oracle's length / cells.
+    text = OVERFLOWING_PULSE.replace("mode = transient", "mode = oracle_check")
+    kept = [line for line in text.splitlines() if not line.startswith("pulse_")]
+    config = tmp_path / "huge.conf"
+    config.write_text("\n".join(kept) + "\noracle_cells = 1" + "0" * 400 + "\n")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "numerical", "message": "int too large to convert to float"}
     assert not out.exists() or list(out.glob("*")) == []
 
 
