@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgetrf
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .assembly import ProbeRow, SemiDiscreteSystem
 from .eigenbasis import EigenbasisRun, diagonalize
@@ -134,7 +135,7 @@ class CondensedFactorization:
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """The free coefficient vector of a condensed state."""
         y = w.copy()
-        y[self.n_vertex:] = self.interior @ w
+        y[self.n_vertex:] = matvecs(self.interior, w)
         alpha = np.empty(self.dim)
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
@@ -154,11 +155,9 @@ class CondensedFactorization:
         order, on the gathered entries.  With g[inner] = recover @ g,
         scale * g[:scale.size] is the rows' part of coefficients(w).
 
-        That is bit for bit where scipy's csr_matvec (coefficients, and a
-        block of one step) and csr_matvecs (longer blocks) round alike: both
-        sum each row of `interior` from zero in its column order, and agree
-        unless the compiler fused the multiply-adds of one kernel into FMAs
-        and not those of the other, a platform dependence.
+        That is bit for bit when recover is applied with matvecs, as
+        coefficients applies `interior`: one kernel, which sums each row
+        from zero in its column order for one vector or a block of them.
         """
         position = np.empty(self.dim, dtype=int)
         position[self.order] = np.arange(self.dim)
@@ -174,6 +173,16 @@ class CondensedFactorization:
             shape=(inner.size, at.size + reads.size),
         )
         return np.concatenate((at, reads)), self.col_scale[free], inner, recover
+
+
+def matvecs(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """a @ x for a C-contiguous float64 x of shape (a.shape[1],) or
+    (a.shape[1], k), by scipy's csr_matvecs whatever k; `@` sends one
+    vector to csr_matvec instead, a kernel that may round apart."""
+    out = np.zeros(a.shape[:1] + x.shape[1:])
+    k = x.shape[1] if x.ndim == 2 else 1
+    csr_matvecs(*a.shape, k, a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 class _Elements:

@@ -34,6 +34,13 @@ of the full system.  The roundoff grows as the margin tau + a shrinks against
 the Laplacian part: for Fourier at 2000 cells the histories are 1.5e-11 from
 a refined solve, against 1.1e-13 for SuperLU on the full matrix.
 
+The step's two sparse products call scipy's CSR kernel csr_matvec itself,
+into zeroed outputs: the call that `@` ends in, with the same bits, without
+scipy's dispatch around it.  It comes from scipy.sparse._sparsetools, a
+private scipy module; the test
+test_the_private_kernel_is_bitwise_the_public_product (tests/test_fdoracle.py)
+holds it bit for bit to `@`.
+
 The oracle keeps this stepper of its own instead of the element solver's in
 timeint: criterion 7 is an independent check only while a fault in timeint
 cannot show up in both solvers.  fd_step, one backward Euler step for the
@@ -48,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from .materials import MaterialParams
@@ -278,10 +286,13 @@ def fd_solve(
     for first in range(0, n_steps, _BLOCK_STEPS):
         block = loads[first:first + _BLOCK_STEPS]
         for load, row in zip(block, seen):
-            rhs = m_fold @ z
+            rhs = np.zeros(z.size)
+            csr_matvec(z.size, z.size, m_fold.indptr, m_fold.indices, m_fold.data, z, rhs)
             rhs[load_rows] -= load
             q[:] = dpttrs(ldl_d, ldl_e, rhs[m:])[0]
-            T[:] = (rhs[:m] - e_block @ q) / c
+            div = np.zeros(m)
+            csr_matvec(m, q.size, e_block.indptr, e_block.indices, e_block.data, q, div)
+            T[:] = (rhs[:m] - div) / c
             z.take(at, out=row, mode="clip")
         done = seen[:len(block)]
         steps = slice(first + 1, first + 1 + len(block))

@@ -32,11 +32,20 @@ recovers the interiors: that happens once per block of steps for the few
 interior entries the probes read, and once per run for the final state.
 The probe dot products also run once per block of steps, one stacked
 product per probe that sums each step as ProbeRow.evaluate does.
+
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
 prescribed part of the probe values on the whole time grid and checks that
 the result is finite.  `integrate_stack` marches several systems on one
 grid as a single block-diagonal system through the same core.
+
+The step's sparse product calls scipy's CSR kernel csr_matvec itself, into
+a zeroed output: the call that `@` ends in, with the same bits, without
+the microseconds of scipy's dispatch around it.  The interior recoveries
+call csr_matvecs through condense.matvecs.  Both kernels come from
+scipy.sparse._sparsetools, a private scipy module; the test
+test_the_private_kernels_are_bitwise_the_public_products (tests/test_timeint.py)
+holds them bit for bit to `@`.
 
 The load is f = natural fluxes - A_lc g' - B_lc g on the load rows, with g
 the constrained values and A_lc, B_lc the couplings of those rows to them
@@ -53,9 +62,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrs
+from scipy.sparse._sparsetools import csr_matvec
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
-from .condense import CondensedFactorization, FactorizationError, condense, stack
+from .condense import CondensedFactorization, FactorizationError, condense, matvecs, stack
 from .timefun import NonFiniteStateError, on_grid, step_averages
 
 
@@ -99,7 +109,9 @@ def advance(fact: CondensedFactorization, w: np.ndarray, load: np.ndarray) -> np
     product, the load update and one banded back-substitution for the
     vertex DOFs.  The interior rows of the product are the next state's as
     they stand (CondensedFactorization)."""
-    rhs = fact.m_expl @ w
+    m = fact.m_expl
+    rhs = np.zeros(fact.dim)
+    csr_matvec(fact.dim, fact.dim, m.indptr, m.indices, m.data, w, rhs)
     rhs[fact.load_rows] += load
     nv = fact.n_vertex
     if nv:
@@ -221,7 +233,7 @@ def march(
                 # where "raise" goes through a buffer.
                 state.take(at, out=row, mode="clip")
             block = seen[:table.shape[1]]
-            block[:, inner] = (recover @ block.T).T
+            block[:, inner] = matvecs(recover, block.T.copy()).T
             block = block[:, :scale.size]
             block *= scale
             # ProbeRow.evaluate's dot products on coefficients(state): a stack of

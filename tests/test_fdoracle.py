@@ -7,6 +7,7 @@ imports instead of its behavior.
 
 import ast
 import pathlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -425,6 +426,33 @@ def test_histories_do_not_depend_on_the_probe_block(block, monkeypatch):
                 assert np.array_equal(getattr(got, name)[x], history), (name, x)
         assert np.array_equal(got.final.T, ref.final.T)
         assert np.array_equal(got.final.q, ref.final.q)
+
+
+def test_the_private_kernel_is_bitwise_the_public_product(monkeypatch):
+    # Each step's two products call scipy.sparse._sparsetools.csr_matvec,
+    # a private module: a scipy whose `@` ends in another kernel, or whose
+    # kernel takes other arguments, fails here.
+    def solve():
+        return fd_solve(
+            GK_MAT, 0.005, 293.0, flash_pulse(PulseParams()), constant(-250.0), cells=12,
+            dt=1e-3, n_steps=3, theta=0.5, probe_temperatures=(0.0013,), probe_fluxes=(0.0025,),
+        )
+
+    want = solve()
+    products = Counter()
+
+    def public(n_row, n_col, indptr, indices, data, x, y):
+        products[n_row, n_col] += 1
+        y += sp.csr_matrix((data, indices, indptr), shape=(n_row, n_col)) @ x
+
+    monkeypatch.setattr(hpheat.fdoracle, "csr_matvec", public)
+    got = solve()
+    assert products == {(23, 23): 3, (12, 11): 3}
+    for name in ("temperature_rise", "flux_probes"):
+        for x, history in getattr(want, name).items():
+            assert np.array_equal(getattr(got, name)[x], history), (name, x)
+    assert np.array_equal(got.final.T, want.final.T)
+    assert np.array_equal(got.final.q, want.final.q)
 
 
 @pytest.mark.parametrize("load", ["average", "sampled"])

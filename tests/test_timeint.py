@@ -177,6 +177,45 @@ def test_a_malformed_back_substitution_is_reported():
         advance(replace(fact, kl=fact.kl + 5), w, np.zeros(len(fact.load_rows)))
 
 
+def public_step(fact, w, load):
+    """advance written with scipy's public `@` and LAPACK's dgbtrs."""
+    rhs = fact.m_expl @ w
+    rhs[fact.load_rows] += load
+    nv = fact.n_vertex
+    rhs[:nv] = scipy.linalg.lapack.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
+    return rhs
+
+
+@pytest.mark.parametrize("members", [["gk"], ["mcv"], ["gk", "mcv"]])
+def test_the_private_kernels_are_bitwise_the_public_products(members):
+    # advance calls scipy.sparse._sparsetools.csr_matvec, and coefficients
+    # and the probe recovery csr_matvecs (condense.matvecs), a private
+    # module: a scipy whose `@` ends in other kernels, or whose kernels
+    # take other arguments, fails here.
+    systems = {
+        "gk": assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, PULSE_BCS),
+        "mcv": assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 4, PULSE_BCS),
+    }
+    scheme = ThetaScheme(0.5, 1e-3, 1)
+    facts = [build_factorization(systems[name], scheme) for name in members]
+    fact = facts[0] if len(facts) == 1 else hpheat.condense.stack(facts)
+    # Index arrays of one type: the kernel then converts no input per call.
+    for m in (fact.m_expl, fact.interior):
+        assert m.indptr.dtype == m.indices.dtype
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal(fact.dim)
+    for _ in range(5):
+        load = rng.standard_normal(fact.load_rows.size)
+        want = public_step(fact, w, load)
+        w = advance(fact, w, load)
+        assert np.array_equal(w, want)
+    # `@` sends a block of two columns to csr_matvecs, and one to csr_matvec.
+    both = fact.interior @ np.column_stack((w, -w))
+    assert np.array_equal(hpheat.condense.matvecs(fact.interior, w), both[:, 0])
+    y = np.concatenate((w[:fact.n_vertex], both[:, 0]))
+    assert np.array_equal(fact.coefficients(w)[fact.order], fact.col_scale[fact.order] * y)
+
+
 def check_step_against_dense_solve(sys, scheme, a0):
     fact = build_factorization(sys, scheme)
     got = step(sys, scheme, fact, a0, 0.0)
@@ -541,9 +580,11 @@ def test_per_step_helpers_are_not_called_per_step(monkeypatch):
 
 def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     # Every factorization that timeint builds or stacks counts the products
-    # with its conversion operator `interior`, [-N | W], and the
-    # conversions into the eigenbasis W^-1.
+    # with its conversion operator `interior`, [-N | W], through `@` or
+    # condense's csr_matvecs kernel, and the conversions into the eigenbasis
+    # W^-1.
     calls = Counter()
+    interiors = []
 
     class Counted(sp.csr_matrix):
         # csr_matrix.dot also ends here.
@@ -558,9 +599,17 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     def counted(build):
         def wrapped(*args):
             fact = build(*args)
-            return replace(fact, interior=Counted(fact.interior))
+            fact = replace(fact, interior=Counted(fact.interior))
+            interiors.append(fact.interior.data)
+            return fact
 
         return wrapped
+
+    kernel = hpheat.condense.csr_matvecs
+
+    def matvecs(*args):
+        calls["products"] += any(args[5] is data for data in interiors)
+        kernel(*args)
 
     apply = hpheat.eigenbasis.EigenbasisRun.apply
 
@@ -569,6 +618,7 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
         apply(run, w)
 
     monkeypatch.setattr(hpheat.eigenbasis.EigenbasisRun, "apply", converted)
+    monkeypatch.setattr(hpheat.condense, "csr_matvecs", matvecs)
     monkeypatch.setattr(hpheat.timeint, "build_factorization", counted(build_factorization))
     monkeypatch.setattr(hpheat.timeint, "stack", counted(hpheat.timeint.stack))
     sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
