@@ -12,6 +12,16 @@ write error-versus-DOF tables against an overkill reference, `oracle_check`
 writes side-by-side element/finite-difference histories with their
 discrepancy.  Output files are named <mode>_<probe>_<model>.dat and all
 reals carry 17 significant digits, so the tables round-trip exactly.
+
+Every real is written as Python's '%.16e' % x writes it, byte for byte: 17
+significant digits rounded half to even, a sign only where the sign bit is
+set (so -0.0 keeps it), an exponent of at least two digits, and nan, inf
+and -inf as Python prints them.  write_table builds the text of a block of
+rows in whole-array passes.  Its fast path takes the decimal exponent from
+log10, scales |x| by a power of ten held as a double-double with Dekker's
+exact product, and rounds to the 17-digit integer; a cell that it cannot
+decide (within a stated margin of a rounding tie, outside its exponent
+window, or not finite) goes through '%.16e' itself.
 """
 
 from __future__ import annotations
@@ -344,20 +354,183 @@ class OutputTable:
 # a long table takes.
 _WRITE_ROWS = 1024
 
+# The fast path renders a real whose decimal exponent estimate lies within
+# +-_EXPONENT_WINDOW.  Then |x| < 1e282 and each power of ten it scales by
+# lies in [1e-265, 1e297], so the products of Dekker's split cannot overflow
+# and the power's tail stays a normal double; every other real falls back.
+_EXPONENT_WINDOW = 280
+# The bytes of one rendered real, before its separator: sign, digit, point,
+# 16 digits, "e", exponent sign, 3 exponent digits.  The sign and an
+# exponent's hundreds digit are dropped where not needed.
+_SLOT = b"-0.0000000000000000e+000"
+# The fast path gives y = |x| * 10**(16 - e) as h + s, h an even integer
+# (h >= 2**53) and s the rest.  Where 10**(16 - e) is a double (the power's
+# tail pl is 0), Dekker's product is exact and so is y = h + s.  Otherwise
+# ph + pl misses the power by at most 2**-106 ph, x * pl rounds by at most
+# 2**-53 |x pl| <= 2**-106 x ph, and the sum s rounds by at most 2**-53 |s|.
+# With y < 2**60 and |s| < 2**8 for any estimate e, that is |y - (h + s)| <
+# 2**-46 + 2**-46 + 2**-45 = 2**-44.  A cell whose y lies within the margin
+# of a rounding tie or of 10**16 or 10**17 is not decided here.
+_MARGIN = 2.0**-40
+
+# Built at first use: the 4-digit groups 0000-9999 as ASCII bytes, one
+# uint32 per group, and e -> 10**(16 - e) as a double-double (ph, pl) for
+# each decimal exponent e met so far.
+_QUADS: np.ndarray | None = None
+_POWERS: dict[int, tuple[float, float]] = {}
+
+
+def _split(a):
+    """Dekker's split: a == hi + lo exactly, each half of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _quads() -> np.ndarray:
+    """The table of 4-digit groups, built at first use."""
+    global _QUADS
+    if _QUADS is None:
+        n = np.arange(10000)
+        digits = np.stack((n // 1000, n // 100 % 10, n // 10 % 10, n % 10), axis=1)
+        _QUADS = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return _QUADS
+
+
+def _powers(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """For e = lo..hi: 10**(16 - e) as a double-double ph + pl, each pair
+    correctly rounded from Python integers at the first use of e; ph's
+    split; and the margin of the cells it scales (0 where the power is a
+    double, whose product is exact)."""
+    for e in range(lo, hi + 1):
+        if e not in _POWERS:
+            num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+            head = num / den
+            a, b = head.as_integer_ratio()
+            _POWERS[e] = head, (num * b - a * den) / (den * b)
+    ph, pl = np.array([_POWERS[e] for e in range(lo, hi + 1)]).T
+    return ph, *_split(ph), pl, np.where(pl == 0.0, 0.0, _MARGIN)
+
+
+def _exact(x: float) -> str:
+    """The reference rendering, for the cells the fast path cannot decide."""
+    return "%.16e" % x
+
+
+def _digits(ax: np.ndarray, i: np.ndarray, powers: tuple[np.ndarray, ...]):
+    """round(ax * 10**(16 - e)) half to even as an int64, with the power of
+    ten of each e at row i of powers, where that scaled value lies in
+    [10**16, 10**17); its shift, +1 above and -1 below the range; and whether
+    both were decided."""
+    ph, p1, p2, pl, margin = (table[i] for table in powers)
+    h = ax * ph
+    a1, a2 = _split(ax)
+    s = ((((a1 * p1 - h) + a1 * p2) + a2 * p1) + a2 * p2) + ax * pl
+    below = (h - 1e16) + s
+    above = (h - 1e17) + s
+    near = np.rint(s)
+    sure = (
+        (np.abs(below) >= margin)
+        & (np.abs(above) >= margin)
+        & (np.abs(0.5 - np.abs(s - near)) >= margin)
+    )
+    shift = (above >= 0).astype(np.int64) - (below < 0)
+    return h.astype(np.int64) + near.astype(np.int64), shift, sure
+
+
+def _text_rows(texts: list[str], width: int):
+    """texts encoded as the rows of a byte grid width wide, left-aligned, and
+    the mask of their bytes."""
+    data = [text.encode() for text in texts]
+    grid = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
+    lengths = np.array([len(b) for b in data], dtype=np.int64)
+    return grid, np.arange(width) < lengths[:, None]
+
+
+def _render(reals: np.ndarray, prefixes: list[str] | None, sep: str) -> str:
+    """The lines of a 2-D float64 array, cells joined by sep, each line led
+    by its prefix if any: every real as '%.16e' renders it."""
+    x = reals.ravel()
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(ax))
+    # False for 0, inf, nan and the reals outside the window.
+    fast = np.abs(e) <= _EXPONENT_WINDOW
+    ax = np.where(fast, ax, 1.0)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    lo = int(e.min()) - 1
+    powers = _powers(lo, int(e.max()) + 1)
+    digits, shift, sure = _digits(ax, e - lo, powers)
+    fast &= sure
+    # log10 misplaces e by one at most, for reals next to a power of ten.
+    redo = np.flatnonzero(fast & (shift != 0))
+    if redo.size:
+        e[redo] += shift[redo]
+        digits[redo], shift, sure = _digits(ax[redo], e[redo] - lo, powers)
+        fast[redo] = sure & (shift == 0)
+    # A value that rounds up to 10**17 reads 10**16 at the next exponent.
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e += carry
+    zero = x == 0.0
+    digits[zero] = 0
+    e[zero] = 0
+    fast |= zero
+
+    # The 17 digits as a leading digit and four groups of four, each group
+    # read from the table of 0000-9999.
+    top = digits // 10**8
+    low = digits - top * 10**8
+    lead = top // 10**8
+    halves = np.stack((top - lead * 10**8, low), axis=1)
+    upper = halves // 10**4
+    groups = np.stack((upper, halves - upper * 10**4), axis=2).reshape(-1, 4)
+    ae = np.abs(e)
+    quads = _quads()
+    n, c = reals.shape
+    line = (_SLOT + sep.encode()) * c
+    lines = np.frombuffer(bytearray((line[:-1] + b"\n") * n), np.uint8)
+    cells = lines.reshape(n * c, len(_SLOT) + 1)
+    cells[:, 1] = lead + ord("0")
+    cells[:, 3:19] = quads[groups].view(np.uint8)
+    cells[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 21:24] = quads[ae, None].view(np.uint8)[:, 1:]
+    keep = np.ones(cells.shape, bool)
+    keep[:, 0] = np.signbit(x)
+    keep[:, 21] = ae >= 100
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells[slow, :-1], keep[slow, :-1] = _text_rows(
+            [_exact(v) for v in x[slow].tolist()], len(_SLOT)
+        )
+
+    lines, keep = cells.reshape(n, -1), keep.reshape(n, -1)
+    if prefixes is not None:
+        head, head_keep = _text_rows(prefixes, max(len(p.encode()) for p in prefixes))
+        lines = np.concatenate((head, lines), axis=1)
+        keep = np.concatenate((head_keep, keep), axis=1)
+    return lines[keep].tobytes().decode()
+
 
 def write_table(table: OutputTable, path: Path, fmt: str) -> None:
-    """Write the header, then the rows in one %-format pass per block of
-    rows, each block read as an object array: labels as they are, reals as
-    f"{float(cell):.16e}" renders them."""
+    """Write the header, then the rows in blocks of _WRITE_ROWS, each
+    block's text built in whole-array passes and written at once: leading
+    labels as they are, then every real as '%.16e' % cell renders it, byte
+    for byte (see the module docstring)."""
     sep = "," if fmt == "csv" else " "
     rows = table.rows
     cells = rows[0] if len(rows) else ()
-    line = sep.join("%s" if isinstance(cell, str) else "%.16e" for cell in cells) + "\n"
+    labels = next((i for i, cell in enumerate(cells) if not isinstance(cell, str)), 0)
     with path.open("w") as out:
         out.write(sep.join(table.columns) + "\n")
         for first in range(0, len(rows), _WRITE_ROWS):
-            block = np.asarray(rows[first:first + _WRITE_ROWS], dtype=object)
-            out.write((line * len(block)) % tuple(block.ravel().tolist()))
+            block = rows[first:first + _WRITE_ROWS]
+            prefixes = None
+            if labels:
+                block = np.asarray(block, dtype=object)
+                prefixes = [sep.join(row) + sep for row in block[:, :labels].tolist()]
+                block = block[:, labels:]
+            out.write(_render(np.asarray(block, dtype=np.float64), prefixes, sep))
 
 
 def _run_transient(config: RunConfig, out: Path, fmt: str) -> None:

@@ -8,6 +8,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hpheat.cli
 import hpheat.scenario
@@ -373,6 +375,102 @@ def test_table_text_is_the_per_cell_rendering(tmp_path, fmt, monkeypatch):
         assert got == (tmp_path / f"{name}_ref.{fmt}").read_bytes(), name
     text = (tmp_path / f"reals.{fmt}").read_text()
     assert "-0.0000000000000000e+00" in text and "e-101" in text and "e+308" in text
+
+
+def _renders_like_the_cells(table, directory, fmt):
+    """write_table's text is render_by_cells' text, byte for byte."""
+    write_table(table, directory / f"got.{fmt}", fmt)
+    render_by_cells(table, directory / f"want.{fmt}", fmt)
+    got = (directory / f"got.{fmt}").read_bytes()
+    assert got == (directory / f"want.{fmt}").read_bytes()
+    return got.decode()
+
+
+# Raw 64-bit patterns: any at all, and ones built from a sign, an exponent
+# field leaning to its ends (zeros and subnormals at 0, inf and NaN payloads
+# at 2047) and a mantissa leaning to its ends.
+_BITS = st.integers(0, 2**64 - 1) | st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.sampled_from([0, 1, 2046, 2047]) | st.integers(0, 2047),
+    st.sampled_from([0, 1, 2**51, 2**52 - 1]) | st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_BITS, _BITS), min_size=1, max_size=8))
+def test_any_float64_renders_as_the_per_cell_writer(tmp_path_factory, bits):
+    reals = np.array(bits, dtype=np.uint64).view(np.float64)
+    directory = tmp_path_factory.mktemp("bits")
+    for fmt in ("dat", "csv"):
+        _renders_like_the_cells(OutputTable(("a", "b"), reals), directory, fmt)
+
+
+def _awkward_reals():
+    """Every power of ten a double comes near and both its neighbours, where
+    the decimal exponent taken from log10 is off by one; every power of two
+    and both its neighbours, among them exact 17th-digit ties; the extreme
+    normals and subnormals."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = 2.0 ** np.arange(-1074, 1024)
+    return np.concatenate((
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
+        twos,
+        np.nextafter(twos, 0.0),
+        np.nextafter(twos, np.inf),
+        [1e23, 2.2250738585072014e-308, 2.225073858507201e-308, 5e-324],
+        [1.7976931348623157e308, -1.7976931348623157e308, -1e-200, 1.5e-100],
+    ))
+
+
+@pytest.mark.parametrize("fmt", ["dat", "csv"])
+def test_awkward_reals_render_as_the_per_cell_writer(tmp_path, fmt, monkeypatch):
+    # Blocks of 450 cells, so that the fallback cells land in several.
+    monkeypatch.setattr(hpheat.cli, "_WRITE_ROWS", 150)
+    reals = _awkward_reals()
+    reals = np.concatenate((reals, -reals[::-1], [0.0, 0.0]))
+    table = OutputTable(("a", "b", "c"), reals.reshape(-1, 3))
+    text = _renders_like_the_cells(table, tmp_path, fmt)
+    # Ties to even, one where the power of ten is a double (2**50 + 0.25).
+    for cell in (
+        "2.9802322387695312e-08", "1.1258999068426242e+15", "9.9999999999999992e+22",
+        "1.0000000000000000e+23", "1.7976931348623157e+308", "4.9406564584124654e-324",
+        "-9.9999999999999998e-201", "1.0000000000000000e+100", "1.5000000000000000e-100",
+    ):
+        assert cell in text
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 10, 11])
+def test_block_boundaries_keep_every_byte(tmp_path, block_rows, monkeypatch):
+    monkeypatch.setattr(hpheat.cli, "_WRITE_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    reals = rng.standard_normal((10, 3)) * 10.0 ** rng.integers(-120, 120, (10, 3))
+    reals[4] = (np.nan, 2.0**-25, -np.inf)
+    labelled = tuple(
+        (f"probe_{i}" * (i % 3), "x", r) for i, r in enumerate(reals[:, 0].tolist())
+    )
+    for table in (
+        OutputTable(("t_s", "a", "b"), reals),
+        OutputTable(("probe", "quantity", "value"), labelled),
+    ):
+        for fmt in ("dat", "csv"):
+            _renders_like_the_cells(table, tmp_path, fmt)
+
+
+def test_the_fast_path_renders_ordinary_histories(tmp_path, monkeypatch):
+    fallbacks = []
+    exact = hpheat.cli._exact
+    monkeypatch.setattr(hpheat.cli, "_exact", lambda x: fallbacks.append(x) or exact(x))
+    run(parse_config(FAST_TRANSIENT), out_dir=str(tmp_path / "transient"), fmt="dat")
+    assert len(list((tmp_path / "transient").iterdir())) == 3
+    assert fallbacks == []
+    for odd in (2.0**-25, np.nan):
+        table = OutputTable(("a", "b"), np.array([[1.0, -3.0], [odd, 1e-3]]))
+        _renders_like_the_cells(table, tmp_path, "dat")
+        assert np.array_equal(fallbacks, [odd], equal_nan=True)
+        fallbacks.clear()
 
 
 # ------------------------------------------------------------- modes
