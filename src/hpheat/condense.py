@@ -16,7 +16,10 @@ factor the implicit matrix of the theta scheme once per system:
 - it folds the row scaling, the explicit matrix, the elimination of the
   interiors and their recovery from the vertex DOFs into one CSR step
   operator, so that a step is one sparse product and one banded solve, and
-  folds the load on the rows that boundary data load the same way;
+  folds the load on the rows that boundary data load the same way (the
+  step itself, timeint.StepArrays, reorders that operator's vertex rows by
+  dgbtrf's interchanges and adds the load inside its product, once per
+  march, and leaves the factorization as it is);
 - it diagonalizes each element's interior block of that operator, F_ii,
   in a real basis of its eigenvectors (module `eigenbasis`), each distinct
   block once, and marches the element's interiors in that basis: an
@@ -35,7 +38,7 @@ It reads the element blocks that `assemble` keeps, SemiDiscreteSystem's
 A_blocks and B_blocks, and builds no global matrix.  No step of the set-up
 loops over elements in Python but the diagonalization, which loops over
 the distinct blocks.  `stack` joins several condensed systems into one
-block-diagonal system.
+block-diagonal system, from the members' CSR arrays as they stand.
 """
 
 from __future__ import annotations
@@ -441,12 +444,32 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     )
 
 
+def _joined(pieces, n_cols: int) -> sp.csr_matrix:
+    """The CSR matrix of the pieces' rows, one piece after the other: a
+    piece (m, rows, cols) gives the rows `rows`, a slice, of the CSR matrix
+    m, with each column j moved to cols[j].  Every row keeps its column
+    order."""
+    data, indices, counts = [], [], [np.zeros(1, dtype=np.int32)]
+    for m, rows, cols in pieces:
+        entries = slice(m.indptr[rows.start], m.indptr[rows.stop])
+        data.append(m.data[entries])
+        indices.append(cols[m.indices[entries]].astype(np.int32))
+        counts.append(np.diff(m.indptr[rows.start:rows.stop + 1]))
+    indptr = np.cumsum(np.concatenate(counts), dtype=np.int32)
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(indptr.size - 1, n_cols)
+    )
+
+
 def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
     """Several condensed systems as one, block-diagonal: the free numbering
     runs member after member, and the condensed state holds every member's
     vertex DOFs, then every member's interiors.
 
-    Each member's LU factors move into the widest member's band layout,
+    The step operator, `interior` and load_fold join the members' CSR
+    arrays: their row pointers offset, their column indices mapped into the
+    stack, each row's entries in their order.  Each member's LU factors
+    move into the widest member's band layout,
     where the extra diagonals hold exact zeros, and its pivots shift by the
     vertex DOFs before it.  Every step thus does for each member the
     operations of its own step, in the same order.
@@ -462,12 +485,21 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
         for v, d, vs, is_ in zip(nv, dims, vertex_start, interior_start)
     ])
     dim = int(dims.sum())
-    # Converted from COO, every row keeps its members' column order.
-    step = sp.block_diag([f.m_expl for f in facts], format="coo")
-    m_expl = sp.csr_matrix((step.data, (place[step.row], place[step.col])), shape=(dim, dim))
-    conversion = sp.block_diag([f.interior for f in facts], format="coo")
-    interior = sp.csr_matrix(
-        (conversion.data, (conversion.row, place[conversion.col])), shape=conversion.shape
+    # Each member's condensed columns in the stack.
+    cols = [place[s:s + d] for s, d in zip(free_start, dims)]
+    m_expl = _joined(
+        [(f.m_expl, slice(0, f.n_vertex), c) for f, c in zip(facts, cols)]
+        + [(f.m_expl, slice(f.n_vertex, f.dim), c) for f, c in zip(facts, cols)],
+        dim,
+    )
+    interior = _joined(
+        [(f.interior, slice(0, f.dim - f.n_vertex), c) for f, c in zip(facts, cols)], dim
+    )
+    n_load = np.array([f.load_fold.shape[1] for f in facts])
+    load_fold = _joined(
+        [(f.load_fold, slice(0, f.load_rows.size), np.arange(n) + s)
+         for f, n, s in zip(facts, n_load, np.cumsum(n_load) - n_load)],
+        int(n_load.sum()),
     )
     order = np.empty(dim, dtype=int)
     order[place] = np.concatenate([f.order + s for f, s in zip(facts, free_start)])
@@ -484,7 +516,7 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
         order=order, n_vertex=int(nv.sum()),
         interior=interior,
         load_rows=np.concatenate([place[f.load_rows + s] for f, s in zip(facts, free_start)]),
-        load_fold=sp.block_diag([f.load_fold for f in facts], format="csr"),
+        load_fold=load_fold,
         to_eigenbasis=tuple(
             replace(run, start=int(run.start - f.n_vertex + s))
             for f, s in zip(facts, interior_start)

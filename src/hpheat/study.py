@@ -202,30 +202,38 @@ class SweepRuns:
 
 def solve_sweep(spec: SweepSpec, theta: float = 0.5) -> SweepRuns:
     """The runs behind run_sweep: every sweep member solved as
-    solve_transient would solve it, stacked as run_sweep describes."""
+    solve_transient would solve it, stacked as run_sweep describes.
+
+    A point's DOF count is that of its first member's discretized system.
+    Only a point none of whose members was discretized is numbered on its
+    own, by build_dofmap, which tells a discretization that cannot be built
+    (-1, and build_dofmap's reason for every member) from members that
+    failed on their own."""
     base = spec.scenario_factory(spec.taus[0])
     failures: dict[tuple[int, int], str] = {}
     stacks: dict[ThetaScheme, list] = {}
-    dofs = np.empty(len(spec.values), dtype=int)
+    dofs = np.full(len(spec.values), -1)
     for i, value in enumerate(spec.values):
         n, p = spec.discretization(value)
-        try:
-            dofmap = build_dofmap(Mesh.uniform(n, base.length), base.model, p, base.bcs)
-        except (ValueError, TypeError) as exc:
-            dofs[i] = -1
-            failures.update(((i, j), str(exc)) for j in range(len(spec.taus)))
-            continue
-        dofs[i] = dofmap.total_dofs
         for j, tau in enumerate(spec.taus):
             try:
                 scenario = spec.scenario_factory(tau)
                 scheme = ThetaScheme(theta=theta, dt=scenario.dt, n_steps=scenario.n_steps)
                 sys, lowered, probes = discretize(scenario, n, p)
+                dofs[i] = sys.dofmap.total_dofs
                 member = prepare(lowered, scheme, probes)
             except Exception as exc:
                 failures[(i, j)] = str(exc)
                 continue
             stacks.setdefault(scheme, []).append(((i, j), scenario, sys, member))
+        if dofs[i] >= 0:
+            continue
+        # No member was discretized: the point's DOF count, or the reason
+        # why its discretization cannot be built, which every member keeps.
+        try:
+            dofs[i] = build_dofmap(Mesh.uniform(n, base.length), base.model, p, base.bcs).total_dofs
+        except (ValueError, TypeError) as exc:
+            failures.update(((i, j), str(exc)) for j in range(len(spec.taus)))
 
     runs = {}
     for scheme, stack in stacks.items():
@@ -252,7 +260,7 @@ def run_sweep(
     and the members that share a time grid and theta (all of them, in the
     benchmark sweeps) are stacked into one block-diagonal system: each
     member is condensed on its own, and the stack marches once, with one
-    sparse product, load update and narrow vertex back-substitution per
+    sparse product, forward sweep and narrow vertex back-substitution per
     step for all of them.  That replaces one Python
     time loop per member by one per stack, and every member's histories stay
     bit for bit those of solve_transient.
@@ -268,8 +276,8 @@ def run_sweep(
     - a member whose factorization fails is left out of its stack, and its
       error names the pivot within the member;
     - a NaN or infinity in one block of the stack reaches every other block
-      within one step, because the banded back-substitution multiplies the
-      band's stored zeros by it.  So when any member ends non-finite, every
+      within one step, because the banded solves multiply the band's stored
+      zeros by it.  So when any member ends non-finite, every
       member of that stack is marched again alone through the same core: a
       bad member then names its own step, and never costs the others their
       histories.

@@ -19,10 +19,19 @@ Its inputs are built once, before the loop:
 - the free-DOF weight rows of the probes;
 - the initial state.
 
-It returns the probe histories and the final state.  A step is one sparse
-product with the step operator, an update of the few folded load rows, one
-narrow banded back-substitution for the vertex DOFs, and one gather of the
-state entries the probes read.  The condensed state holds each element's
+It returns the probe histories and the final state.  Once per march, it
+derives the step's arrays from the factorization (StepArrays): the step
+operator with its vertex rows in the order that the band factorization's
+row interchanges leave them in and one column per folded load row, the
+unit lower band of the forward sweep, and the upper band.  A step is then
+one sparse product of the state and the step's load, which sit one after
+the other in one buffer, one forward sweep and one back-substitution on the
+narrow vertex band, all in place in a second buffer, and one gather of the
+state entries the probes read; the two buffers swap after every step.  The
+step's bits are those of the product with the step operator, the addition
+of the load and LAPACK's dgbtrs on the factors, taken one after the other
+(test_the_step_is_bitwise_the_public_formulation, tests/test_timeint.py).
+The condensed state holds each element's
 interiors' right-hand side, not the interiors, and in the basis of
 eigenvectors in which the element's interior block of the step operator is
 diagonal but for a 2x2 block per complex pair of eigenvalues, so the
@@ -41,7 +50,9 @@ grid as a single block-diagonal system through the same core.
 
 The step's sparse product calls scipy's CSR kernel csr_matvec itself, into
 a zeroed output: the call that `@` ends in, with the same bits, without
-the microseconds of scipy's dispatch around it.  The interior recoveries
+the microseconds of scipy's dispatch around it.  The forward sweep is
+BLAS's dtbsv and the back-substitution LAPACK's dgbtrs, called through
+scipy's wrappers in place on the buffer.  The interior recoveries
 call csr_matvecs through condense.matvecs.  Both kernels come from
 scipy.sparse._sparsetools, a private scipy module; the test
 test_the_private_kernels_are_bitwise_the_public_products (tests/test_timeint.py)
@@ -61,6 +72,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrs
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -103,23 +116,123 @@ def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> Condens
     return condense(sys, scheme.dt, scheme.theta)
 
 
-def advance(fact: CondensedFactorization, w: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """One theta step of the condensed state w, with a load folded onto the
-    condensed rows fact.load_rows (fact.load_fold applied to it): one sparse
-    product, the load update and one banded back-substitution for the
-    vertex DOFs.  The interior rows of the product are the next state's as
-    they stand (CondensedFactorization)."""
+@dataclass(frozen=True)
+class StepArrays:
+    """The arrays of one theta step, derived from a CondensedFactorization
+    by step_arrays.
+
+    A step reads a buffer x of dim + len(fact.load_rows) entries, the
+    condensed state and then the step's folded load, and writes the next
+    state into the first dim entries of a buffer y of the same size:
+
+    - y = matrix @ x.  matrix holds the rows of fact.m_expl, with the
+      vertex rows in the order that dgbtrf's row interchanges leave them
+      in, and after the entries of each row in fact.load_rows one entry
+      1.0 in the column that reads its load from the tail of x.  So each
+      row sums the products of m_expl and then adds its load.
+    - The forward sweep with the unit lower band `lower`, of half-bandwidth
+      reach, on y's vertex rows: one dtbsv.  Its column j holds dgbtrf's
+      multipliers of column j, each in the row where the later interchanges
+      carry it, so reach can exceed fact.kl, up to n_vertex - 1 when
+      the interchanges chain down every row.
+    - The back-substitution with the upper band `upper` of the factors, of
+      half-bandwidth ku = fact.kl + fact.ku: one dgbtrs with kl = 0, which
+      reads no pivot; ipiv is there for its wrapper's signature.
+
+    dgbtrs on the full factors makes the same products and sums in the
+    same order: it takes each interchange just before its column's
+    elimination, and does the elimination as a rank-one update, which
+    OpenBLAS runs through the axpy kernel that dtbsv runs too.  Where
+    reach exceeds the rows that dgbtrs updates, the lower band holds exact
+    zeros.  Their products, +-0, change no finite sum, since no sum is -0
+    when the product starts every row from +0; and they make NaN only of
+    entries below a non-finite one, which dgbtrs makes non-finite too.
+    """
+
+    dim: int
+    n_vertex: int
+    matrix: sp.csr_matrix
+    lower: np.ndarray
+    reach: int
+    upper: np.ndarray
+    ku: int
+    ipiv: np.ndarray
+
+
+def step_arrays(fact: CondensedFactorization) -> StepArrays:
+    """The step's arrays for a factorization.  Only the rows that dgbtrf
+    interchanged take a Python iteration each."""
+    nv, kl, dim = fact.n_vertex, fact.kl, fact.dim
+    # dgbtrs swaps rows k and ipiv[k] just before it eliminates column k,
+    # and the swap moves the entries that the columns before k have
+    # updated.  Applied up front, the swaps take the vertex rows in the
+    # order perm, and carry each multiplier of column j, which row j + 1 + t
+    # received, to the row where that row's entry ends up.
+    perm = np.arange(nv)
+    rows = np.arange(nv) + np.arange(1, kl + 1)[:, None]
+    reach = kl
+    for k in np.flatnonzero(fact.ipiv != perm):
+        p = fact.ipiv[k]
+        perm[[k, p]] = perm[[p, k]]
+        # Only the columns within reach of row k hold multipliers in row k
+        # or row p >= k.
+        start = max(k - reach, 0)
+        window = rows[:, start:k]
+        down, up = window == k, window == p
+        window[down], window[up] = p, k
+        if down.any():
+            reach = max(reach, p - start - int(np.argmax(down.any(axis=0))))
+    cols = np.broadcast_to(np.arange(nv), rows.shape)
+    inside = rows < nv
+    offset = rows[inside] - cols[inside]
+    reach = int(offset.max(initial=0))
+    lower = np.zeros((reach + 1, nv), order="F")
+    lower[offset, cols[inside]] = fact.lu[kl + fact.ku + 1:][inside]
+
+    # The rows of m_expl in the new order, each followed by its load entry.
     m = fact.m_expl
-    rhs = np.zeros(fact.dim)
-    csr_matvec(fact.dim, fact.dim, m.indptr, m.indices, m.data, w, rhs)
-    rhs[fact.load_rows] += load
-    nv = fact.n_vertex
-    if nv:
-        vertex, info = dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv, overwrite_b=1)
+    order = np.concatenate((perm, np.arange(nv, dim)))
+    at = np.empty(dim, dtype=int)
+    at[order] = np.arange(dim)
+    loaded = at[fact.load_rows]
+    counts = np.diff(m.indptr)[order]
+    counts[loaded] += 1
+    indptr = np.zeros(dim + 1, dtype=m.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    source = np.repeat(m.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+    n_load = loaded.size
+    source[indptr[loaded + 1] - 1] = m.nnz + np.arange(n_load)
+    matrix = sp.csr_matrix(
+        (
+            np.append(m.data, np.ones(n_load))[source],
+            np.append(m.indices, np.arange(dim, dim + n_load, dtype=m.indices.dtype))[source],
+            indptr,
+        ),
+        shape=(dim, dim + n_load),
+    )
+    return StepArrays(
+        dim=dim, n_vertex=nv, matrix=matrix, lower=lower, reach=reach,
+        upper=np.asfortranarray(fact.lu[:kl + fact.ku + 1]), ku=kl + fact.ku, ipiv=fact.ipiv,
+    )
+
+
+def advance(step: StepArrays, x: np.ndarray, y: np.ndarray) -> None:
+    """One theta step (StepArrays): from the state and load in x, the next
+    state into the first step.dim entries of y.  The rest of y is zeroed.
+
+    The product calls scipy's CSR kernel csr_matvec, the call that `@`
+    ends in, on y zeroed.  Both solves work in place on y."""
+    m = step.matrix
+    y.fill(0.0)
+    csr_matvec(step.dim, x.size, m.indptr, m.indices, m.data, x, y)
+    if step.n_vertex:
+        # incx, offx, lower, trans, diag and overwrite_x by position, which
+        # the wrapper parses faster than keywords: a unit lower band, in
+        # place.
+        dtbsv(step.reach, step.lower, y, 1, 0, 1, 0, 1, 1)
+        _, info = dgbtrs(step.upper, 0, step.ku, y, step.ipiv, overwrite_b=1)
         if info != 0:
             raise RuntimeError(f"banded back-substitution failed with info {info}")
-        rhs[:nv] = vertex
-    return rhs
 
 
 @dataclass
@@ -220,7 +333,13 @@ def march(
     ends = np.cumsum([len(r.free_w) for r in probes], dtype=int)
     terms = [(r.free_w[:, None], slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
     seen = np.empty((min(n_steps, _BLOCK_STEPS), at.size))
-    state = fact.state(alpha)
+    step = step_arrays(fact)
+    dim = fact.dim
+    # The state and the step's load, and the next state, swapped after
+    # every step.
+    x = np.empty(dim + fact.load_rows.size)
+    y = np.empty_like(x)
+    x[:dim] = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,10 +347,12 @@ def march(
         for first in range(0, n_steps, _BLOCK_STEPS):
             table = fact.load_fold @ loads[first:first + _BLOCK_STEPS].T
             for load, row in zip(table.T, seen):
-                state = advance(fact, state, load)
+                x[dim:] = load
+                advance(step, x, y)
+                x, y = y, x
                 # at is in range: mode "clip" writes straight into the row,
                 # where "raise" goes through a buffer.
-                state.take(at, out=row, mode="clip")
+                x.take(at, out=row, mode="clip")
             block = seen[:table.shape[1]]
             block[:, inner] = matvecs(recover, block.T.copy()).T
             block = block[:, :scale.size]
@@ -242,7 +363,7 @@ def march(
             done = slice(first + 1, first + 1 + len(block))
             for i, (w, part) in enumerate(terms):
                 values[i, done] = np.matmul(block[:, None, part], w)[:, 0, 0]
-    return values, fact.coefficients(state)
+    return values, fact.coefficients(x[:dim])
 
 
 def _solution(
@@ -296,14 +417,14 @@ def integrate_stack(
     grid as a single block-diagonal system, and split the result per member.
 
     Every member is condensed on its own, and the stack concatenates the
-    condensed operators: every step is one sparse product, one load update
-    and one back-substitution on the narrow vertex band for all members.  A member's histories are bit for bit those of
-    integrate on its own.
+    condensed operators: every step is one sparse product, one forward sweep
+    and one back-substitution on the narrow vertex band for all members.  A
+    member's histories are bit for bit those of integrate on its own.
 
     Failures stay per member.  A member whose factorization fails keeps its
     FactorizationError and the rest march.  A NaN or infinity in one block
-    reaches every other block within one step, because the back-substitution
-    multiplies the band's stored zeros by it; so when any member ends
+    reaches every other block within one step, because the banded solves
+    multiply the band's stored zeros by it; so when any member ends
     non-finite, every member is marched again alone, and only the bad ones
     keep a NonFiniteStateError naming their own step.  Returns, in member
     order, each solution or the error that stopped it.

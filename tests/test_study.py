@@ -240,6 +240,46 @@ def test_run_sweep_records_non_finite_data_as_a_failure(nan_from):
     assert np.all(np.isnan(report.errors[(0.05, "T_rear")]))
 
 
+def test_sweep_points_take_their_dof_counts_from_their_members(monkeypatch, nan_from):
+    # Members that are discretized number their point, so build_dofmap
+    # numbers no point on its own; a point whose members all fail after
+    # their discretization keeps its count, and only a point that cannot
+    # be discretized is numbered alone, as -1 with build_dofmap's reason.
+    calls = []
+    numbering = hpheat.study.build_dofmap
+
+    def counted(*args):
+        calls.append(args)
+        return numbering(*args)
+
+    monkeypatch.setattr(hpheat.study, "build_dofmap", counted)
+
+    def make(tau):
+        return benchmark_scenario(
+            ModelKind.MCV, tau=tau, conductivity=STUDY_CONDUCTIVITY, dt=1e-3, n_steps=10
+        )
+
+    def broken(tau):
+        scenario = make(tau)
+        nan_late = nan_from(scenario.bcs.left.value, 3.5e-3)
+        return replace(scenario, bcs=BoundarySpec(PrescribedFlux(nan_late), PrescribedFlux(ZERO)))
+
+    counts = [solve_transient(make(0.3), 4, p, theta=1.0).system.dofmap.total_dofs for p in (2, 3)]
+    healthy = solve_sweep(
+        SweepSpec("mcv", "p", (2, 3), 4, (0.3, 0.05), scenario_factory=make), theta=1.0
+    )
+    assert list(healthy.dofs) == counts and not healthy.failures and not calls
+    sweep = solve_sweep(
+        SweepSpec("mcv", "p", (2, 3, 12), 4, (0.3, 0.05), scenario_factory=broken), theta=1.0
+    )
+    assert list(sweep.dofs) == counts + [-1]
+    assert len(calls) == 1 and not sweep.runs
+    messages = {(value, tau): message for value, tau, message in sweep.failures}
+    assert len(messages) == 6
+    assert all("step 4" in messages[(p, tau)] for p in (2, 3) for tau in (0.3, 0.05))
+    assert "cap" in messages[(12, 0.3)] and messages[(12, 0.3)] == messages[(12, 0.05)]
+
+
 def separate_solves(spec, theta):
     """Every sweep member solved on its own, by (value, tau)."""
     runs = {}

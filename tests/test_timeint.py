@@ -37,7 +37,8 @@ from hpheat.assembly import (
     probe_row,
 )
 from hpheat.materials import MaterialParams, ModelKind
-from hpheat.scenario import PulseParams, flash_pulse
+from hpheat.scenario import PulseParams, benchmark_scenario, discretize, flash_pulse
+from hpheat.study import STUDY_CONDUCTIVITY
 from hpheat.timefun import ZERO, TimeFunction, on_grid
 from hpheat.timeint import (
     FactorizationError,
@@ -48,6 +49,7 @@ from hpheat.timeint import (
     integrate,
     integrate_stack,
     prepare,
+    step_arrays,
 )
 
 MCV_MAT = MaterialParams(rho=2600.0, c_v=800.0, conductivity=3.0, tau=0.3)
@@ -66,12 +68,21 @@ RISING = TimeFunction(
 )
 
 
+def one_step(fact, w, load):
+    """One step of advance from the condensed state w, with a load on the
+    condensed rows fact.load_rows."""
+    x = np.concatenate((w, load))
+    y = np.empty_like(x)
+    advance(step_arrays(fact), x, y)
+    return y[:fact.dim]
+
+
 def condensed_step(sys, fact, s, load):
     """One step of the condensed state s with dt times a load on all free
     rows, which must vanish off the system's load_rows, folded onto the
     condensed rows fact.load_rows it reaches."""
     assert not np.delete(load, sys.load_rows).any()
-    return advance(fact, s, fact.load_fold @ load[sys.load_rows])
+    return one_step(fact, s, fact.load_fold @ load[sys.load_rows])
 
 
 def step(sys, scheme, fact, alpha_n, t_n):
@@ -168,21 +179,24 @@ def test_an_illegal_argument_to_the_band_factorization_is_reported(monkeypatch):
 
 
 def test_a_malformed_back_substitution_is_reported():
-    # A factorization that claims more subdiagonals than its band holds:
-    # dgbtrs rejects the leading dimension of the band.
+    # Step arrays that claim more superdiagonals than their upper band
+    # holds: dgbtrs rejects the leading dimension of the band.
     sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
     fact = build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
-    w = fact.state(np.zeros(sys.dim))
-    with pytest.raises(RuntimeError, match="banded back-substitution failed with info -"):
-        advance(replace(fact, kl=fact.kl + 5), w, np.zeros(len(fact.load_rows)))
+    step = step_arrays(fact)
+    x = np.concatenate((fact.state(np.zeros(sys.dim)), np.zeros(fact.load_rows.size)))
+    with pytest.raises(RuntimeError, match="banded back-substitution failed with info -7"):
+        advance(replace(step, ku=step.ku + 5), x, np.empty_like(x))
 
 
 def public_step(fact, w, load):
-    """advance written with scipy's public `@` and LAPACK's dgbtrs."""
+    """One step written with scipy's public `@` and LAPACK's dgbtrs on the
+    factors as dgbtrf left them."""
     rhs = fact.m_expl @ w
     rhs[fact.load_rows] += load
     nv = fact.n_vertex
-    rhs[:nv] = scipy.linalg.lapack.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
+    if nv:
+        rhs[:nv] = scipy.linalg.lapack.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
     return rhs
 
 
@@ -191,7 +205,8 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
     # advance calls scipy.sparse._sparsetools.csr_matvec, and coefficients
     # and the probe recovery csr_matvecs (condense.matvecs), a private
     # module: a scipy whose `@` ends in other kernels, or whose kernels
-    # take other arguments, fails here.
+    # take other arguments, fails here or in
+    # test_the_step_is_bitwise_the_public_formulation.
     systems = {
         "gk": assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, PULSE_BCS),
         "mcv": assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 4, PULSE_BCS),
@@ -200,20 +215,101 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
     facts = [build_factorization(systems[name], scheme) for name in members]
     fact = facts[0] if len(facts) == 1 else hpheat.condense.stack(facts)
     # Index arrays of one type: the kernel then converts no input per call.
-    for m in (fact.m_expl, fact.interior):
+    for m in (fact.m_expl, fact.interior, step_arrays(fact).matrix):
         assert m.indptr.dtype == m.indices.dtype
     rng = np.random.default_rng(7)
     w = rng.standard_normal(fact.dim)
     for _ in range(5):
-        load = rng.standard_normal(fact.load_rows.size)
-        want = public_step(fact, w, load)
-        w = advance(fact, w, load)
-        assert np.array_equal(w, want)
+        w = one_step(fact, w, rng.standard_normal(fact.load_rows.size))
     # `@` sends a block of two columns to csr_matvecs, and one to csr_matvec.
     both = fact.interior @ np.column_stack((w, -w))
     assert np.array_equal(hpheat.condense.matvecs(fact.interior, w), both[:, 0])
     y = np.concatenate((w[:fact.n_vertex], both[:, 0]))
     assert np.array_equal(fact.coefficients(w)[fact.order], fact.col_scale[fact.order] * y)
+
+
+def chained_interchanges():
+    """A vertex-only factorization of a random band matrix whose small
+    diagonal makes dgbtrf interchange rows at most columns, so that a
+    multiplier travels down several rows: the step's lower band grows past
+    kl.  Its step operator is a random matrix of the same band."""
+    n, kl = 12, 2
+    rng = np.random.default_rng(3)
+    dense = np.triu(np.tril(rng.uniform(0.5, 1.0, (n, n)), kl), -kl)
+    dense[np.diag_indices(n)] *= 1e-3
+    ab = np.zeros((3 * kl + 1, n), order="F")
+    for i, j in zip(*np.nonzero(dense)):
+        ab[2 * kl + i - j, j] = dense[i, j]
+    lu, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, kl)
+    assert info == 0
+    load_rows = np.array([0, 5, n - 1])
+    return hpheat.condense.CondensedFactorization(
+        lu=lu, ipiv=ipiv, kl=kl, ku=kl, dim=n,
+        m_expl=sp.csr_matrix(rng.standard_normal((n, n)) * (dense != 0.0)),
+        row_scale=np.ones(n), col_scale=np.ones(n), order=np.arange(n), n_vertex=n,
+        interior=sp.csr_matrix((0, n)), load_rows=load_rows,
+        load_fold=sp.identity(load_rows.size, format="csr"), to_eigenbasis=(),
+    )
+
+
+def benchmark_factorization(model, tau, n, p, theta=1.0):
+    """The factorization of a study benchmark system, as solve_transient
+    builds it."""
+    kappa2 = {"kappa2": 8e-6} if model is ModelKind.GK else {}
+    sc = benchmark_scenario(
+        model, tau=tau, conductivity=STUDY_CONDUCTIVITY, dt=1e-3, n_steps=1, **kappa2
+    )
+    _, lowered, _ = discretize(sc, n, p)
+    return build_factorization(lowered, ThetaScheme(theta, 1e-3, 1))
+
+
+def step_case(case):
+    if case == "gk_100x10":
+        return benchmark_factorization(ModelKind.GK, 0.3, 100, 10)
+    if case == "mcv_100x10":
+        return benchmark_factorization(ModelKind.MCV, 0.05, 100, 10)
+    if case == "mcv_p_sweep_stack":
+        return hpheat.condense.stack(
+            [benchmark_factorization(ModelKind.MCV, 0.05, 4, p, 0.5) for p in (1, 2, 4, 8)]
+            + [benchmark_factorization(ModelKind.MCV, 0.05, 100, 10, 0.5)]
+        )
+    if case == "no_free_vertex":
+        mat, model, n, p = DENSE_CASES["fourier_one_element"]
+        sys = assemble(Mesh.uniform(n, 0.005), mat, model, p, DENSE_DATA["dirichlet_both"])
+        return build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
+    return chained_interchanges()
+
+
+STEP_CASES = ["gk_100x10", "mcv_100x10", "mcv_p_sweep_stack", "no_free_vertex", "chained_interchanges"]
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_the_step_is_bitwise_the_public_formulation(case):
+    # advance takes dgbtrf's interchanges up front, in the order of the step
+    # operator's rows, and sweeps forward with one dtbsv where dgbtrs makes
+    # one rank-one update per column: every sum is the same, bit for bit.
+    fact = step_case(case)
+    step = step_arrays(fact)
+    swaps = np.count_nonzero(fact.ipiv != np.arange(fact.n_vertex))
+    expected = {
+        "gk_100x10": (0, 3),
+        "mcv_100x10": (1, 2),
+        "no_free_vertex": (0, 0),
+    }
+    if case in expected:
+        assert (swaps, step.reach) == expected[case]
+    else:
+        assert swaps and step.reach > fact.kl
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal(fact.dim)
+    x = np.empty(fact.dim + fact.load_rows.size)
+    y = np.empty_like(x)
+    for _ in range(5):
+        load = rng.standard_normal(fact.load_rows.size)
+        x[:fact.dim], x[fact.dim:] = w, load
+        advance(step, x, y)
+        w = public_step(fact, w, load)
+        assert np.array_equal(y[:fact.dim].view(np.uint64), w.view(np.uint64))
 
 
 def check_step_against_dense_solve(sys, scheme, a0):
@@ -644,7 +740,7 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
     w = fact.state(a0)
     calls.clear()
-    advance(fact, w, np.zeros(fact.load_rows.size))
+    one_step(fact, w, np.zeros(fact.load_rows.size))
     assert not calls
 
 
