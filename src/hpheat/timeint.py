@@ -147,6 +147,11 @@ class StepArrays:
     zeros.  Their products, +-0, change no finite sum, since no sum is -0
     when the product starts every row from +0; and they make NaN only of
     entries below a non-finite one, which dgbtrs makes non-finite too.
+
+    dim, n_vertex, reach and ku repeat matrix.shape[0], lower.shape[1],
+    lower.shape[0] - 1 and upper.shape[0] - 1.  They are kept because every
+    step reads them, and reading the shapes would add about 0.25 us to a
+    step of 16.6 us at GK 100x10.
     """
 
     dim: int

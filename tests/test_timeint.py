@@ -13,6 +13,7 @@ every step from SemiDiscreteSystem.load_average, and the probe values from
 the state, through the factorization's single-step primitives.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -38,7 +39,12 @@ from hpheat.assembly import (
 )
 from hpheat.materials import MaterialParams, ModelKind
 from hpheat.scenario import PulseParams, benchmark_scenario, discretize, flash_pulse
-from hpheat.study import STUDY_CONDUCTIVITY
+from hpheat.study import (
+    REFERENCE_DEGREE,
+    REFERENCE_ELEMENTS,
+    STUDY_CONDUCTIVITY,
+    benchmark_sweep_families,
+)
 from hpheat.timefun import ZERO, TimeFunction, on_grid
 from hpheat.timeint import (
     FactorizationError,
@@ -220,7 +226,10 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
     rng = np.random.default_rng(7)
     w = rng.standard_normal(fact.dim)
     for _ in range(5):
-        w = one_step(fact, w, rng.standard_normal(fact.load_rows.size))
+        load = rng.standard_normal(fact.load_rows.size)
+        want = public_step(fact, w, load)
+        w = one_step(fact, w, load)
+        assert np.array_equal(w, want)
     # `@` sends a block of two columns to csr_matvecs, and one to csr_matvec.
     both = fact.interior @ np.column_stack((w, -w))
     assert np.array_equal(hpheat.condense.matvecs(fact.interior, w), both[:, 0])
@@ -273,6 +282,14 @@ def step_case(case):
             [benchmark_factorization(ModelKind.MCV, 0.05, 4, p, 0.5) for p in (1, 2, 4, 8)]
             + [benchmark_factorization(ModelKind.MCV, 0.05, 100, 10, 0.5)]
         )
+    if case == "gk_mcv_stack":
+        # Members of kl 3 and 1: the MCV member's factors sit in the
+        # stack's wider band with its extra diagonals zero, and it
+        # interchanges one row.
+        return hpheat.condense.stack(
+            [benchmark_factorization(ModelKind.GK, 0.3, 100, 10)]
+            + [benchmark_factorization(ModelKind.MCV, 0.05, 100, 10)]
+        )
     if case == "no_free_vertex":
         mat, model, n, p = DENSE_CASES["fourier_one_element"]
         sys = assemble(Mesh.uniform(n, 0.005), mat, model, p, DENSE_DATA["dirichlet_both"])
@@ -280,7 +297,10 @@ def step_case(case):
     return chained_interchanges()
 
 
-STEP_CASES = ["gk_100x10", "mcv_100x10", "mcv_p_sweep_stack", "no_free_vertex", "chained_interchanges"]
+STEP_CASES = [
+    "gk_100x10", "mcv_100x10", "mcv_p_sweep_stack", "gk_mcv_stack", "no_free_vertex",
+    "chained_interchanges",
+]
 
 
 @pytest.mark.parametrize("case", STEP_CASES)
@@ -294,6 +314,7 @@ def test_the_step_is_bitwise_the_public_formulation(case):
     expected = {
         "gk_100x10": (0, 3),
         "mcv_100x10": (1, 2),
+        "gk_mcv_stack": (1, 4),
         "no_free_vertex": (0, 0),
     }
     if case in expected:
@@ -310,6 +331,23 @@ def test_the_step_is_bitwise_the_public_formulation(case):
         advance(step, x, y)
         w = public_step(fact, w, load)
         assert np.array_equal(y[:fact.dim].view(np.uint64), w.view(np.uint64))
+
+
+def test_the_study_systems_keep_the_forward_sweep_within_one_row_of_kl():
+    # Chained interchanges widen the forward sweep's band up to n_vertex - 1
+    # (chained_interchanges).  Every system of the study's sweeps and
+    # references, at theta 1/2 and 1, interchanges at most one row, so its
+    # sweep stays O(n_vertex kl).
+    widest = 0
+    for spec in benchmark_sweep_families(n_steps=1):
+        points = [(v, spec.fixed) if spec.kind == "h" else (spec.fixed, v) for v in spec.values]
+        points.append((REFERENCE_ELEMENTS, REFERENCE_DEGREE))
+        for tau, theta, (n, p) in itertools.product(spec.taus, (0.5, 1.0), points):
+            _, lowered, _ = discretize(spec.scenario_factory(tau), n, p)
+            fact = build_factorization(lowered, ThetaScheme(theta, 1e-3, 1))
+            assert np.count_nonzero(fact.ipiv != np.arange(fact.n_vertex)) <= 1
+            widest = max(widest, step_arrays(fact).reach - fact.kl)
+    assert widest == 1
 
 
 def check_step_against_dense_solve(sys, scheme, a0):
