@@ -37,8 +37,10 @@ the LAPACK build.
 It reads the element blocks that `assemble` keeps, SemiDiscreteSystem's
 A_blocks and B_blocks, and builds no global matrix.  No step of the set-up
 loops over elements in Python but the diagonalization, which loops over
-the distinct blocks.  `stack` joins several condensed systems into one
-block-diagonal system, from the members' CSR arrays as they stand.
+the distinct blocks.  The march reads its probes off the condensed state
+through rows built from `interior`.  `stack` joins several condensed
+systems into one block-diagonal system, from the members' CSR arrays as
+they stand.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgetrf
-from scipy.sparse._sparsetools import csr_matvecs
 
-from .assembly import ProbeRow, SemiDiscreteSystem
+from .assembly import SemiDiscreteSystem
 from .eigenbasis import EigenbasisRun, diagonalize
 
 
@@ -105,7 +106,8 @@ class CondensedFactorization:
     condensed rows load_rows it reaches.  `interior`, the rows [-N | W] on
     w, gives the interiors y_i = W u - N v, and to_eigenbasis applies W^-1
     per distinct block; they only convert between the state and the
-    coefficients.
+    coefficients, once each way per run, and build the probes' rows on w
+    (timeint.StepArrays).
     """
 
     lu: np.ndarray
@@ -138,54 +140,10 @@ class CondensedFactorization:
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """The free coefficient vector of a condensed state."""
         y = w.copy()
-        y[self.n_vertex:] = matvecs(self.interior, w)
+        y[self.n_vertex:] = self.interior @ w
         alpha = np.empty(self.dim)
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
-
-    def probe(
-        self, rows: Sequence[ProbeRow]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, sp.csr_matrix]:
-        """What to gather from the condensed state w for the free DOFs of
-        the probe rows, one row after the other, and how to turn it into
-        their coefficients.
-
-        Returns at, scale, inner and recover.  at holds the positions of
-        the free DOFs in w, then those of the state entries that the
-        recovery of their interiors reads; g = w[at] is what to gather.
-        inner lists the free DOFs that are interiors, and recover maps g to
-        their y_i: it holds their rows of `interior`, each in its column
-        order, on the gathered entries.  With g[inner] = recover @ g,
-        scale * g[:scale.size] is the rows' part of coefficients(w).
-
-        That is bit for bit when recover is applied with matvecs, as
-        coefficients applies `interior`: one kernel, which sums each row
-        from zero in its column order for one vector or a block of them.
-        """
-        position = np.empty(self.dim, dtype=int)
-        position[self.order] = np.arange(self.dim)
-        free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in rows])
-        at = position[free]
-        inner = np.flatnonzero(at >= self.n_vertex)
-        # The rows of `interior` that recover them; row indexing keeps each
-        # row's column order.
-        rec = self.interior[at[inner] - self.n_vertex]
-        reads, cols = np.unique(rec.indices, return_inverse=True)
-        recover = sp.csr_matrix(
-            (rec.data, (cols + at.size).astype(np.int32), rec.indptr),
-            shape=(inner.size, at.size + reads.size),
-        )
-        return np.concatenate((at, reads)), self.col_scale[free], inner, recover
-
-
-def matvecs(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """a @ x for a C-contiguous float64 x of shape (a.shape[1],) or
-    (a.shape[1], k), by scipy's csr_matvecs whatever k; `@` sends one
-    vector to csr_matvec instead, a kernel that may round apart."""
-    out = np.zeros(a.shape[:1] + x.shape[1:])
-    k = x.shape[1] if x.ndim == 2 else 1
-    csr_matvecs(*a.shape, k, a.indptr, a.indices, a.data, x, out)
-    return out
 
 
 class _Elements:

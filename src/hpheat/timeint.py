@@ -20,27 +20,25 @@ Its inputs are built once, before the loop:
 - the initial state.
 
 It returns the probe histories and the final state.  Once per march, it
-derives the step's arrays from the factorization (StepArrays): the step
-operator with its vertex rows in the order that the band factorization's
-row interchanges leave them in and one column per folded load row, the
-unit lower band of the forward sweep, and the upper band.  A step is then
-one sparse product of the state and the step's load, which sit one after
-the other in one buffer, one forward sweep and one back-substitution on the
-narrow vertex band, all in place in a second buffer, and one gather of the
-state entries the probes read; the two buffers swap after every step.  The
-step's bits are those of the product with the step operator, the addition
-of the load and LAPACK's dgbtrs on the factors, taken one after the other
-(test_the_step_is_bitwise_the_public_formulation, tests/test_timeint.py).
-The condensed state holds each element's
+derives the step's arrays from the factorization and the probe rows
+(StepArrays): the step operator with its vertex rows in the order that the
+band factorization's row interchanges leave them in, one column per folded
+load row and one row per probe, the unit lower band of the forward sweep,
+and the upper band.  A step is then one sparse product of the state and
+the step's load, which sit one after the other in one buffer, one forward
+sweep and one back-substitution on the narrow vertex band, all in place in
+a second buffer, and one copy of the probe values that the product gave;
+the two buffers swap after every step.  The step's bits are those of the product with the step operator,
+the addition of the load and LAPACK's dgbtrs on the factors, taken one
+after the other (test_the_step_is_bitwise_the_public_formulation,
+tests/test_timeint.py).  The condensed state holds each element's
 interiors' right-hand side, not the interiors, and in the basis of
 eigenvectors in which the element's interior block of the step operator is
 diagonal but for a 2x2 block per complex pair of eigenvalues, so the
 product holds one or two entries per interior row there.  The bits of that
-basis come from LAPACK's dgeev and depend on the LAPACK build.  No step
-recovers the interiors: that happens once per block of steps for the few
-interior entries the probes read, and once per run for the final state.
-The probe dot products also run once per block of steps, one stacked
-product per probe that sums each step as ProbeRow.evaluate does.
+basis come from LAPACK's dgeev and depend on the LAPACK build.  The march
+recovers the interiors once, for the final state, and reads the probes
+off the state itself (_functionals).
 
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
@@ -52,11 +50,10 @@ The step's sparse product calls scipy's CSR kernel csr_matvec itself, into
 a zeroed output: the call that `@` ends in, with the same bits, without
 the microseconds of scipy's dispatch around it.  The forward sweep is
 BLAS's dtbsv and the back-substitution LAPACK's dgbtrs, called through
-scipy's wrappers in place on the buffer.  The interior recoveries
-call csr_matvecs through condense.matvecs.  Both kernels come from
+scipy's wrappers in place on the buffer.  The kernel comes from
 scipy.sparse._sparsetools, a private scipy module; the test
 test_the_private_kernels_are_bitwise_the_public_products (tests/test_timeint.py)
-holds them bit for bit to `@`.
+holds it bit for bit to `@`.
 
 The load is f = natural fluxes - A_lc g' - B_lc g on the load rows, with g
 the constrained values and A_lc, B_lc the couplings of those rows to them
@@ -78,7 +75,7 @@ from scipy.linalg.lapack import dgbtrs
 from scipy.sparse._sparsetools import csr_matvec
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
-from .condense import CondensedFactorization, FactorizationError, condense, matvecs, stack
+from .condense import CondensedFactorization, FactorizationError, condense, stack
 from .timefun import NonFiniteStateError, on_grid, step_averages
 
 
@@ -103,8 +100,7 @@ class ThetaScheme:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-# Steps of the load table folded, and of probe values evaluated, at once in
-# march.
+# Steps of the load table folded at once in march.
 _BLOCK_STEPS = 128
 
 
@@ -119,17 +115,21 @@ def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> Condens
 @dataclass(frozen=True)
 class StepArrays:
     """The arrays of one theta step, derived from a CondensedFactorization
-    by step_arrays.
+    and probe rows by step_arrays.
 
-    A step reads a buffer x of dim + len(fact.load_rows) entries, the
-    condensed state and then the step's folded load, and writes the next
-    state into the first dim entries of a buffer y of the same size:
+    A step reads the condensed state and then the step's folded load from
+    the first dim + len(fact.load_rows) entries of a buffer x.  Into a
+    buffer y of the same size it writes the next state, in its first dim
+    entries, and the probes' functionals on x's state, in the next
+    len(scales) entries:
 
     - y = matrix @ x.  matrix holds the rows of fact.m_expl, with the
       vertex rows in the order that dgbtrf's row interchanges leave them
       in, and after the entries of each row in fact.load_rows one entry
       1.0 in the column that reads its load from the tail of x.  So each
-      row sums the products of m_expl and then adds its load.
+      row sums the products of m_expl and then adds its load.  The rows
+      of `functionals` follow: scales times their product with a state
+      are the free part of the probe values on it (_functionals).
     - The forward sweep with the unit lower band `lower`, of half-bandwidth
       reach, on y's vertex rows: one dtbsv.  Its column j holds dgbtrf's
       multipliers of column j, each in the row where the later interchanges
@@ -148,13 +148,13 @@ class StepArrays:
     when the product starts every row from +0; and they make NaN only of
     entries below a non-finite one, which dgbtrs makes non-finite too.
 
-    dim, n_vertex, reach and ku repeat matrix.shape[0], lower.shape[1],
+    rows, n_vertex, reach and ku repeat matrix.shape[0], lower.shape[1],
     lower.shape[0] - 1 and upper.shape[0] - 1.  They are kept because every
     step reads them, and reading the shapes would add about 0.25 us to a
     step of 16.6 us at GK 100x10.
     """
 
-    dim: int
+    rows: int
     n_vertex: int
     matrix: sp.csr_matrix
     lower: np.ndarray
@@ -162,11 +162,55 @@ class StepArrays:
     upper: np.ndarray
     ku: int
     ipiv: np.ndarray
+    functionals: sp.csr_matrix
+    scales: np.ndarray
 
 
-def step_arrays(fact: CondensedFactorization) -> StepArrays:
-    """The step's arrays for a factorization.  Only the rows that dgbtrf
-    interchanged take a Python iteration each."""
+def _functionals(
+    fact: CondensedFactorization, probes: Sequence[ProbeRow]
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """free_w . coefficients(w)[free_idx] of each probe as a row on the
+    condensed state w, scaled to unit max-norm, and the scales: a vertex DOF
+    reads col_scale times its entry of w, an interior one col_scale times
+    its row of `interior`.  Zero weights are left out.  Without the scaling
+    (col_scale reaches 4.7e4) a row overflows on states whose coefficients
+    are finite.  The values round apart from ProbeRow.evaluate on the
+    coefficients, within the bound of
+    test_the_probe_functionals_agree_with_the_recovered_coefficients."""
+    nv, dim, it = fact.n_vertex, fact.dim, fact.interior
+    weight = np.concatenate([np.zeros(0)] + [r.free_w for r in probes])
+    free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in probes])
+    owner = np.repeat(np.arange(len(probes)), [r.free_w.size for r in probes])
+    keep = weight != 0.0
+    free, owner = free[keep], owner[keep]
+    weight = weight[keep] * fact.col_scale[free]
+    position = np.empty(dim, dtype=int)
+    position[fact.order] = np.arange(dim)
+    at = position[free]
+    # An interior DOF's term spreads over its row of `interior`.
+    inner = at >= nv
+    rows = at[inner] - nv
+    counts = it.indptr[rows + 1] - it.indptr[rows]
+    entry = np.repeat(it.indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    col = np.concatenate((at[~inner], it.indices[entry]))
+    terms = np.concatenate((weight[~inner], it.data[entry] * np.repeat(weight[inner], counts)))
+    owner = np.concatenate((owner[~inner], np.repeat(owner[inner], counts)))
+    # The terms of a probe on one column add up in the order they come in.
+    key, term = np.unique(owner * dim + col, return_inverse=True)
+    value = np.bincount(term, terms, key.size)
+    row, col = np.divmod(key, dim)
+    scales = np.zeros(len(probes))
+    np.maximum.at(scales, row, np.abs(value))
+    value = value / scales[row]
+    indptr = np.zeros(len(probes) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=len(probes)), out=indptr[1:])
+    return sp.csr_matrix((value, col.astype(np.int32), indptr), shape=(len(probes), dim)), scales
+
+
+def step_arrays(fact: CondensedFactorization, probes: Sequence[ProbeRow] = ()) -> StepArrays:
+    """The step's arrays for a factorization and the probe rows on its free
+    numbering.  Only the rows that dgbtrf interchanged take a Python
+    iteration each."""
     nv, kl, dim = fact.n_vertex, fact.kl, fact.dim
     # dgbtrs swaps rows k and ipiv[k] just before it eliminates column k,
     # and the swap moves the entries that the columns before k have
@@ -194,42 +238,48 @@ def step_arrays(fact: CondensedFactorization) -> StepArrays:
     lower = np.zeros((reach + 1, nv), order="F")
     lower[offset, cols[inside]] = fact.lu[kl + fact.ku + 1:][inside]
 
-    # The rows of m_expl in the new order, each followed by its load entry.
+    # The rows of m_expl in the new order, each followed by its load entry,
+    # and then the probes' rows.
     m = fact.m_expl
+    functionals, scales = _functionals(fact, probes)
     order = np.concatenate((perm, np.arange(nv, dim)))
     at = np.empty(dim, dtype=int)
     at[order] = np.arange(dim)
     loaded = at[fact.load_rows]
-    counts = np.diff(m.indptr)[order]
-    counts[loaded] += 1
-    indptr = np.zeros(dim + 1, dtype=m.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    source = np.repeat(m.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
     n_load = loaded.size
+    counts = np.concatenate((np.diff(m.indptr)[order], np.diff(functionals.indptr)))
+    counts[loaded] += 1
+    indptr = np.zeros(counts.size + 1, dtype=m.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    starts = np.concatenate((m.indptr[order], m.nnz + n_load + functionals.indptr[:-1]))
+    source = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
     source[indptr[loaded + 1] - 1] = m.nnz + np.arange(n_load)
+    loads = np.arange(dim, dim + n_load, dtype=m.indices.dtype)
     matrix = sp.csr_matrix(
         (
-            np.append(m.data, np.ones(n_load))[source],
-            np.append(m.indices, np.arange(dim, dim + n_load, dtype=m.indices.dtype))[source],
+            np.concatenate((m.data, np.ones(n_load), functionals.data))[source],
+            np.concatenate((m.indices, loads, functionals.indices))[source],
             indptr,
         ),
-        shape=(dim, dim + n_load),
+        shape=(counts.size, dim + n_load),
     )
     return StepArrays(
-        dim=dim, n_vertex=nv, matrix=matrix, lower=lower, reach=reach,
+        rows=matrix.shape[0], n_vertex=nv, matrix=matrix, lower=lower, reach=reach,
         upper=np.asfortranarray(fact.lu[:kl + fact.ku + 1]), ku=kl + fact.ku, ipiv=fact.ipiv,
+        functionals=functionals, scales=scales,
     )
 
 
 def advance(step: StepArrays, x: np.ndarray, y: np.ndarray) -> None:
     """One theta step (StepArrays): from the state and load in x, the next
-    state into the first step.dim entries of y.  The rest of y is zeroed.
+    state into the first dim entries of y, and the probes' functionals on
+    x's state into the entries after it.
 
     The product calls scipy's CSR kernel csr_matvec, the call that `@`
-    ends in, on y zeroed.  Both solves work in place on y."""
+    ends in, on y zeroed.  Both solves work in place on y's vertex rows."""
     m = step.matrix
     y.fill(0.0)
-    csr_matvec(step.dim, x.size, m.indptr, m.indices, m.data, x, y)
+    csr_matvec(step.rows, x.size, m.indptr, m.indices, m.data, x, y)
     if step.n_vertex:
         # incx, offx, lower, trans, diag and overwrite_x by position, which
         # the wrapper parses faster than keywords: a unit lower band, in
@@ -317,57 +367,43 @@ def march(
     free rows that fact.load_fold folds.  Returns the free part of the probe
     histories and the final state.
 
-    The steps run in blocks of _BLOCK_STEPS.  Before a block, the load
-    table is folded for its steps.  A step is advance and one gather of the
-    state entries the probes read into a row of a buffer: the probes' own
-    entries, and the state entries that recover their interior ones.  After
-    the block, the buffer is turned into coefficients, rounded as
-    fact.coefficients rounds them (CondensedFactorization.probe), and
-    reduced to the probe values of all its steps."""
+    A step is advance, whose product also applies the probes' functionals
+    (StepArrays) to the state it reads, and one copy of those values into a
+    (steps, probes) history.  The last state is read once after the loop,
+    with the functionals alone, and the history is scaled at the end.  The
+    load table is folded for _BLOCK_STEPS steps at a time.  The initial
+    values are ProbeRow.evaluate's dot products on alpha0."""
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (fact.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
     n_steps = len(loads)
     values = np.empty((len(probes), n_steps + 1))
-    # The dot product of ProbeRow.evaluate.
     values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in probes]
     if not n_steps:
         return values, alpha
 
-    at, scale, inner, recover = fact.probe(probes)
-    ends = np.cumsum([len(r.free_w) for r in probes], dtype=int)
-    terms = [(r.free_w[:, None], slice(e - len(r.free_w), e)) for r, e in zip(probes, ends)]
-    seen = np.empty((min(n_steps, _BLOCK_STEPS), at.size))
-    step = step_arrays(fact)
+    step = step_arrays(fact, probes)
     dim = fact.dim
-    # The state and the step's load, and the next state, swapped after
-    # every step.
-    x = np.empty(dim + fact.load_rows.size)
+    loaded, read = slice(dim, dim + fact.load_rows.size), slice(dim, dim + len(probes))
+    history = np.empty((n_steps + 1, len(probes)))
+    # The state and the step's load, and the next state with the probe
+    # values of the state before it, swapped after every step.
+    x = np.empty(dim + max(fact.load_rows.size, len(probes)))
     y = np.empty_like(x)
     x[:dim] = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Blocks bound the memory that the folded table and the buffer take.
+        # Blocks bound the memory that the folded table takes.
         for first in range(0, n_steps, _BLOCK_STEPS):
             table = fact.load_fold @ loads[first:first + _BLOCK_STEPS].T
-            for load, row in zip(table.T, seen):
-                x[dim:] = load
+            for load, row in zip(table.T, history[first:]):
+                x[loaded] = load
                 advance(step, x, y)
+                row[:] = y[read]
                 x, y = y, x
-                # at is in range: mode "clip" writes straight into the row,
-                # where "raise" goes through a buffer.
-                x.take(at, out=row, mode="clip")
-            block = seen[:table.shape[1]]
-            block[:, inner] = matvecs(recover, block.T.copy()).T
-            block = block[:, :scale.size]
-            block *= scale
-            # ProbeRow.evaluate's dot products on coefficients(state): a stack of
-            # row-by-column products is one ddot per step, where a matrix-vector
-            # product would sum in another order.
-            done = slice(first + 1, first + 1 + len(block))
-            for i, (w, part) in enumerate(terms):
-                values[i, done] = np.matmul(block[:, None, part], w)[:, 0, 0]
+        history[-1] = step.functionals @ x[:dim]
+        np.multiply(history[1:].T, step.scales[:, None], out=values[:, 1:])
     return values, fact.coefficients(x[:dim])
 
 
@@ -423,8 +459,11 @@ def integrate_stack(
 
     Every member is condensed on its own, and the stack concatenates the
     condensed operators: every step is one sparse product, one forward sweep
-    and one back-substitution on the narrow vertex band for all members.  A
-    member's histories are bit for bit those of integrate on its own.
+    and one back-substitution on the narrow vertex band for all members, and
+    the product's probe rows read each member's probes off its own part of
+    the state.  A member's histories and final state are bit for bit those
+    of integrate on its own, since a probe's row holds the same entries in
+    the same column order in the stack as in its member alone.
 
     Failures stay per member.  A member whose factorization fails keeps its
     FactorizationError and the rest march.  A NaN or infinity in one block

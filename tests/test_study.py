@@ -344,8 +344,8 @@ def test_a_member_that_blows_up_mid_march_fails_alone():
 
 
 def test_a_member_that_blows_up_in_a_later_block_fails_alone(monkeypatch):
-    # Probe values are evaluated three steps at a time, so step 4 lies in
-    # the second block.
+    # The load table is folded three steps at a time, so step 4 lies in the
+    # second block.
     monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 3)
     assert_a_member_that_blows_up_mid_march_fails_alone()
 

@@ -3,8 +3,9 @@
 Marches the four benchmark systems through `hpheat.timeint.march` twice:
 once with the step as it is (`step_arrays` and `advance`), and once with
 every step written as `m_expl @ w`, then `rhs[load_rows] += load`, then
-LAPACK's dgbtrs on the vertex rows with the factors as dgbtrf left them.
-The systems are
+LAPACK's dgbtrs on the vertex rows with the factors as dgbtrf left them,
+and every probe value as `ProbeRow.evaluate` on the coefficients of the
+state (`CondensedFactorization.coefficients`).  The systems are
 
 - gk_overkill: GK, 100x10, theta 1, 2000 steps;
 - mcv_reference: the MCV 100x10 overkill reference at tau 0.05, whose
@@ -14,9 +15,13 @@ The systems are
 
 Each OpenBLAS kernel path (the default, then OPENBLAS_CORETYPE Haswell,
 SandyBridge and Prescott) runs in a child process of its own.  The tool
-prints, per path and system, the float64 values compared, how many of them
-differ in any bit, and a hash of the step's output, which differs between
-kernel paths that round differently.  It exits 1 on any differing bit.
+prints, per path and system, the marched final-state values compared, how
+many of them differ in any bit, the largest gap between the two
+formulations' probe histories relative to the history's range, and a hash
+of the march's output, which differs between kernel paths that round
+differently.  It exits 1 on any differing bit of a state.  The probe
+values are not held to bits: the march reads them off the state through
+linear functionals, which round apart from the recovered coefficients.
 Run it from anywhere as
 
     python tools/step_check.py
@@ -34,6 +39,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,14 +52,35 @@ from hpheat.materials import ModelKind  # noqa: E402
 CORETYPES = ("default", "Haswell", "SandyBridge", "Prescott")
 
 
-def public_advance(fact, x, y):
-    """advance's step in the public formulation, with the factorization
-    itself in place of its step arrays."""
+class PublicStep:
+    """The factorization and the probe rows in place of the step arrays.
+    march applies `functionals` to the last state and scales the history by
+    `scales`: here the functionals are the step itself, whose product with
+    a state is ProbeRow.evaluate, without the prescribed part that march
+    leaves to its caller, on the state's coefficients, and the scales are
+    ones."""
+
+    def __init__(self, fact, probes):
+        self.fact = fact
+        self.probes = [replace(r, cons_idx=r.cons_idx[:0], cons_w=r.cons_w[:0]) for r in probes]
+        self.functionals = self
+        self.scales = np.ones(len(probes))
+
+    def __matmul__(self, w):
+        alpha = self.fact.coefficients(w)
+        return np.array([r.evaluate(None, alpha, 0.0) for r in self.probes])
+
+
+def public_advance(step, x, y):
+    """advance's step in the public formulation: the next state, and the
+    probe values of the state that the step reads."""
+    fact = step.fact
     dim, nv = fact.dim, fact.n_vertex
     rhs = fact.m_expl @ x[:dim]
-    rhs[fact.load_rows] += x[dim:]
+    rhs[fact.load_rows] += x[dim:dim + fact.load_rows.size]
     if nv:
         rhs[:nv] = timeint.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
+    y[dim:dim + len(step.probes)] = step @ x[:dim]
     y[:dim] = rhs
 
 
@@ -61,12 +89,14 @@ def mcv_sweep_spec(tau: float) -> study.SweepSpec:
     return next(s for s in families if s.family == "mcv" and s.kind == "p")
 
 
-def outputs(run) -> list[np.ndarray]:
-    return [run.solution.probe_values, run.solution.final_state]
+def outputs(runs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The probe histories and the final states of the runs."""
+    return [r.solution.probe_values for r in runs], [r.solution.final_state for r in runs]
 
 
 def systems():
-    """Name and a callable that marches it and returns its output arrays."""
+    """Name and a callable that marches it and returns its probe histories
+    and final states."""
     gk = scenario.benchmark_scenario(
         ModelKind.GK, tau=0.3, kappa2=8e-6, conductivity=study.STUDY_CONDUCTIVITY,
         dt=1e-3, n_steps=2000,
@@ -78,16 +108,17 @@ def systems():
 
     def sweep():
         runs = study.solve_sweep(spec, theta=1.0).runs
-        return [a for key in sorted(runs) for a in outputs(runs[key])]
+        return outputs([runs[key] for key in sorted(runs)])
 
+    def solve(sc, n, p, theta):
+        return lambda: outputs([scenario.solve_transient(sc, n, p, theta=theta)])
+
+    reference = spec.scenario_factory(0.05)
     return [
-        ("gk_overkill", lambda: outputs(scenario.solve_transient(gk, 100, 10, theta=1.0))),
-        ("mcv_reference", lambda: [
-            s.values
-            for s in study.compute_reference(spec.scenario_factory(0.05), theta=1.0).series.values()
-        ]),
+        ("gk_overkill", solve(gk, 100, 10, 1.0)),
+        ("mcv_reference", solve(reference, study.REFERENCE_ELEMENTS, study.REFERENCE_DEGREE, 1.0)),
         ("mcv_p_sweep", sweep),
-        ("cli_gk_20x4", lambda: outputs(scenario.solve_transient(cli, 20, 4, theta=0.5))),
+        ("cli_gk_20x4", solve(cli, 20, 4, 0.5)),
     ]
 
 
@@ -95,23 +126,28 @@ def child() -> None:
     """Marches every system both ways and prints one JSON line per system."""
     step_arrays, advance = timeint.step_arrays, timeint.advance
     for name, march in systems():
-        got = march()
-        timeint.step_arrays, timeint.advance = (lambda fact: fact), public_advance
+        got_values, got_states = march()
+        timeint.step_arrays, timeint.advance = PublicStep, public_advance
         try:
-            want = march()
+            want_values, want_states = march()
         finally:
             timeint.step_arrays, timeint.advance = step_arrays, advance
-        bits = [np.ascontiguousarray(a).view(np.uint64).ravel() for a in got]
-        digest = hashlib.sha256(b"".join(b.tobytes() for b in bits)).hexdigest()[:12]
-        differ = -1
-        if [a.shape for a in got] == [w.shape for w in want]:
+        bits = [a.view(np.uint64) for a in got_states]
+        digest = hashlib.sha256(
+            b"".join(np.ascontiguousarray(a).tobytes() for a in got_values + got_states)
+        ).hexdigest()[:12]
+        differ = gap = -1
+        if [a.shape for a in got_states + got_values] == [a.shape for a in want_states + want_values]:
             differ = sum(
-                int(np.count_nonzero(b != np.ascontiguousarray(w).view(np.uint64).ravel()))
-                for b, w in zip(bits, want)
+                int(np.count_nonzero(b != w.view(np.uint64))) for b, w in zip(bits, want_states)
+            )
+            gap = max(
+                float(np.max(np.abs(g - w) / np.ptp(w, axis=1)[:, None]))
+                for g, w in zip(got_values, want_values)
             )
         print(json.dumps({
             "system": name, "values": int(sum(b.size for b in bits)), "differ": differ,
-            "hash": digest,
+            "gap": gap, "hash": digest,
         }), flush=True)
 
 
@@ -139,10 +175,13 @@ def main(argv: list[str] | None = None) -> int:
             r = json.loads(line)
             verdict = (
                 "shapes differ" if r["differ"] < 0
-                else f"{r['differ']} of {r['values']} values differ"
+                else f"{r['differ']} of {r['values']} state values differ"
             )
             failed |= r["differ"] != 0
-            print(f"{coretype:<12} {r['system']:<14} {verdict:<32} hash {r['hash']}")
+            print(
+                f"{coretype:<12} {r['system']:<14} {verdict:<38} "
+                f"probe gap {r['gap']:.1e} of range  hash {r['hash']}"
+            )
     return 1 if failed else 0
 
 
