@@ -300,7 +300,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate_numbers(config: RunConfig) -> None:
     """Check each set value by its key's range rules, in declaration order,
-    then the rules that read two keys."""
+    then the rules that read two keys: a sweep value by the rule of the key
+    it replaces, elements in an h_sweep and degree in a p_sweep."""
     for key, f in _FIELDS.items():
         value = getattr(config, f.name)
         for rule in f.metadata["rules"] if value is not None else ():
@@ -309,6 +310,11 @@ def _validate_numbers(config: RunConfig) -> None:
                 raise ConfigError(f"{key} {complaint}")
     if config.pulse_c1 == config.pulse_c2:
         raise ConfigError("pulse_c1 and pulse_c2 must differ")
+    if config.mode in _SWEEPS:
+        (rule,) = _FIELDS["elements" if config.mode == "h_sweep" else "degree"].metadata["rules"]
+        for complaint in map(rule, config.sweep_values):
+            if complaint:
+                raise ConfigError(f"sweep_values {complaint}")
 
 
 def _material(config: RunConfig, tau: float) -> MaterialParams:

@@ -16,16 +16,12 @@ factor the implicit matrix of the theta scheme once per system:
 - it folds the row scaling, the explicit matrix, the elimination of the
   interiors and their recovery from the vertex DOFs into one CSR step
   operator, so that a step is one sparse product and one banded solve, and
-  folds the load on the rows that boundary data load the same way (the
-  step itself, timeint.StepArrays, reorders that operator's vertex rows by
-  dgbtrf's interchanges and adds the load inside its product, once per
-  march, and leaves the factorization as it is);
+  folds the load on the rows that boundary data load the same way;
 - it diagonalizes each element's interior block of that operator, F_ii,
   in a real basis of its eigenvectors (module `eigenbasis`), each distinct
   block once, and marches the element's interiors in that basis: an
   interior row of the step operator then holds one or two entries in the
-  interior columns, where the block holds ni, which halves the entries of
-  the whole operator at GK 100x10.
+  interior columns, where the block holds ni.
 
 Elements are grouped by the bytes of their blocks, which is exact, since
 equal inputs give equal outputs.  It pays because a uniform mesh has few
@@ -37,10 +33,11 @@ the LAPACK build.
 It reads the element blocks that `assemble` keeps, SemiDiscreteSystem's
 A_blocks and B_blocks, and builds no global matrix.  No step of the set-up
 loops over elements in Python but the diagonalization, which loops over
-the distinct blocks.  The march reads its probes off the condensed state
-through rows built from `interior`.  `stack` joins several condensed
-systems into one block-diagonal system, from the members' CSR arrays as
-they stand.
+the distinct blocks.  Each map between the state and the coefficients is
+kept once: the recovery -N of the interiors on the vertex columns, and W
+and W^-1 per distinct block.  `stack` joins several condensed systems
+into one block-diagonal system, from the members' CSR arrays as they
+stand.
 """
 
 from __future__ import annotations
@@ -68,46 +65,39 @@ class FactorizationError(RuntimeError):
 class CondensedFactorization:
     """The equilibrated (A + dt theta B), condensed onto the vertex DOFs.
 
-    Temperature and flux rows differ in scale by many orders of magnitude in
-    strongly nonlocal regimes, so the implicit matrix M is equilibrated:
-    row scales r and column scales c (free numbering) bring every row and
-    column to unit max-norm.  The vertex rows and columns are scaled once
-    more, so that the vertex Schur complement has unit max-norm rows and
-    columns too, and the interior columns so that N = M_ii^-1 M_iv has rows
-    of at most unit max-norm; otherwise the back-substitution overflows
-    long before the coefficients do.
+    Row scales r and column scales c (free numbering) bring every row and
+    column of the implicit matrix M to unit max-norm.  The vertex rows and
+    columns are scaled once more, so that the vertex Schur complement has
+    unit max-norm rows and columns too, and the interior columns so that
+    N = M_ii^-1 M_iv has rows of at most unit max-norm; otherwise the
+    back-substitution overflows long before the coefficients do.
 
-    Interior DOFs couple only within their element.  The scaled
-    coefficients y = alpha / c, in the order `order` (the vertex DOFs first,
-    then each element's interior run), are the vertex values v and the
-    interiors y_i.  The march runs on the condensed state w = (v, u)
-    instead, with u = W^-1 (y_i + N v) per element: N = M_ii^-1 M_iv, and
-    y_i + N v is the interiors' right-hand side before their recovery from
-    v.  W holds the eigenvectors of the element's interior block F_ii of
-    the step, so that T = W^-1 F_ii W is diagonal but for a 2x2 block per
-    complex pair of eigenvalues; where they are ill-conditioned, W = I and
-    T = F_ii (eigenbasis.diagonalize).  W is computed once per distinct
-    block: elements whose blocks are bitwise equal share it.  lu
-    and ipiv are the dgbtrf factors of the vertex Schur complement
-    M_vv - M_vi M_ii^-1 M_iv, whose half-bandwidths kl = ku are 1 for the
-    local models and 3 for GK at any degree, and have no column when no
-    vertex DOF is free.  m_expl maps w to the
-    right-hand side of the condensed step: the vertex rows with the
+    The scaled coefficients y = alpha / c, in the order `order` (the vertex
+    DOFs first, then each element's interior run), are the vertex values v
+    and the interiors y_i.  The march runs on the condensed state w = (v, u)
+    instead, with u = W^-1 (y_i + N v) per element, the interiors'
+    right-hand side before their recovery from v, in the eigenbasis W of
+    the element's interior block F_ii of the step: T = W^-1 F_ii W is
+    diagonal but for a 2x2 block per complex pair of eigenvalues, or W = I
+    and T = F_ii (eigenbasis.diagonalize).  lu and ipiv are the dgbtrf
+    factors of the vertex Schur complement M_vv - M_vi M_ii^-1 M_iv, of
+    half-bandwidths kl = ku, 1 for the local models and 3 for GK at any
+    degree, with no column when no vertex DOF is free.  m_expl maps w to
+    the right-hand side of the condensed step: the vertex rows with the
     interiors eliminated, then W^-1 M_ii^-1 times the interior rows, with
-    the row scaling and the explicit matrix folded in, the recovery -N v of
-    the interiors folded into the vertex columns and W into the interior
-    columns.  Its interior rows hold T, with entries only on the diagonal
-    and the pairs' 2x2 blocks (all of them where W = I), and their
-    right-hand side is already the
-    next state's, so a step is one sparse product, the load and the
-    back-substitution for v.  load_fold does the same for a load on
-    SemiDiscreteSystem.load_rows, the free rows that boundary data load: it
-    maps the load on them, in that order, to the right-hand side on the
-    condensed rows load_rows it reaches.  `interior`, the rows [-N | W] on
-    w, gives the interiors y_i = W u - N v, and to_eigenbasis applies W^-1
-    per distinct block; they only convert between the state and the
-    coefficients, once each way per run, and build the probes' rows on w
-    (timeint.StepArrays).
+    the row scaling and the explicit matrix folded in, the recovery -N v
+    folded into the vertex columns and W into the interior columns.  Its
+    interior rows hold T, and their right-hand side is already the next
+    state's, so a step is one sparse product, the load and the
+    back-substitution for v.  load_fold maps a load on
+    SemiDiscreteSystem.load_rows, in that order, to the right-hand side on
+    the condensed rows load_rows it reaches.
+
+    The interiors are y_i = W u - N v: `recovery` holds -N, one row per
+    interior and one column per vertex DOF of the state, and each run of
+    `eigenbasis` holds W and W^-1 once per distinct block.  They convert
+    between the state and the coefficients, once each way per march, and
+    build the probes' rows on w (timeint._functionals).
     """
 
     lu: np.ndarray
@@ -120,27 +110,28 @@ class CondensedFactorization:
     col_scale: np.ndarray
     order: np.ndarray
     n_vertex: int
-    interior: sp.csr_matrix
+    recovery: sp.csr_matrix
     load_rows: np.ndarray
     load_fold: sp.csr_matrix
-    to_eigenbasis: tuple[EigenbasisRun, ...]
+    eigenbasis: tuple[EigenbasisRun, ...]
 
     def state(self, alpha: np.ndarray) -> np.ndarray:
         """The condensed state of a free coefficient vector."""
         nv = self.n_vertex
         w = alpha[self.order] / self.col_scale[self.order]
-        vertex = np.zeros(self.dim)
-        vertex[:nv] = w[:nv]
         # y_i + N v, and then W^-1 (y_i + N v).
-        w[nv:] -= self.interior @ vertex
-        for run in self.to_eigenbasis:
-            run.apply(w)
+        w[nv:] -= self.recovery @ w[:nv]
+        for run in self.eigenbasis:
+            run.apply_inverse(w)
         return w
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """The free coefficient vector of a condensed state."""
         y = w.copy()
-        y[self.n_vertex:] = self.interior @ w
+        # -N v, and then W u - N v.
+        y[self.n_vertex:] = self.recovery @ w[:self.n_vertex]
+        for run in self.eigenbasis:
+            run.add_basis(w, y)
         alpha = np.empty(self.dim)
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
@@ -328,9 +319,7 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     # T = W^-1 F_ii W, F_iv becomes W^-1 F_iv and F_vi becomes F_vi W.
     first, label = _groups(folded[:, i, i])
     t, basis, to_basis, pattern = diagonalize(folded[first, i, i])
-    # Per element, [-N | W] gives the interiors y_i = W u - N v of the state.
-    conversion = np.concatenate((-across, basis[label]), axis=2)
-    folded[:, v, i] = folded[:, v, i] @ conversion[:, :, 2 * pv:]
+    folded[:, v, i] = folded[:, v, i] @ basis[label]
     folded[:, i, v] = to_basis[label] @ folded[:, i, v]
     folded[:, i, i] = t[label]
 
@@ -393,12 +382,11 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     structure[:, :, i] = pattern[label]
     m_expl = _csr(folded[:, i], state, dim, head=vertex_rows, pattern=structure)
     del folded
-    interior = _csr(conversion, state, dim)
     return CondensedFactorization(
         lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
         row_scale=r, col_scale=c, order=elements.order, n_vertex=nv,
-        interior=interior, load_rows=load_rows, load_fold=load_fold,
-        to_eigenbasis=(EigenbasisRun(nv, to_basis, label),),
+        recovery=_csr(-across, state[:, v], nv), load_rows=load_rows, load_fold=load_fold,
+        eigenbasis=(EigenbasisRun(nv, basis, to_basis, label),),
     )
 
 
@@ -424,7 +412,7 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
     runs member after member, and the condensed state holds every member's
     vertex DOFs, then every member's interiors.
 
-    The step operator, `interior` and load_fold join the members' CSR
+    The step operator, `recovery` and load_fold join the members' CSR
     arrays: their row pointers offset, their column indices mapped into the
     stack, each row's entries in their order.  Each member's LU factors
     move into the widest member's band layout,
@@ -450,8 +438,10 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
         + [(f.m_expl, slice(f.n_vertex, f.dim), c) for f, c in zip(facts, cols)],
         dim,
     )
-    interior = _joined(
-        [(f.interior, slice(0, f.dim - f.n_vertex), c) for f, c in zip(facts, cols)], dim
+    recovery = _joined(
+        [(f.recovery, slice(0, f.dim - f.n_vertex), np.arange(f.n_vertex) + vs)
+         for f, vs in zip(facts, vertex_start)],
+        int(nv.sum()),
     )
     n_load = np.array([f.load_fold.shape[1] for f in facts])
     load_fold = _joined(
@@ -472,12 +462,12 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
         row_scale=np.concatenate([f.row_scale for f in facts]),
         col_scale=np.concatenate([f.col_scale for f in facts]),
         order=order, n_vertex=int(nv.sum()),
-        interior=interior,
+        recovery=recovery,
         load_rows=np.concatenate([place[f.load_rows + s] for f, s in zip(facts, free_start)]),
         load_fold=load_fold,
-        to_eigenbasis=tuple(
+        eigenbasis=tuple(
             replace(run, start=int(run.start - f.n_vertex + s))
             for f, s in zip(facts, interior_start)
-            for run in f.to_eigenbasis
+            for run in f.eigenbasis
         ),
     )

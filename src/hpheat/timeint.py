@@ -5,21 +5,13 @@ The theta scheme applied to A alpha' + B alpha = f(t) reads
     (A + dt theta B) alpha_{n+1} = (A - dt (1 - theta) B) alpha_n + dt f_n*
 
 `build_factorization` condenses the implicit matrix onto the vertex DOFs
-once per system, the standard hp treatment (module `condense`): the element
-interiors are eliminated, and the vertex Schur complement is a band of
-half-bandwidth 1 for the local models and 3 for GK whatever the degree.
-
-The step loop is `march`, a core that knows nothing of SemiDiscreteSystem.
-Its inputs are built once, before the loop:
-
-- the CondensedFactorization of the implicit matrix, which also folds a
-  load on the rows that boundary data load (SemiDiscreteSystem.load_rows)
-  onto the condensed rows it reaches;
-- a table of dt f_n* on those rows for every step;
-- the free-DOF weight rows of the probes;
-- the initial state.
-
-It returns the probe histories and the final state.  Once per march, it
+once per system (module `condense`).  The step loop is `march`, a core
+that knows nothing of SemiDiscreteSystem.  Its inputs are built once,
+before the loop: the CondensedFactorization, which also folds a load on
+the rows that boundary data load (SemiDiscreteSystem.load_rows) onto the
+condensed rows it reaches, a table of dt f_n* on those rows for every
+step, the free-DOF weight rows of the probes and the initial state.  It
+returns the probe histories and the final state.  Once per march, it
 derives the step's arrays from the factorization and the probe rows
 (StepArrays): the step operator with its vertex rows in the order that the
 band factorization's row interchanges leave them in, one column per folded
@@ -28,17 +20,14 @@ and the upper band.  A step is then one sparse product of the state and
 the step's load, which sit one after the other in one buffer, one forward
 sweep and one back-substitution on the narrow vertex band, all in place in
 a second buffer, and one copy of the probe values that the product gave;
-the two buffers swap after every step.  The step's bits are those of the product with the step operator,
-the addition of the load and LAPACK's dgbtrs on the factors, taken one
-after the other (test_the_step_is_bitwise_the_public_formulation,
-tests/test_timeint.py).  The condensed state holds each element's
-interiors' right-hand side, not the interiors, and in the basis of
-eigenvectors in which the element's interior block of the step operator is
-diagonal but for a 2x2 block per complex pair of eigenvalues, so the
-product holds one or two entries per interior row there.  The bits of that
-basis come from LAPACK's dgeev and depend on the LAPACK build.  The march
-recovers the interiors once, for the final state, and reads the probes
-off the state itself (_functionals).
+the two buffers swap after every step.  The step's bits are those of the
+product with the step operator, the addition of the load and LAPACK's
+dgbtrs on the factors, taken one after the other
+(test_the_step_is_bitwise_the_public_formulation, tests/test_timeint.py).
+The state holds each element's interiors' right-hand side in the
+eigenbasis of its interior block of the step operator (module
+`eigenbasis`); the march converts the initial state into it, the final
+state out of it, and the probes through the transpose (_functionals).
 
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
@@ -46,21 +35,19 @@ prescribed part of the probe values on the whole time grid and checks that
 the result is finite.  `integrate_stack` marches several systems on one
 grid as a single block-diagonal system through the same core.
 
-The step's sparse product calls scipy's CSR kernel csr_matvec itself, into
-a zeroed output: the call that `@` ends in, with the same bits, without
-the microseconds of scipy's dispatch around it.  The forward sweep is
-BLAS's dtbsv and the back-substitution LAPACK's dgbtrs, called through
-scipy's wrappers in place on the buffer.  The kernel comes from
-scipy.sparse._sparsetools, a private scipy module; the test
-test_the_private_kernels_are_bitwise_the_public_products (tests/test_timeint.py)
-holds it bit for bit to `@`.
+The step's sparse product calls scipy's CSR kernel csr_matvec, from the
+private module scipy.sparse._sparsetools, into a zeroed output: the call
+that `@` ends in, without scipy's dispatch around it (held bit for bit to
+`@` by test_the_private_kernels_are_bitwise_the_public_products).  The
+forward sweep is BLAS's dtbsv and the back-substitution LAPACK's dgbtrs,
+called through scipy's wrappers in place on the buffer.
 
 The load is f = natural fluxes - A_lc g' - B_lc g on the load rows, with g
 the constrained values and A_lc, B_lc the couplings of those rows to them
-(SemiDiscreteSystem).  f_n* is its exact mean over the step, from the closed-form running
-integrals of the boundary data, so the discrete energy balance telescopes
-exactly even when the excitation varies fast compared to the step.  The rate
-g' is the change between consecutive step means of g.
+(SemiDiscreteSystem).  f_n* is its exact mean over the step, from the
+closed-form running integrals of the boundary data, so the discrete energy
+balance telescopes exactly even when the excitation varies fast compared
+to the step.  The rate g' is the change between consecutive step means of g.
 """
 
 from __future__ import annotations
@@ -170,41 +157,33 @@ def _functionals(
     fact: CondensedFactorization, probes: Sequence[ProbeRow]
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """free_w . coefficients(w)[free_idx] of each probe as a row on the
-    condensed state w, scaled to unit max-norm, and the scales: a vertex DOF
-    reads col_scale times its entry of w, an interior one col_scale times
-    its row of `interior`.  Zero weights are left out.  Without the scaling
-    (col_scale reaches 4.7e4) a row overflows on states whose coefficients
+    condensed state w, scaled to unit max-norm, and the scales.  The rows
+    are the transpose of `coefficients` applied to the probes' weights:
+    times col_scale, placed through `order`, then recovery^T and W^T per
+    run on the interior entries.  Zero entries are left out.  Unscaled
+    (col_scale reaches 4.7e4), a row overflows on states whose coefficients
     are finite.  The values round apart from ProbeRow.evaluate on the
     coefficients, within the bound of
     test_the_probe_functionals_agree_with_the_recovered_coefficients."""
-    nv, dim, it = fact.n_vertex, fact.dim, fact.interior
-    weight = np.concatenate([np.zeros(0)] + [r.free_w for r in probes])
+    position = np.empty(fact.dim, dtype=int)
+    position[fact.order] = np.arange(fact.dim)
     free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in probes])
-    owner = np.repeat(np.arange(len(probes)), [r.free_w.size for r in probes])
-    keep = weight != 0.0
-    free, owner = free[keep], owner[keep]
-    weight = weight[keep] * fact.col_scale[free]
-    position = np.empty(dim, dtype=int)
-    position[fact.order] = np.arange(dim)
-    at = position[free]
-    # An interior DOF's term spreads over its row of `interior`.
-    inner = at >= nv
-    rows = at[inner] - nv
-    counts = it.indptr[rows + 1] - it.indptr[rows]
-    entry = np.repeat(it.indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    col = np.concatenate((at[~inner], it.indices[entry]))
-    terms = np.concatenate((weight[~inner], it.data[entry] * np.repeat(weight[inner], counts)))
-    owner = np.concatenate((owner[~inner], np.repeat(owner[inner], counts)))
-    # The terms of a probe on one column add up in the order they come in.
-    key, term = np.unique(owner * dim + col, return_inverse=True)
-    value = np.bincount(term, terms, key.size)
-    row, col = np.divmod(key, dim)
+    weight = np.concatenate([np.zeros(0)] + [r.free_w for r in probes]) * fact.col_scale[free]
+    g = np.zeros((fact.dim, len(probes)))
+    g[position[free], np.repeat(np.arange(len(probes)), [r.free_idx.size for r in probes])] = weight
+    g[:fact.n_vertex] += fact.recovery.T @ g[fact.n_vertex:]
+    for run in fact.eigenbasis:
+        run.apply_transpose(g)
+    # The nonzero entries, probe after probe, each probe's in column order.
+    col, row = np.divmod(np.flatnonzero(g.ravel() != 0.0), len(probes))
+    entry = np.argsort(row, kind="stable")
+    row, col = row[entry], col[entry]
+    value = g[col, row]
     scales = np.zeros(len(probes))
     np.maximum.at(scales, row, np.abs(value))
-    value = value / scales[row]
-    indptr = np.zeros(len(probes) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=len(probes)), out=indptr[1:])
-    return sp.csr_matrix((value, col.astype(np.int32), indptr), shape=(len(probes), dim)), scales
+    indptr = np.searchsorted(row, np.arange(len(probes) + 1)).astype(np.int32)
+    data = value / scales[row]
+    return sp.csr_matrix((data, col.astype(np.int32), indptr), shape=(len(probes), fact.dim)), scales
 
 
 def step_arrays(fact: CondensedFactorization, probes: Sequence[ProbeRow] = ()) -> StepArrays:

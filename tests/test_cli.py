@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpheat.assembly
 import hpheat.cli
 import hpheat.scenario
+import hpheat.study
 from hpheat.cli import (
     ConfigError,
     OutputTable,
@@ -545,32 +547,42 @@ reference_degree = 3
     assert all(np.isfinite(e) and e > 0.0 for e in errors)
 
 
-def test_sweep_point_failures_are_reported_and_kept_as_rows(tmp_path, capsys):
-    # Degree 12 lifts the temperature above the shape set cap; the sweep
-    # reports it and goes on.
-    config = tmp_path / "p_sweep.conf"
+@pytest.mark.parametrize(
+    "mode,values,complaint",
+    [
+        # Degree 12 lifts the temperature above the shape set cap.
+        ("p_sweep", "2 12", "sweep_values must be in 1..11 (temperature degree cap), got 12"),
+        ("p_sweep", "0 2", "sweep_values must be in 1..11 (temperature degree cap), got 0"),
+        ("h_sweep", "0 4", "sweep_values must be >= 1, got 0"),
+    ],
+)
+def test_sweep_values_take_the_rule_of_the_key_they_replace(tmp_path, capsys, mode, values, complaint):
+    config = tmp_path / "sweep.conf"
     config.write_text(
-        MINIMAL_FOURIER.replace("mode = transient", "mode = p_sweep").replace("fourier", "mcv")
-        + "n_steps = 5\nelements = 4\nsweep_taus_s = 0.3\nsweep_values = 2 12\n"
-        + "reference_elements = 8\nreference_degree = 3\n"
+        MINIMAL_FOURIER.replace("mode = transient", f"mode = {mode}").replace("fourier", "mcv")
+        + f"n_steps = 5\nsweep_taus_s = 0.3\nsweep_values = {values}\n"
     )
     out = tmp_path / "out"
-    assert main(["run", str(config), "--out", str(out)]) == 0
-    (line,) = capsys.readouterr().err.strip().splitlines()
-    record = json.loads(line)
-    assert record["warning"] == "sweep_point_failed"
-    assert (record["value"], record["tau"]) == (12, 0.3)
-    lines = (out / "p_sweep_T_front_mcv.dat").read_text().splitlines()
-    assert lines[0] == "dof err_tau_0.3"
-    dof, error = map(float, lines[2].split())
-    assert dof == -1 and np.isnan(error)
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "config", "message": complaint}
+    assert not out.exists()
 
 
-def test_a_mesh_of_no_elements_is_a_failed_sweep_point(tmp_path, capsys):
+def test_a_sweep_point_that_fails_is_reported_and_kept_as_a_row(tmp_path, capsys, monkeypatch):
+    # A mesh of 6 elements cannot be built, for the sweep's members and for
+    # its own DOF count alike; the sweep reports it and goes on.
+    def build_dofmap(mesh, *args):
+        if mesh.n_elements == 6:
+            raise ValueError("no dofmap on 6 elements")
+        return real(mesh, *args)
+
+    real = hpheat.assembly.build_dofmap
+    monkeypatch.setattr(hpheat.assembly, "build_dofmap", build_dofmap)
+    monkeypatch.setattr(hpheat.study, "build_dofmap", build_dofmap)
     config = tmp_path / "h_sweep.conf"
     config.write_text(
         MINIMAL_FOURIER.replace("mode = transient", "mode = h_sweep").replace("fourier", "mcv")
-        + "n_steps = 5\nsweep_taus_s = 0.3\nsweep_values = 0 4\n"
+        + "n_steps = 5\nsweep_taus_s = 0.3\nsweep_values = 6 4\n"
         + "reference_elements = 8\nreference_degree = 3\n"
     )
     out = tmp_path / "out"
@@ -578,11 +590,12 @@ def test_a_mesh_of_no_elements_is_a_failed_sweep_point(tmp_path, capsys):
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line) == {
         "warning": "sweep_point_failed",
-        "value": 0,
+        "value": 6,
         "tau": 0.3,
-        "message": "need at least one element, got 0",
+        "message": "no dofmap on 6 elements",
     }
     lines = (out / "h_sweep_T_front_mcv.dat").read_text().splitlines()
+    assert lines[0] == "dof err_tau_0.3"
     dof, error = map(float, lines[1].split())
     assert dof == -1 and np.isnan(error)
     dof, error = map(float, lines[2].split())
