@@ -20,8 +20,9 @@ and -inf as Python prints them.  write_table builds the text of a block of
 rows in whole-array passes.  Its fast path takes the decimal exponent from
 log10, scales |x| by a power of ten held as a double-double with Dekker's
 exact product, and rounds to the 17-digit integer; a cell that it cannot
-decide (within a stated margin of a rounding tie, outside its exponent
-window, or not finite) goes through '%.16e' itself.
+decide (within a stated margin of a rounding tie, off by one in its
+exponent, rounding up to 10**17, outside its exponent window, zero or not
+finite) goes through '%.16e' itself.
 """
 
 from __future__ import annotations
@@ -423,27 +424,6 @@ def _exact(x: float) -> str:
     return "%.16e" % x
 
 
-def _digits(ax: np.ndarray, i: np.ndarray, powers: tuple[np.ndarray, ...]):
-    """round(ax * 10**(16 - e)) half to even as an int64, with the power of
-    ten of each e at row i of powers, where that scaled value lies in
-    [10**16, 10**17); its shift, +1 above and -1 below the range; and whether
-    both were decided."""
-    ph, p1, p2, pl, margin = (table[i] for table in powers)
-    h = ax * ph
-    a1, a2 = _split(ax)
-    s = ((((a1 * p1 - h) + a1 * p2) + a2 * p1) + a2 * p2) + ax * pl
-    below = (h - 1e16) + s
-    above = (h - 1e17) + s
-    near = np.rint(s)
-    sure = (
-        (np.abs(below) >= margin)
-        & (np.abs(above) >= margin)
-        & (np.abs(0.5 - np.abs(s - near)) >= margin)
-    )
-    shift = (above >= 0).astype(np.int64) - (below < 0)
-    return h.astype(np.int64) + near.astype(np.int64), shift, sure
-
-
 def _text_rows(texts: list[str], width: int):
     """texts encoded as the rows of a byte grid width wide, left-aligned, and
     the mask of their bytes."""
@@ -464,24 +444,23 @@ def _render(reals: np.ndarray, prefixes: list[str] | None, sep: str) -> str:
     fast = np.abs(e) <= _EXPONENT_WINDOW
     ax = np.where(fast, ax, 1.0)
     e = np.where(fast, e, 0.0).astype(np.int64)
-    lo = int(e.min()) - 1
-    powers = _powers(lo, int(e.max()) + 1)
-    digits, shift, sure = _digits(ax, e - lo, powers)
-    fast &= sure
-    # log10 misplaces e by one at most, for reals next to a power of ten.
-    redo = np.flatnonzero(fast & (shift != 0))
-    if redo.size:
-        e[redo] += shift[redo]
-        digits[redo], shift, sure = _digits(ax[redo], e[redo] - lo, powers)
-        fast[redo] = sure & (shift == 0)
-    # A value that rounds up to 10**17 reads 10**16 at the next exponent.
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    e += carry
-    zero = x == 0.0
-    digits[zero] = 0
-    e[zero] = 0
-    fast |= zero
+    # y = ax * 10**(16 - e) as h + s, and its 17 digits rounded half to
+    # even.  A cell goes to '%.16e' unless y is decided and its digits lie
+    # in [10**16, 10**17): so do the reals next to a power of ten, whose e
+    # log10 may misplace by one, and those that round up to 10**17.
+    lo = int(e.min())
+    ph, p1, p2, pl, margin = (table[e - lo] for table in _powers(lo, int(e.max())))
+    h = ax * ph
+    a1, a2 = _split(ax)
+    s = ((((a1 * p1 - h) + a1 * p2) + a2 * p1) + a2 * p2) + ax * pl
+    near = np.rint(s)
+    digits = h.astype(np.int64) + near.astype(np.int64)
+    fast &= (
+        ((h - 1e16) + s >= margin)
+        & ((h - 1e17) + s <= -margin)
+        & (np.abs(0.5 - np.abs(s - near)) >= margin)
+        & (digits < 10**17)
+    )
 
     # The 17 digits as a leading digit and four groups of four, each group
     # read from the table of 0000-9999.

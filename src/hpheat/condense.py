@@ -21,7 +21,10 @@ factor the implicit matrix of the theta scheme once per system:
   in a real basis of its eigenvectors (module `eigenbasis`), each distinct
   block once, and marches the element's interiors in that basis: an
   interior row of the step operator then holds one or two entries in the
-  interior columns, where the block holds ni.
+  interior columns, where the block holds ni;
+- it builds each probe's row on the condensed state, the transpose of
+  the map to the coefficients applied to the probe's weights, so that the
+  step's product gives the probe values too.
 
 Elements are grouped by the bytes of their blocks, which is exact, since
 equal inputs give equal outputs.  It pays because a uniform mesh has few
@@ -35,21 +38,23 @@ A_blocks and B_blocks, and builds no global matrix.  No step of the set-up
 loops over elements in Python but the diagonalization, which loops over
 the distinct blocks.  Each map between the state and the coefficients is
 kept once: the recovery -N of the interiors on the vertex columns, and W
-and W^-1 per distinct block.  `stack` joins several condensed systems
-into one block-diagonal system, from the members' CSR arrays as they
-stand.
+and W^-1 per distinct block.  `stack` joins several condensed systems,
+probe rows included, into one block-diagonal system, from the members'
+CSR arrays as they stand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgetrf
+from scipy.sparse._sparsetools import csc_matvecs
 
-from .assembly import SemiDiscreteSystem
+from .assembly import ProbeRow, SemiDiscreteSystem
 from .eigenbasis import EigenbasisRun, diagonalize
 
 
@@ -97,7 +102,9 @@ class CondensedFactorization:
     interior and one column per vertex DOF of the state, and each run of
     `eigenbasis` holds W and W^-1 once per distinct block.  They convert
     between the state and the coefficients, once each way per march, and
-    build the probes' rows on w (timeint._functionals).
+    build the probes' rows on w: scales times the product of `functionals`
+    with a state are the free part of the probe values on it
+    (_functionals).
     """
 
     lu: np.ndarray
@@ -114,6 +121,8 @@ class CondensedFactorization:
     load_rows: np.ndarray
     load_fold: sp.csr_matrix
     eigenbasis: tuple[EigenbasisRun, ...]
+    functionals: sp.csr_matrix
+    scales: np.ndarray
 
     def state(self, alpha: np.ndarray) -> np.ndarray:
         """The condensed state of a free coefficient vector."""
@@ -135,6 +144,45 @@ class CondensedFactorization:
         alpha = np.empty(self.dim)
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
+
+
+def _functionals(
+    fact: CondensedFactorization, probes: Sequence[ProbeRow]
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """free_w . coefficients(w)[free_idx] of each probe as a row on the
+    condensed state w, without zero entries, scaled to unit max-norm, and
+    the scales: the transpose of `coefficients` applied to the weights.
+    Unscaled (col_scale reaches 4.7e4), a row overflows on states whose
+    coefficients are finite.  The values round apart from ProbeRow.evaluate
+    (test_the_probe_functionals_agree_with_the_recovered_coefficients)."""
+    dim, nv, n = fact.dim, fact.n_vertex, len(probes)
+    if not n:
+        # From arrays, which scipy takes faster than a shape.
+        indptr = np.zeros(1, dtype=np.int32)
+        return sp.csr_matrix((np.zeros(0), indptr[:0], indptr), shape=(0, dim)), np.zeros(0)
+    position = np.empty(dim, dtype=int)
+    position[fact.order] = np.arange(dim)
+    free = np.concatenate([r.free_idx for r in probes])
+    weight = np.concatenate([r.free_w for r in probes]) * fact.col_scale[free]
+    g = np.zeros((dim, n))
+    g[position[free], np.repeat(np.arange(n), [r.free_idx.size for r in probes])] = weight
+    # g_v += recovery^T g_i by the kernel that `recovery.T @` ends in,
+    # without the transpose that `.T` builds, which costs more.
+    rec, back = fact.recovery, np.zeros((nv, n))
+    csc_matvecs(nv, dim - nv, n, rec.indptr, rec.indices, rec.data, g[nv:].ravel(), back.ravel())
+    g[:nv] += back
+    for run in fact.eigenbasis:
+        run.apply_transpose(g)
+    # The nonzero entries, probe after probe, each probe's in column order.
+    col, row = np.divmod(np.flatnonzero(g.ravel() != 0.0), n)
+    entry = np.argsort(row, kind="stable")
+    row, col = row[entry], col[entry]
+    value = g[col, row]
+    scales = np.zeros(n)
+    np.maximum.at(scales, row, np.abs(value))
+    indptr = np.searchsorted(row, np.arange(n + 1)).astype(np.int32)
+    data = value / scales[row]
+    return sp.csr_matrix((data, col.astype(np.int32), indptr), shape=(n, dim)), scales
 
 
 class _Elements:
@@ -213,11 +261,14 @@ def _singular_pivot(elements: _Elements, interiors: np.ndarray) -> int:
     return int(elements.order[elements.nv + e * elements.ni + max(info, 1) - 1]) + 1
 
 
-def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFactorization:
+def condense(
+    sys: SemiDiscreteSystem, dt: float, theta: float, probes: Sequence[ProbeRow] = ()
+) -> CondensedFactorization:
     """Equilibrate the implicit matrix A + dt theta B, invert its interior
     blocks, factor the vertex Schur complement and fold the step operator
     of the explicit matrix A - dt (1 - theta) B, all element block by
-    element block, and fold the load on sys.load_rows.
+    element block, fold the load on sys.load_rows, and build the rows of
+    the probes, ProbeRows on the system's free numbering, on the state.
 
     Raises FactorizationError naming the free index of the failing pivot.
     """
@@ -239,9 +290,10 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
 
     # Row and column max-norms of the implicit matrix; a constrained slot
     # (free index -1) lands on the extra last entry, and its scale is 0.
-    # ufunc.at takes its fast path on flat indices.
+    # ufunc.at takes its fast path on flat indices.  The rows' is a running
+    # maximum over the blocks' columns, faster than a reduction along rows.
     r = np.zeros(dim + 1)
-    np.maximum.at(r, slot.ravel(), np.abs(impl).max(axis=2).ravel())
+    np.maximum.at(r, slot.ravel(), reduce(np.maximum, np.abs(impl).transpose(2, 0, 1)).ravel())
     if np.any(r[:dim] == 0.0):
         raise FactorizationError(int(np.argmin(r[:dim] > 0.0)) + 1)
     r = 1.0 / r[:dim]
@@ -382,12 +434,14 @@ def condense(sys: SemiDiscreteSystem, dt: float, theta: float) -> CondensedFacto
     structure[:, :, i] = pattern[label]
     m_expl = _csr(folded[:, i], state, dim, head=vertex_rows, pattern=structure)
     del folded
-    return CondensedFactorization(
+    fact = CondensedFactorization(
         lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
         row_scale=r, col_scale=c, order=elements.order, n_vertex=nv,
         recovery=_csr(-across, state[:, v], nv), load_rows=load_rows, load_fold=load_fold,
-        eigenbasis=(EigenbasisRun(nv, basis, to_basis, label),),
+        eigenbasis=(EigenbasisRun(nv, basis, to_basis, label),), functionals=None, scales=None,
     )
+    fact.functionals, fact.scales = _functionals(fact, probes)
+    return fact
 
 
 def _joined(pieces, n_cols: int) -> sp.csr_matrix:
@@ -412,11 +466,11 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
     runs member after member, and the condensed state holds every member's
     vertex DOFs, then every member's interiors.
 
-    The step operator, `recovery` and load_fold join the members' CSR
-    arrays: their row pointers offset, their column indices mapped into the
-    stack, each row's entries in their order.  Each member's LU factors
-    move into the widest member's band layout,
-    where the extra diagonals hold exact zeros, and its pivots shift by the
+    The step operator, `recovery`, load_fold and the probes' rows join the
+    members' CSR arrays: their row pointers offset, their column indices
+    mapped into the stack, each row's entries in their order.  Each
+    member's LU factors move into the widest member's band layout, where
+    the extra diagonals hold exact zeros, and its pivots shift by the
     vertex DOFs before it.  Every step thus does for each member the
     operations of its own step, in the same order.
     """
@@ -449,6 +503,9 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
          for f, n, s in zip(facts, n_load, np.cumsum(n_load) - n_load)],
         int(n_load.sum()),
     )
+    functionals = _joined(
+        [(f.functionals, slice(0, f.scales.size), c) for f, c in zip(facts, cols)], dim
+    )
     order = np.empty(dim, dtype=int)
     order[place] = np.concatenate([f.order + s for f, s in zip(facts, free_start)])
     kl = max(f.kl for f in facts)
@@ -470,4 +527,5 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
             for f, s in zip(facts, interior_start)
             for run in f.eigenbasis
         ),
+        functionals=functionals, scales=np.concatenate([f.scales for f in facts]),
     )

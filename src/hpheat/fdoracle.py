@@ -61,10 +61,6 @@ from scipy.sparse.linalg import splu
 from .materials import MaterialParams
 from .timefun import NonFiniteStateError, TimeFunction, on_grid, step_averages
 
-# Steps whose probe entries fd_solve gathers before it interpolates them.
-_BLOCK_STEPS = 128
-
-
 @dataclass
 class StaggeredGrid:
     """State on a uniform staggered grid: T at m centers, q at m + 1 faces."""
@@ -278,26 +274,22 @@ def fd_solve(
 
     z = np.zeros(2 * m - 1)
     T, q = z[:m], z[m:]
-    # Each step gathers the state entries the probes read; they are
-    # interpolated a block of steps at a time.
+    # Each step gathers the state entries the probes read, into one row of
+    # seen; they are interpolated once, after the loop.
     k = t_cell.size
     at = np.concatenate((t_cell, t_cell + 1, m + q_rows))
-    seen = np.empty((min(n_steps, _BLOCK_STEPS), at.size))
-    for first in range(0, n_steps, _BLOCK_STEPS):
-        block = loads[first:first + _BLOCK_STEPS]
-        for load, row in zip(block, seen):
-            rhs = np.zeros(z.size)
-            csr_matvec(z.size, z.size, m_fold.indptr, m_fold.indices, m_fold.data, z, rhs)
-            rhs[load_rows] -= load
-            q[:] = dpttrs(ldl_d, ldl_e, rhs[m:])[0]
-            div = np.zeros(m)
-            csr_matvec(m, q.size, e_block.indptr, e_block.indices, e_block.data, q, div)
-            T[:] = (rhs[:m] - div) / c
-            z.take(at, out=row, mode="clip")
-        done = seen[:len(block)]
-        steps = slice(first + 1, first + 1 + len(block))
-        t_hist[:, steps] = ((1.0 - t_w) * done[:, :k] + t_w * done[:, k:2 * k]).T
-        q_hist[:, steps] = done[:, 2 * k:].T
+    seen = np.empty((n_steps, at.size))
+    for load, row in zip(loads, seen):
+        rhs = np.zeros(z.size)
+        csr_matvec(z.size, z.size, m_fold.indptr, m_fold.indices, m_fold.data, z, rhs)
+        rhs[load_rows] -= load
+        q[:] = dpttrs(ldl_d, ldl_e, rhs[m:])[0]
+        div = np.zeros(m)
+        csr_matvec(m, q.size, e_block.indptr, e_block.indices, e_block.data, q, div)
+        T[:] = (rhs[:m] - div) / c
+        z.take(at, out=row, mode="clip")
+    t_hist[:, 1:] = ((1.0 - t_w) * seen[:, :k] + t_w * seen[:, k:2 * k]).T
+    q_hist[:, 1:] = seen[:, 2 * k:].T
 
     # Probes on a boundary face read the data, not the marched fluxes.
     faces = on_grid((q_left, q_right), times, "value")

@@ -5,18 +5,18 @@ The theta scheme applied to A alpha' + B alpha = f(t) reads
     (A + dt theta B) alpha_{n+1} = (A - dt (1 - theta) B) alpha_n + dt f_n*
 
 `build_factorization` condenses the implicit matrix onto the vertex DOFs
-once per system (module `condense`).  The step loop is `march`, a core
-that knows nothing of SemiDiscreteSystem.  Its inputs are built once,
-before the loop: the CondensedFactorization, which also folds a load on
-the rows that boundary data load (SemiDiscreteSystem.load_rows) onto the
-condensed rows it reaches, a table of dt f_n* on those rows for every
-step, the free-DOF weight rows of the probes and the initial state.  It
-returns the probe histories and the final state.  Once per march, it
-derives the step's arrays from the factorization and the probe rows
-(StepArrays): the step operator with its vertex rows in the order that the
-band factorization's row interchanges leave them in, one column per folded
-load row and one row per probe, the unit lower band of the forward sweep,
-and the upper band.  A step is then one sparse product of the state and
+once per system (module `condense`), with the probes' rows on the
+condensed state.  The step loop is `march`, a core that knows nothing of
+SemiDiscreteSystem.  Its inputs are built once, before the loop: the
+CondensedFactorization, which also folds a load on the rows that boundary
+data load (SemiDiscreteSystem.load_rows) onto the condensed rows it
+reaches, a table of dt f_n* on those rows for every step, and the initial
+state.  It returns the free part of the probe values after every step and
+the final state.  Once per march, it derives the step's arrays from the
+factorization (StepArrays): the step operator with its vertex rows in the
+order that the band factorization's row interchanges leave them in, one
+column per folded load row and the probes' rows, the unit lower band of
+the forward sweep, and the upper band.  A step is then one sparse product of the state and
 the step's load, which sit one after the other in one buffer, one forward
 sweep and one back-substitution on the narrow vertex band, all in place in
 a second buffer, and one copy of the probe values that the product gave;
@@ -26,12 +26,13 @@ dgbtrs on the factors, taken one after the other
 (test_the_step_is_bitwise_the_public_formulation, tests/test_timeint.py).
 The state holds each element's interiors' right-hand side in the
 eigenbasis of its interior block of the step operator (module
-`eigenbasis`); the march converts the initial state into it, the final
-state out of it, and the probes through the transpose (_functionals).
+`eigenbasis`); the march converts the initial state into it and the final
+state out of it.
 
 `integrate` is a thin adapter over the core for one system: it builds the
 inputs with `prepare` and `build_factorization`, and afterwards adds the
-prescribed part of the probe values on the whole time grid and checks that
+probe values at t = 0, ProbeRow.evaluate's free part on the initial
+state, and the prescribed part on the whole time grid, and checks that
 the result is finite.  `integrate_stack` marches several systems on one
 grid as a single block-diagonal system through the same core.
 
@@ -52,7 +53,7 @@ to the step.  The rate g' is the change between consecutive step means of g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,32 +92,35 @@ class ThetaScheme:
 _BLOCK_STEPS = 128
 
 
-def build_factorization(sys: SemiDiscreteSystem, scheme: ThetaScheme) -> CondensedFactorization:
-    """The implicit matrix of the scheme, condensed onto the vertex DOFs.
+def build_factorization(
+    sys: SemiDiscreteSystem, scheme: ThetaScheme, probes: Sequence[ProbeRow] = ()
+) -> CondensedFactorization:
+    """The implicit matrix of the scheme, condensed onto the vertex DOFs,
+    with the probes' rows if the scheme has steps: a march of no steps
+    reads no state.
 
     Raises FactorizationError naming the free index of the failing pivot.
     """
-    return condense(sys, scheme.dt, scheme.theta)
+    return condense(sys, scheme.dt, scheme.theta, probes if scheme.n_steps else ())
 
 
 @dataclass(frozen=True)
 class StepArrays:
     """The arrays of one theta step, derived from a CondensedFactorization
-    and probe rows by step_arrays.
+    by step_arrays.
 
     A step reads the condensed state and then the step's folded load from
     the first dim + len(fact.load_rows) entries of a buffer x.  Into a
     buffer y of the same size it writes the next state, in its first dim
     entries, and the probes' functionals on x's state, in the next
-    len(scales) entries:
+    len(fact.scales) entries:
 
     - y = matrix @ x.  matrix holds the rows of fact.m_expl, with the
       vertex rows in the order that dgbtrf's row interchanges leave them
       in, and after the entries of each row in fact.load_rows one entry
       1.0 in the column that reads its load from the tail of x.  So each
       row sums the products of m_expl and then adds its load.  The rows
-      of `functionals` follow: scales times their product with a state
-      are the free part of the probe values on it (_functionals).
+      of fact.functionals follow.
     - The forward sweep with the unit lower band `lower`, of half-bandwidth
       reach, on y's vertex rows: one dtbsv.  Its column j holds dgbtrf's
       multipliers of column j, each in the row where the later interchanges
@@ -149,47 +153,11 @@ class StepArrays:
     upper: np.ndarray
     ku: int
     ipiv: np.ndarray
-    functionals: sp.csr_matrix
-    scales: np.ndarray
 
 
-def _functionals(
-    fact: CondensedFactorization, probes: Sequence[ProbeRow]
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """free_w . coefficients(w)[free_idx] of each probe as a row on the
-    condensed state w, scaled to unit max-norm, and the scales.  The rows
-    are the transpose of `coefficients` applied to the probes' weights:
-    times col_scale, placed through `order`, then recovery^T and W^T per
-    run on the interior entries.  Zero entries are left out.  Unscaled
-    (col_scale reaches 4.7e4), a row overflows on states whose coefficients
-    are finite.  The values round apart from ProbeRow.evaluate on the
-    coefficients, within the bound of
-    test_the_probe_functionals_agree_with_the_recovered_coefficients."""
-    position = np.empty(fact.dim, dtype=int)
-    position[fact.order] = np.arange(fact.dim)
-    free = np.concatenate([np.zeros(0, dtype=int)] + [r.free_idx for r in probes])
-    weight = np.concatenate([np.zeros(0)] + [r.free_w for r in probes]) * fact.col_scale[free]
-    g = np.zeros((fact.dim, len(probes)))
-    g[position[free], np.repeat(np.arange(len(probes)), [r.free_idx.size for r in probes])] = weight
-    g[:fact.n_vertex] += fact.recovery.T @ g[fact.n_vertex:]
-    for run in fact.eigenbasis:
-        run.apply_transpose(g)
-    # The nonzero entries, probe after probe, each probe's in column order.
-    col, row = np.divmod(np.flatnonzero(g.ravel() != 0.0), len(probes))
-    entry = np.argsort(row, kind="stable")
-    row, col = row[entry], col[entry]
-    value = g[col, row]
-    scales = np.zeros(len(probes))
-    np.maximum.at(scales, row, np.abs(value))
-    indptr = np.searchsorted(row, np.arange(len(probes) + 1)).astype(np.int32)
-    data = value / scales[row]
-    return sp.csr_matrix((data, col.astype(np.int32), indptr), shape=(len(probes), fact.dim)), scales
-
-
-def step_arrays(fact: CondensedFactorization, probes: Sequence[ProbeRow] = ()) -> StepArrays:
-    """The step's arrays for a factorization and the probe rows on its free
-    numbering.  Only the rows that dgbtrf interchanged take a Python
-    iteration each."""
+def step_arrays(fact: CondensedFactorization) -> StepArrays:
+    """The step's arrays for a factorization.  Only the rows that dgbtrf
+    interchanged take a Python iteration each."""
     nv, kl, dim = fact.n_vertex, fact.kl, fact.dim
     # dgbtrs swaps rows k and ipiv[k] just before it eliminates column k,
     # and the swap moves the entries that the columns before k have
@@ -219,8 +187,7 @@ def step_arrays(fact: CondensedFactorization, probes: Sequence[ProbeRow] = ()) -
 
     # The rows of m_expl in the new order, each followed by its load entry,
     # and then the probes' rows.
-    m = fact.m_expl
-    functionals, scales = _functionals(fact, probes)
+    m, functionals = fact.m_expl, fact.functionals
     order = np.concatenate((perm, np.arange(nv, dim)))
     at = np.empty(dim, dtype=int)
     at[order] = np.arange(dim)
@@ -245,7 +212,6 @@ def step_arrays(fact: CondensedFactorization, probes: Sequence[ProbeRow] = ()) -
     return StepArrays(
         rows=matrix.shape[0], n_vertex=nv, matrix=matrix, lower=lower, reach=reach,
         upper=np.asfortranarray(fact.lu[:kl + fact.ku + 1]), ku=kl + fact.ku, ipiv=fact.ipiv,
-        functionals=functionals, scales=scales,
     )
 
 
@@ -337,37 +303,32 @@ def prepare(
 
 
 def march(
-    fact: CondensedFactorization,
-    loads: np.ndarray,
-    probes: Sequence[ProbeRow],
-    alpha0: np.ndarray,
+    fact: CondensedFactorization, loads: np.ndarray, alpha0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step loop: one step per row of loads, which holds dt f_n* on the
     free rows that fact.load_fold folds.  Returns the free part of the probe
-    histories and the final state.
+    values after every step, as a (probes, steps) array, and the final
+    state.
 
     A step is advance, whose product also applies the probes' functionals
-    (StepArrays) to the state it reads, and one copy of those values into a
-    (steps, probes) history.  The last state is read once after the loop,
-    with the functionals alone, and the history is scaled at the end.  The
-    load table is folded for _BLOCK_STEPS steps at a time.  The initial
-    values are ProbeRow.evaluate's dot products on alpha0."""
+    (fact.functionals) to the state it reads, and one copy of those values
+    into a (steps, probes) history.  The last state is read once after the
+    loop, with the functionals alone, and the history is scaled at the
+    end.  The load table is folded for _BLOCK_STEPS steps at a time."""
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (fact.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
-    n_steps = len(loads)
-    values = np.empty((len(probes), n_steps + 1))
-    values[:, 0] = [r.free_w @ alpha[r.free_idx] for r in probes]
+    n_steps, n_probes = len(loads), fact.scales.size
     if not n_steps:
-        return values, alpha
+        return np.empty((n_probes, 0)), alpha
 
-    step = step_arrays(fact, probes)
+    step = step_arrays(fact)
     dim = fact.dim
-    loaded, read = slice(dim, dim + fact.load_rows.size), slice(dim, dim + len(probes))
-    history = np.empty((n_steps + 1, len(probes)))
+    loaded, read = slice(dim, dim + fact.load_rows.size), slice(dim, dim + n_probes)
+    history = np.empty((n_steps + 1, n_probes))
     # The state and the step's load, and the next state with the probe
     # values of the state before it, swapped after every step.
-    x = np.empty(dim + max(fact.load_rows.size, len(probes)))
+    x = np.empty(dim + max(fact.load_rows.size, n_probes))
     y = np.empty_like(x)
     x[:dim] = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
@@ -381,17 +342,28 @@ def march(
                 advance(step, x, y)
                 row[:] = y[read]
                 x, y = y, x
-        history[-1] = step.functionals @ x[:dim]
-        np.multiply(history[1:].T, step.scales[:, None], out=values[:, 1:])
-    return values, fact.coefficients(x[:dim])
+        history[-1] = fact.functionals @ x[:dim]
+        marched = history[1:]
+        marched *= fact.scales
+    return marched.T, fact.coefficients(x[:dim])
 
 
 def _solution(
-    prepared: Prepared, times: np.ndarray, values: np.ndarray, alpha: np.ndarray
+    prepared: Prepared,
+    times: np.ndarray,
+    alpha0: np.ndarray,
+    marched: np.ndarray,
+    alpha: np.ndarray,
 ) -> TransientSolution:
-    """Add the prescribed part of the probe values and check that the
-    histories and the final state are finite."""
+    """The probe histories: the free part at t = 0, ProbeRow.evaluate's dot
+    products on alpha0, then the marched free part, all with the prescribed
+    part added; checked finite with the final state alpha."""
     rows = prepared.probes
+    alpha0 = np.asarray(alpha0, dtype=float)
+    values = np.empty((len(rows), times.size))
+    values[:, 0] = [r.free_w @ alpha0[r.free_idx] for r in rows]
+    # A march of no steps builds no probe rows: marched is then (0, 0).
+    values[:, 1:] = marched.reshape(len(rows), times.size - 1)
     if any(r.cons_idx.size for r in rows):
         constrained = prepared.system.dofmap.constrained
         prescribed = on_grid([c.value for c in constrained], times, "value")
@@ -408,8 +380,8 @@ def _solution(
 def _solve(
     prepared: Prepared, fact: CondensedFactorization, scheme: ThetaScheme, alpha0: np.ndarray
 ) -> TransientSolution:
-    values, alpha = march(fact, prepared.loads, prepared.probes, alpha0)
-    return _solution(prepared, scheme.times, values, alpha)
+    marched, alpha = march(fact, prepared.loads, alpha0)
+    return _solution(prepared, scheme.times, alpha0, marched, alpha)
 
 
 def integrate(
@@ -425,7 +397,7 @@ def integrate(
     state is.
     """
     prepared = prepare(sys, scheme, probes)
-    fact = build_factorization(sys, scheme)
+    fact = build_factorization(sys, scheme, prepared.probes)
     return _solve(prepared, fact, scheme, alpha0)
 
 
@@ -436,13 +408,14 @@ def integrate_stack(
     """March several prepared systems from rest (the zero state) on one time
     grid as a single block-diagonal system, and split the result per member.
 
-    Every member is condensed on its own, and the stack concatenates the
-    condensed operators: every step is one sparse product, one forward sweep
-    and one back-substitution on the narrow vertex band for all members, and
-    the product's probe rows read each member's probes off its own part of
-    the state.  A member's histories and final state are bit for bit those
-    of integrate on its own, since a probe's row holds the same entries in
-    the same column order in the stack as in its member alone.
+    Every member is condensed on its own, with its probes' rows, and the
+    stack joins the condensed operators and the rows (condense.stack):
+    every step is one sparse product, one forward sweep and one
+    back-substitution on the narrow vertex band for all members, and the
+    product's probe rows read each member's probes off its own part of the
+    state.  A member's histories and final state are bit for bit those of
+    integrate on its own, since a probe's row holds the same entries in the
+    same column order in the stack as in its member alone.
 
     Failures stay per member.  A member whose factorization fails keeps its
     FactorizationError and the rest march.  A NaN or infinity in one block
@@ -456,7 +429,7 @@ def integrate_stack(
     facts = {}
     for k, m in enumerate(members):
         try:
-            facts[k] = build_factorization(m.system, scheme)
+            facts[k] = build_factorization(m.system, scheme, m.probes)
         except FactorizationError as exc:
             results[k] = exc
     if not facts:
@@ -464,19 +437,15 @@ def integrate_stack(
     fact = stack(list(facts.values()))
     starts = np.cumsum([0] + [f.dim for f in facts.values()])
     blocks = [(k, members[k], int(start)) for k, start in zip(facts, starts)]
-    values, alpha = march(
-        fact,
-        np.hstack([m.loads for _, m, _ in blocks]),
-        [replace(r, free_idx=r.free_idx + start) for _, m, start in blocks for r in m.probes],
-        np.zeros(fact.dim),
-    )
+    marched, alpha = march(fact, np.hstack([m.loads for _, m, _ in blocks]), np.zeros(fact.dim))
     first = 0
     try:
         for k, m, start in blocks:
-            rows = slice(first, first + len(m.probes))
+            rows = slice(first, first + facts[k].scales.size)
             first = rows.stop
-            state = alpha[start:start + m.system.dim].copy()
-            results[k] = _solution(m, scheme.times, values[rows], state)
+            dim = m.system.dim
+            state = alpha[start:start + dim].copy()
+            results[k] = _solution(m, scheme.times, np.zeros(dim), marched[rows], state)
     except NonFiniteStateError:
         for k, m, _ in blocks:
             try:

@@ -467,8 +467,10 @@ def test_the_fast_path_renders_ordinary_histories(tmp_path, monkeypatch):
     monkeypatch.setattr(hpheat.cli, "_exact", lambda x: fallbacks.append(x) or exact(x))
     run(parse_config(FAST_TRANSIENT), out_dir=str(tmp_path / "transient"), fmt="dat")
     assert len(list((tmp_path / "transient").iterdir())) == 3
-    assert fallbacks == []
-    for odd in (2.0**-25, np.nan):
+    # Only the zeros at t = 0, two per table, go to '%.16e'.
+    assert fallbacks == [0.0] * 6
+    fallbacks.clear()
+    for odd in (2.0**-25, np.nan, 0.0, -0.0):
         table = OutputTable(("a", "b"), np.array([[1.0, -3.0], [odd, 1e-3]]))
         _renders_like_the_cells(table, tmp_path, "dat")
         assert np.array_equal(fallbacks, [odd], equal_nan=True)

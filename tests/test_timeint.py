@@ -78,11 +78,14 @@ RISING = TimeFunction(
 
 def one_step(fact, w, load):
     """One step of advance from the condensed state w, with a load on the
-    condensed rows fact.load_rows."""
-    x = np.concatenate((w, load))
+    condensed rows fact.load_rows.  The buffers hold the probes' values
+    too, which the step writes after the state."""
+    dim = fact.dim
+    x = np.zeros(dim + max(load.size, fact.scales.size))
+    x[:dim], x[dim:dim + load.size] = w, load
     y = np.empty_like(x)
     advance(step_arrays(fact), x, y)
-    return y[:fact.dim]
+    return y[:dim]
 
 
 def condensed_step(sys, fact, s, load):
@@ -219,24 +222,21 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
         "mcv": assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 4, PULSE_BCS),
     }
     scheme = ThetaScheme(0.5, 1e-3, 1)
-    facts, probes, start = [], [], 0
+    facts = []
     for name in members:
         sys = systems[name]
-        facts.append(build_factorization(sys, scheme))
-        probes += [
-            replace(r, free_idx=r.free_idx + start)
-            for r in (probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES)
-        ]
-        start += sys.dim
+        rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
+        facts.append(build_factorization(sys, scheme, rows))
     fact = facts[0] if len(facts) == 1 else hpheat.condense.stack(facts)
-    step = step_arrays(fact, probes)
+    step = step_arrays(fact)
     # Index arrays of one type: the kernel then converts no input per call.
-    for m in (fact.m_expl, fact.recovery, step.matrix):
+    for m in (fact.m_expl, fact.recovery, fact.functionals, step.matrix):
         assert m.indptr.dtype == m.indices.dtype
     # The step matrix with the probes' rows: the next state, and the probe
     # functionals on the state the step reads.
-    dim, n_load = fact.dim, fact.load_rows.size
-    x = np.empty(dim + max(n_load, len(probes)))
+    dim, n_load, n_probes = fact.dim, fact.load_rows.size, fact.scales.size
+    assert n_probes == len(members) * len(ALL_PROBES)
+    x = np.empty(dim + max(n_load, n_probes))
     y = np.empty_like(x)
     rng = np.random.default_rng(7)
     w = rng.standard_normal(dim)
@@ -244,9 +244,34 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
         load = rng.standard_normal(n_load)
         x[:dim], x[dim:dim + n_load] = w, load
         advance(step, x, y)
-        assert np.array_equal(y[dim:dim + len(probes)], step.functionals @ w)
+        assert np.array_equal(y[dim:dim + n_probes], fact.functionals @ w)
         w = public_step(fact, w, load)
         assert np.array_equal(y[:dim], w)
+
+
+def test_the_probe_rows_take_the_kernel_of_the_public_transpose_product(monkeypatch):
+    # condense applies recovery^T to the probes' interior weights with
+    # scipy.sparse._sparsetools.csc_matvecs, a private module, the kernel
+    # that `recovery.T @` ends in: a scipy whose kernel takes other
+    # arguments fails here.  The probes off the nodes have interior weights.
+    sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 4, PULSE_BCS)
+    probes = ALL_PROBES + ((0.0013, Field.TEMPERATURE), (0.0021, Field.HEAT_FLUX))
+    rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
+    scheme = ThetaScheme(0.5, 1e-3, 1)
+    want = build_factorization(sys, scheme, rows)
+    weights = []
+
+    def public(n_row, n_col, n_vecs, indptr, indices, data, x, y):
+        weights.append(x.copy())
+        transpose = sp.csc_matrix((data, indices, indptr), shape=(n_row, n_col))
+        y += (transpose @ x.reshape(n_col, n_vecs)).ravel()
+
+    monkeypatch.setattr(hpheat.condense, "csc_matvecs", public)
+    got = build_factorization(sys, scheme, rows)
+    assert len(weights) == 1 and weights[0].any()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.functionals, name), getattr(want.functionals, name))
+    assert np.array_equal(got.scales, want.scales)
 
 
 def chained_interchanges():
@@ -270,6 +295,7 @@ def chained_interchanges():
         row_scale=np.ones(n), col_scale=np.ones(n), order=np.arange(n), n_vertex=n,
         recovery=sp.csr_matrix((0, n)), load_rows=load_rows,
         load_fold=sp.identity(load_rows.size, format="csr"), eigenbasis=(),
+        functionals=sp.csr_matrix((0, n)), scales=np.zeros(0),
     )
 
 
@@ -552,10 +578,10 @@ def with_prescribed(sys, row, free, t):
 def march_step_by_step(sys, scheme, alpha0, probes):
     """The step loop with the load recomputed at every step from the
     system's averaged load, and the probe values from every state through
-    the probes' functionals on the condensed state (StepArrays)."""
+    the probes' functionals on the condensed state, which the
+    factorization holds."""
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in probes]
-    fact = build_factorization(sys, scheme)
-    step = step_arrays(fact, rows)
+    fact = build_factorization(sys, scheme, rows)
     dt = scheme.dt
     times = np.arange(scheme.n_steps + 1) * dt
     values = np.empty((len(rows), times.size))
@@ -568,7 +594,7 @@ def march_step_by_step(sys, scheme, alpha0, probes):
         load = sys.load_average(t0, t1, prev_average)
         prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
         s = condensed_step(sys, fact, s, dt * load)
-        free = step.scales * (step.functionals @ s)
+        free = fact.scales * (fact.functionals @ s)
         values[:, n + 1] = [with_prescribed(sys, row, f, t1) for row, f in zip(rows, free)]
         states.append(fact.coefficients(s))
     return values, np.array(states)
@@ -661,10 +687,10 @@ def test_every_probe_functional_row_has_unit_max_norm():
     # zero free weights.  The flux probe at L/2 sits inside an element, so
     # its row reads interior entries of the state.
     sys = assemble(Mesh.uniform(5, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
-    fact = build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
-    step = step_arrays(fact, rows)
-    f = step.functionals
+    fact = build_factorization(sys, ThetaScheme(0.5, 1e-3, 1), rows)
+    step = step_arrays(fact)
+    f = fact.functionals
     assert f.shape == (len(rows), fact.dim)
     assert rows[0].free_w.size and not rows[0].free_w.any()
     assert np.array_equal(np.diff(f.indptr) > 0, [False, True, True, True])
@@ -679,8 +705,8 @@ def test_every_probe_functional_row_has_unit_max_norm():
     )
     _, lowered, probes = discretize(sc, 100, 10)
     rows = [probe_row(lowered.dofmap, x, fld) for x, fld in probes]
-    fact = build_factorization(lowered, ThetaScheme(1.0, 1e-3, 1))
-    f = step_arrays(fact, rows).functionals
+    fact = build_factorization(lowered, ThetaScheme(1.0, 1e-3, 1), rows)
+    f = fact.functionals
     assert np.array_equal(f.indptr, [0, 1, 2, 3]) and np.array_equal(f.data, np.ones(3))
     assert np.all(f.indices < fact.n_vertex)
 
@@ -800,17 +826,19 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     # Every factorization that timeint builds or stacks counts the products
     # with its recovery -N of the interiors from the vertex DOFs, and every
     # eigenbasis run the conversions into the basis (W^-1), out of it (W)
-    # and the probes' rows (W^T).
+    # and the probes' rows (W^T), each under the call that makes it:
+    # condense, step_arrays or the rest of the march.
     calls = Counter()
+    within = ["march"]
 
     class Counted(sp.csr_matrix):
         # csr_matrix.dot also ends here.
         def __matmul__(self, other):
-            calls["products"] += 1
+            calls[within[-1], "products"] += 1
             return super().__matmul__(other)
 
         def __rmatmul__(self, other):
-            calls["products"] += 1
+            calls[within[-1], "products"] += 1
             return super().__rmatmul__(other)
 
     def counted(build):
@@ -820,14 +848,26 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
 
         return wrapped
 
+    def inside(name, function):
+        def wrapped(*args):
+            within.append(name)
+            try:
+                return function(*args)
+            finally:
+                within.pop()
+
+        return wrapped
+
     run_class = hpheat.eigenbasis.EigenbasisRun
     for name in ("apply_inverse", "add_basis", "apply_transpose"):
 
         def converted(*args, _name=name, _original=getattr(run_class, name)):
-            calls[_name] += 1
+            calls[within[-1], _name] += 1
             _original(*args)
 
         monkeypatch.setattr(run_class, name, converted)
+    monkeypatch.setattr(hpheat.timeint, "condense", inside("condense", hpheat.timeint.condense))
+    monkeypatch.setattr(hpheat.timeint, "step_arrays", inside("step_arrays", step_arrays))
     monkeypatch.setattr(hpheat.timeint, "build_factorization", counted(build_factorization))
     monkeypatch.setattr(hpheat.timeint, "stack", counted(hpheat.timeint.stack))
     sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
@@ -845,20 +885,24 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
         members = [prepare(sys, scheme, ALL_PROBES), prepare(sys, scheme, ALL_PROBES[2:])]
         integrate_stack(members, scheme)
 
-    # Once into the state, as the product -N v and one conversion W^-1 (y_i
-    # + N v) per member, and once back out, -N v and then W u per member;
-    # the probes' rows take W^T once per member.  Whatever the step count.
-    once = {"products": 2, "apply_inverse": 1, "add_basis": 1, "apply_transpose": 1}
+    # The probes' rows take W^T once per member, inside condense.  The march
+    # converts once into the state, as the product -N v and one conversion
+    # W^-1 (y_i + N v) per member, and once back out, -N v and then W u per
+    # member.  Whatever the step count.
+    once = {
+        ("condense", "apply_transpose"): 1,
+        ("march", "products"): 2, ("march", "apply_inverse"): 1, ("march", "add_basis"): 1,
+    }
     assert count(alone, 10) == count(alone, 40) == once
-    twice = {**once, "apply_inverse": 2, "add_basis": 2, "apply_transpose": 2}
+    twice = {**{key: 2 for key in once}, ("march", "products"): 2}
     assert count(stacked, 10) == count(stacked, 40) == twice
-    # A step itself makes none.
-    fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
-    step = step_arrays(fact, [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES])
+    # Nor do the step's arrays and a step itself make any.
+    rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
+    fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1), rows)
     x = np.zeros(fact.dim + max(fact.load_rows.size, len(ALL_PROBES)))
     x[:fact.dim] = fact.state(a0)
     calls.clear()
-    advance(step, x, np.empty_like(x))
+    advance(hpheat.timeint.step_arrays(fact), x, np.empty_like(x))
     assert not calls
 
 
@@ -1061,20 +1105,28 @@ STACK_SCHEME = ThetaScheme(theta=0.5, dt=1e-3, n_steps=30)
 def stack_members():
     """Prepared systems of every vertex bandwidth: 1 for the local models,
     3 for GK (2 on two elements with flux data), with flux and temperature
-    data."""
+    data, and with four, two and no probes."""
     return [
         prepare(
             assemble(Mesh.uniform(n, 0.005), mat, model, p, BOUNDARY_DATA[data]),
             STACK_SCHEME,
-            ALL_PROBES,
+            probes,
         )
-        for (mat, model), n, p, data in (
-            (STUDY_MATERIALS["mcv"], 4, 2, "flux"),
-            (STUDY_MATERIALS["gk_wave"], 3, 3, "dirichlet"),
-            (STUDY_MATERIALS["fourier"], 5, 2, "dirichlet"),
-            (STUDY_MATERIALS["gk_diffuse"], 2, 4, "flux"),
+        for (mat, model), n, p, data, probes in (
+            (STUDY_MATERIALS["mcv"], 4, 2, "flux", ALL_PROBES),
+            (STUDY_MATERIALS["gk_wave"], 3, 3, "dirichlet", ALL_PROBES),
+            (STUDY_MATERIALS["fourier"], 5, 2, "dirichlet", ALL_PROBES),
+            (STUDY_MATERIALS["gk_diffuse"], 2, 4, "flux", ALL_PROBES),
+            (STUDY_MATERIALS["gk_wave"], 4, 2, "flux", ALL_PROBES[2:]),
+            (STUDY_MATERIALS["mcv"], 3, 3, "dirichlet", ()),
         )
     ]
+
+
+def integrated_alone(member):
+    """A prepared member integrated on its own, from rest."""
+    probes = [(r.x, r.field) for r in member.probes]
+    return integrate(member.system, STACK_SCHEME, np.zeros(member.system.dim), probes)
 
 
 def test_stack_of_both_vertex_bandwidths_is_bitwise_each_member_alone(monkeypatch):
@@ -1089,21 +1141,37 @@ def test_stack_is_bitwise_each_member_alone_across_blocks(monkeypatch):
 
 def assert_stack_is_bitwise_each_member_alone(monkeypatch):
     members = stack_members()
-    bandwidths = [build_factorization(m.system, STACK_SCHEME).kl for m in members]
-    assert {1, 3} <= set(bandwidths)
+    facts = [build_factorization(m.system, STACK_SCHEME, m.probes) for m in members]
+    assert {1, 3} <= {f.kl for f in facts}
     # One march: a non-finite stack would be marched again member by member.
-    marches = Counter()
+    marched = []
     real_march = hpheat.timeint.march
 
-    def march(*args):
-        marches["calls"] += 1
-        return real_march(*args)
+    def march(fact, *args):
+        marched.append(fact)
+        return real_march(fact, *args)
 
     monkeypatch.setattr(hpheat.timeint, "march", march)
     results = integrate_stack(members, STACK_SCHEME)
-    assert marches["calls"] == 1
-    for m, got in zip(members, results):
-        want = integrate(m.system, STACK_SCHEME, np.zeros(m.system.dim), ALL_PROBES)
+    (stacked,) = marched
+    # Each member's probe rows, in the stack's numbering of the state: its
+    # vertex entries, then its interiors, after those of the members before.
+    vertex = np.cumsum([0] + [f.n_vertex for f in facts])
+    interior = vertex[-1] + np.cumsum([0] + [f.dim - f.n_vertex for f in facts])
+    rows = np.cumsum([0] + [f.scales.size for f in facts])
+    assert list(np.diff(rows)) == [4, 4, 4, 4, 2, 0]
+    f = stacked.functionals
+    for k, (m, fact, got) in enumerate(zip(members, facts, results)):
+        cols = np.concatenate((
+            np.arange(fact.n_vertex) + vertex[k], np.arange(fact.dim - fact.n_vertex) + interior[k]
+        ))
+        own = fact.functionals
+        entries = slice(f.indptr[rows[k]], f.indptr[rows[k + 1]])
+        assert np.array_equal(f.indptr[rows[k]:rows[k + 1] + 1] - f.indptr[rows[k]], own.indptr)
+        assert np.array_equal(f.indices[entries], cols[own.indices])
+        assert np.array_equal(f.data[entries], own.data)
+        assert np.array_equal(stacked.scales[rows[k]:rows[k + 1]], fact.scales)
+        want = integrated_alone(m)
         assert np.array_equal(got.probe_values, want.probe_values)
         assert np.array_equal(got.final_state, want.final_state)
 
@@ -1129,9 +1197,8 @@ def test_singular_interior_block_fails_only_its_member(zero_row):
     results = integrate_stack(members, STACK_SCHEME)
     assert isinstance(results[2], FactorizationError)
     assert str(results[2]) == str(info.value)
-    for k in (0, 1, 3):
-        m = members[k]
-        want = integrate(m.system, STACK_SCHEME, np.zeros(m.system.dim), ALL_PROBES)
+    for k in (0, 1, 3, 4, 5):
+        want = integrated_alone(members[k])
         assert np.array_equal(results[k].probe_values, want.probe_values)
         assert np.array_equal(results[k].final_state, want.final_state)
 

@@ -5,7 +5,8 @@ once with the step as it is (`step_arrays` and `advance`), and once with
 every step written as `m_expl @ w`, then `rhs[load_rows] += load`, then
 LAPACK's dgbtrs on the vertex rows with the factors as dgbtrf left them,
 and every probe value as `ProbeRow.evaluate` on the coefficients of the
-state (`CondensedFactorization.coefficients`).  The systems are
+state (`CondensedFactorization.coefficients`) in place of the probes' rows
+that `condense` builds and `stack` joins.  The systems are
 
 - gk_overkill: GK, 100x10, theta 1, 2000 steps;
 - mcv_reference: the MCV 100x10 overkill reference at tau 0.05, whose
@@ -42,45 +43,68 @@ from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from hpheat import scenario, study, timeint  # noqa: E402
+from hpheat.condense import condense, stack  # noqa: E402
 from hpheat.materials import ModelKind  # noqa: E402
 
 CORETYPES = ("default", "Haswell", "SandyBridge", "Prescott")
 
 
-class PublicStep:
-    """The factorization and the probe rows in place of the step arrays.
-    march applies `functionals` to the last state and scales the history by
-    `scales`: here the functionals are the step itself, whose product with
-    a state is ProbeRow.evaluate, without the prescribed part that march
-    leaves to its caller, on the state's coefficients, and the scales are
-    ones."""
+class PublicProbes:
+    """The probe rows, on the free numbering of a factorization, in place of
+    its `functionals`, with unit `scales`: the product with a state is
+    ProbeRow.evaluate on the state's coefficients, without the prescribed
+    part that march leaves to its caller."""
 
     def __init__(self, fact, probes):
         self.fact = fact
         self.probes = [replace(r, cons_idx=r.cons_idx[:0], cons_w=r.cons_w[:0]) for r in probes]
-        self.functionals = self
-        self.scales = np.ones(len(probes))
 
     def __matmul__(self, w):
         alpha = self.fact.coefficients(w)
         return np.array([r.evaluate(None, alpha, 0.0) for r in self.probes])
 
 
-def public_advance(step, x, y):
-    """advance's step in the public formulation: the next state, and the
-    probe values of the state that the step reads."""
-    fact = step.fact
+def public(fact, probes):
+    """fact with PublicProbes of the probe rows in place of its own."""
+    fact = replace(fact, scales=np.ones(len(probes)))
+    fact.functionals = PublicProbes(fact, probes)
+    return fact
+
+
+def public_condense(sys, dt, theta, probes=()):
+    """condense with PublicProbes in place of the probes' rows."""
+    return public(condense(sys, dt, theta), probes)
+
+
+def public_stack(facts):
+    """The stack of the members' factorizations, with their probe rows moved
+    to the stack's free numbering, member after member."""
+    bare = [replace(f, functionals=sp.csr_matrix((0, f.dim)), scales=np.zeros(0)) for f in facts]
+    starts = np.cumsum([0] + [f.dim for f in facts])
+    rows = [
+        replace(r, free_idx=r.free_idx + s)
+        for f, s in zip(facts, starts)
+        for r in f.functionals.probes
+    ]
+    return public(stack(bare), rows)
+
+
+def public_advance(fact, x, y):
+    """advance's step in the public formulation, on the factorization in
+    place of the step arrays: the next state, and the probe values of the
+    state that the step reads."""
     dim, nv = fact.dim, fact.n_vertex
     rhs = fact.m_expl @ x[:dim]
     rhs[fact.load_rows] += x[dim:dim + fact.load_rows.size]
     if nv:
         rhs[:nv] = timeint.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
-    y[dim:dim + len(step.probes)] = step @ x[:dim]
+    y[dim:dim + fact.scales.size] = fact.functionals @ x[:dim]
     y[:dim] = rhs
 
 
@@ -124,14 +148,18 @@ def systems():
 
 def child() -> None:
     """Marches every system both ways and prints one JSON line per system."""
-    step_arrays, advance = timeint.step_arrays, timeint.advance
+    names = ("condense", "stack", "step_arrays", "advance")
+    real = [getattr(timeint, name) for name in names]
+    formulation = (public_condense, public_stack, lambda fact: fact, public_advance)
     for name, march in systems():
         got_values, got_states = march()
-        timeint.step_arrays, timeint.advance = PublicStep, public_advance
+        for attr, value in zip(names, formulation):
+            setattr(timeint, attr, value)
         try:
             want_values, want_states = march()
         finally:
-            timeint.step_arrays, timeint.advance = step_arrays, advance
+            for attr, value in zip(names, real):
+                setattr(timeint, attr, value)
         bits = [a.view(np.uint64) for a in got_states]
         digest = hashlib.sha256(
             b"".join(np.ascontiguousarray(a).tobytes() for a in got_values + got_states)
