@@ -405,6 +405,37 @@ def test_march_matches_dense_solve_of_the_block_system(
         assert gap <= 1e-12 * np.max(np.abs(want)), (key, gap / np.max(np.abs(want)))
 
 
+def test_every_history_entry_reads_its_own_steps_state():
+    # The march gathers every step's probe entries and interpolates them
+    # after the loop: entry n of a history is the probes read off the state
+    # of step n, bit for bit, which a run of n steps returns as its final
+    # state.  From T0 = 0, final.T is the marched rise itself.
+    def solve(n_steps):
+        return fd_solve(
+            GK_MAT, 0.005, 0.0, flash_pulse(PulseParams()), constant(-250.0), cells=12,
+            dt=1e-3, n_steps=n_steps, theta=0.5, probe_temperatures=probes_t,
+            probe_fluxes=probes_q,
+        )
+
+    probes_t, probes_q = (0.0, 0.0013, 0.005), (0.0, 0.0025, 0.0041, 0.005)
+    cell, w = hpheat.fdoracle._temperature_probe_weights(12, 0.005 / 12, probes_t)
+    faces = np.rint(np.asarray(probes_q) / (0.005 / 12)).astype(int)
+    whole = solve(8)
+    for n in range(9):
+        part = solve(n)
+        for name in ("temperature_probes", "temperature_rise", "flux_probes"):
+            for x, history in getattr(part, name).items():
+                assert np.array_equal(getattr(whole, name)[x][:n + 1], history), (name, x, n)
+        if n == 0:
+            continue
+        T = part.final.T
+        read_t = (1.0 - w) * T[cell] + w * T[cell + 1]
+        assert np.array_equal([part.temperature_rise[x][-1] for x in probes_t], read_t)
+        for x, j in zip(probes_q, faces):
+            if 0 < j < 12:
+                assert part.flux_probes[x][-1] == part.final.q[j], (x, n)
+
+
 def test_the_private_kernel_is_bitwise_the_public_product(monkeypatch):
     # Each step's two products call scipy.sparse._sparsetools.csr_matvec,
     # a private module: a scipy whose `@` ends in another kernel, or whose
