@@ -104,7 +104,8 @@ class CondensedFactorization:
     between the state and the coefficients, once each way per march, and
     build the probes' rows on w: scales times the product of `functionals`
     with a state are the free part of the probe values on it
-    (_functionals).
+    (_functionals).  A system condensed without probes has no
+    `functionals` (None) and no scales.
     """
 
     lu: np.ndarray
@@ -121,7 +122,7 @@ class CondensedFactorization:
     load_rows: np.ndarray
     load_fold: sp.csr_matrix
     eigenbasis: tuple[EigenbasisRun, ...]
-    functionals: sp.csr_matrix
+    functionals: sp.csr_matrix | None
     scales: np.ndarray
 
     def state(self, alpha: np.ndarray) -> np.ndarray:
@@ -156,10 +157,6 @@ def _functionals(
     coefficients are finite.  The values round apart from ProbeRow.evaluate
     (test_the_probe_functionals_agree_with_the_recovered_coefficients)."""
     dim, nv, n = fact.dim, fact.n_vertex, len(probes)
-    if not n:
-        # From arrays, which scipy takes faster than a shape.
-        indptr = np.zeros(1, dtype=np.int32)
-        return sp.csr_matrix((np.zeros(0), indptr[:0], indptr), shape=(0, dim)), np.zeros(0)
     position = np.empty(dim, dtype=int)
     position[fact.order] = np.arange(dim)
     free = np.concatenate([r.free_idx for r in probes])
@@ -438,9 +435,10 @@ def condense(
         lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
         row_scale=r, col_scale=c, order=elements.order, n_vertex=nv,
         recovery=_csr(-across, state[:, v], nv), load_rows=load_rows, load_fold=load_fold,
-        eigenbasis=(EigenbasisRun(nv, basis, to_basis, label),), functionals=None, scales=None,
+        eigenbasis=(EigenbasisRun(nv, basis, to_basis, label),), functionals=None, scales=np.zeros(0),
     )
-    fact.functionals, fact.scales = _functionals(fact, probes)
+    if probes:
+        fact.functionals, fact.scales = _functionals(fact, probes)
     return fact
 
 
@@ -503,9 +501,8 @@ def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
          for f, n, s in zip(facts, n_load, np.cumsum(n_load) - n_load)],
         int(n_load.sum()),
     )
-    functionals = _joined(
-        [(f.functionals, slice(0, f.scales.size), c) for f, c in zip(facts, cols)], dim
-    )
+    probed = [(f.functionals, slice(0, f.scales.size), c) for f, c in zip(facts, cols) if f.scales.size]
+    functionals = _joined(probed, dim) if probed else None
     order = np.empty(dim, dtype=int)
     order[place] = np.concatenate([f.order + s for f, s in zip(facts, free_start)])
     kl = max(f.kl for f in facts)

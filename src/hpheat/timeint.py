@@ -16,13 +16,15 @@ the final state.  Once per march, it derives the step's arrays from the
 factorization (StepArrays): the step operator with its vertex rows in the
 order that the band factorization's row interchanges leave them in, one
 column per folded load row and the probes' rows, the unit lower band of
-the forward sweep, and the upper band.  A step is then one sparse product of the state and
-the step's load, which sit one after the other in one buffer, one forward
-sweep and one back-substitution on the narrow vertex band, all in place in
-a second buffer, and one copy of the probe values that the product gave;
-the two buffers swap after every step.  The step's bits are those of the
-product with the step operator, the addition of the load and LAPACK's
-dgbtrs on the factors, taken one after the other
+the forward sweep, and the upper band.  Each block of _BLOCK_STEPS steps
+runs through one buffer of rows, row n holding state n, the probe values
+on state n - 1 and the folded load of step n; a step is three kernel calls
+that take row n into row n + 1: one sparse product of the state and the
+load, one forward sweep and one back-substitution on the narrow vertex
+band, in place.  No step copies an array: the loads go into the buffer,
+and the probe values out of it, a block at a time.  The step's bits are
+those of the product with the step operator, the addition of the load and
+LAPACK's dgbtrs on the factors, taken one after the other
 (test_the_step_is_bitwise_the_public_formulation, tests/test_timeint.py).
 The state holds each element's interiors' right-hand side in the
 eigenbasis of its interior block of the step operator (module
@@ -41,7 +43,12 @@ private module scipy.sparse._sparsetools, into a zeroed output: the call
 that `@` ends in, without scipy's dispatch around it (held bit for bit to
 `@` by test_the_private_kernels_are_bitwise_the_public_products).  The
 forward sweep is BLAS's dtbsv and the back-substitution LAPACK's dgbtrs,
-called through scipy's wrappers in place on the buffer.
+called through scipy's wrappers in place on the buffer, with every
+argument by position.  The back-substitution stays dgbtrs, looked up by
+this module's name for it once per march: perfbench/spans.py wraps that
+name to time the step and count the steps.  An upper dtbsv in its place
+waits for the benchmark to read the steps from the run record (ROADMAP
+item 17).
 
 The load is f = natural fluxes - A_lc g' - B_lc g on the load rows, with g
 the constrained values and A_lc, B_lc the couplings of those rows to them
@@ -88,8 +95,9 @@ class ThetaScheme:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-# Steps of the load table folded at once in march.
-_BLOCK_STEPS = 128
+# Steps that march takes through one buffer of rows: at GK 100x10 the
+# buffer holds 0.57 MB.
+_BLOCK_STEPS = 32
 
 
 def build_factorization(
@@ -109,18 +117,17 @@ class StepArrays:
     """The arrays of one theta step, derived from a CondensedFactorization
     by step_arrays.
 
-    A step reads the condensed state and then the step's folded load from
-    the first dim + len(fact.load_rows) entries of a buffer x.  Into a
-    buffer y of the same size it writes the next state, in its first dim
-    entries, and the probes' functionals on x's state, in the next
-    len(fact.scales) entries:
+    A row of march's buffer holds the condensed state, then one entry per
+    probe, then the step's folded load, one per row of fact.load_rows.  A
+    step reads a row x's state and load, and writes the next state and the
+    probes' functionals on x's state into the next row y, zeroed there:
 
     - y = matrix @ x.  matrix holds the rows of fact.m_expl, with the
       vertex rows in the order that dgbtrf's row interchanges leave them
       in, and after the entries of each row in fact.load_rows one entry
-      1.0 in the column that reads its load from the tail of x.  So each
-      row sums the products of m_expl and then adds its load.  The rows
-      of fact.functionals follow.
+      1.0 in the column that reads its load from x.  So each row sums the
+      products of m_expl and then adds its load, from +0.  The rows of
+      fact.functionals follow; no row reads the probe columns.
     - The forward sweep with the unit lower band `lower`, of half-bandwidth
       reach, on y's vertex rows: one dtbsv.  Its column j holds dgbtrf's
       multipliers of column j, each in the row where the later interchanges
@@ -139,14 +146,9 @@ class StepArrays:
     when the product starts every row from +0; and they make NaN only of
     entries below a non-finite one, which dgbtrs makes non-finite too.
 
-    rows, n_vertex, reach and ku repeat matrix.shape[0], lower.shape[1],
-    lower.shape[0] - 1 and upper.shape[0] - 1.  They are kept because every
-    step reads them, and reading the shapes would add about 0.25 us to a
-    step of 16.6 us at GK 100x10.
+    reach and ku repeat lower.shape[0] - 1 and upper.shape[0] - 1.
     """
 
-    rows: int
-    n_vertex: int
     matrix: sp.csr_matrix
     lower: np.ndarray
     reach: int
@@ -192,47 +194,29 @@ def step_arrays(fact: CondensedFactorization) -> StepArrays:
     at = np.empty(dim, dtype=int)
     at[order] = np.arange(dim)
     loaded = at[fact.load_rows]
-    n_load = loaded.size
-    counts = np.concatenate((np.diff(m.indptr)[order], np.diff(functionals.indptr)))
+    n_load, n_probes = loaded.size, fact.scales.size
+    counts, starts = np.diff(m.indptr)[order], m.indptr[order]
+    # The load columns follow the state's and the probes'.
+    loads = np.arange(dim + n_probes, dim + n_probes + n_load, dtype=m.indices.dtype)
+    data, indices = [m.data, np.ones(n_load)], [m.indices, loads]
+    if functionals is not None:
+        counts = np.concatenate((counts, np.diff(functionals.indptr)))
+        starts = np.concatenate((starts, m.nnz + n_load + functionals.indptr[:-1]))
+        data.append(functionals.data)
+        indices.append(functionals.indices)
     counts[loaded] += 1
     indptr = np.zeros(counts.size + 1, dtype=m.indptr.dtype)
     np.cumsum(counts, out=indptr[1:])
-    starts = np.concatenate((m.indptr[order], m.nnz + n_load + functionals.indptr[:-1]))
     source = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
     source[indptr[loaded + 1] - 1] = m.nnz + np.arange(n_load)
-    loads = np.arange(dim, dim + n_load, dtype=m.indices.dtype)
     matrix = sp.csr_matrix(
-        (
-            np.concatenate((m.data, np.ones(n_load), functionals.data))[source],
-            np.concatenate((m.indices, loads, functionals.indices))[source],
-            indptr,
-        ),
-        shape=(counts.size, dim + n_load),
+        (np.concatenate(data)[source], np.concatenate(indices)[source], indptr),
+        shape=(counts.size, dim + n_probes + n_load),
     )
     return StepArrays(
-        rows=matrix.shape[0], n_vertex=nv, matrix=matrix, lower=lower, reach=reach,
+        matrix=matrix, lower=lower, reach=reach,
         upper=np.asfortranarray(fact.lu[:kl + fact.ku + 1]), ku=kl + fact.ku, ipiv=fact.ipiv,
     )
-
-
-def advance(step: StepArrays, x: np.ndarray, y: np.ndarray) -> None:
-    """One theta step (StepArrays): from the state and load in x, the next
-    state into the first dim entries of y, and the probes' functionals on
-    x's state into the entries after it.
-
-    The product calls scipy's CSR kernel csr_matvec, the call that `@`
-    ends in, on y zeroed.  Both solves work in place on y's vertex rows."""
-    m = step.matrix
-    y.fill(0.0)
-    csr_matvec(step.rows, x.size, m.indptr, m.indices, m.data, x, y)
-    if step.n_vertex:
-        # incx, offx, lower, trans, diag and overwrite_x by position, which
-        # the wrapper parses faster than keywords: a unit lower band, in
-        # place.
-        dtbsv(step.reach, step.lower, y, 1, 0, 1, 0, 1, 1)
-        _, info = dgbtrs(step.upper, 0, step.ku, y, step.ipiv, overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"banded back-substitution failed with info {info}")
 
 
 @dataclass
@@ -310,11 +294,12 @@ def march(
     values after every step, as a (probes, steps) array, and the final
     state.
 
-    A step is advance, whose product also applies the probes' functionals
-    (fact.functionals) to the state it reads, and one copy of those values
-    into a (steps, probes) history.  The last state is read once after the
-    loop, with the functionals alone, and the history is scaled at the
-    end.  The load table is folded for _BLOCK_STEPS steps at a time."""
+    Each block of _BLOCK_STEPS steps runs through one buffer of rows in the
+    layout of StepArrays, row n holding state n.  Per block, the step's
+    columns of rows 1..k are zeroed, the loads go into rows 0..k-1 and the
+    probe values come out of rows 1..k, and the last row's state moves into
+    row 0.  The last state is read once after the loop, with the
+    functionals alone."""
     alpha = np.array(alpha0, dtype=float, copy=True)
     if alpha.shape != (fact.dim,):
         raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
@@ -324,28 +309,43 @@ def march(
 
     step = step_arrays(fact)
     dim = fact.dim
-    loaded, read = slice(dim, dim + fact.load_rows.size), slice(dim, dim + n_probes)
+    probed = dim + n_probes
+    m, lower, reach, upper, ku, ipiv = step.matrix, step.lower, step.reach, step.upper, step.ku, step.ipiv
+    (rows, width), nv, ldab = m.shape, lower.shape[1], upper.shape[0]
+    indptr, indices, data = m.indptr, m.indices, m.data
+    # dgbtrs as this module names it when the march starts, which
+    # perfbench/spans.py wraps.
+    trs = dgbtrs
     history = np.empty((n_steps + 1, n_probes))
-    # The state and the step's load, and the next state with the probe
-    # values of the state before it, swapped after every step.
-    x = np.empty(dim + max(fact.load_rows.size, n_probes))
-    y = np.empty_like(x)
-    x[:dim] = fact.state(alpha)
+    block = min(_BLOCK_STEPS, n_steps)
+    buffer = np.empty((block + 1, width))
+    views = list(buffer)
+    pairs = list(zip(views, views[1:]))
+    buffer[0, :dim] = fact.state(alpha)
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Blocks bound the memory that the folded table takes.
-        for first in range(0, n_steps, _BLOCK_STEPS):
-            table = fact.load_fold @ loads[first:first + _BLOCK_STEPS].T
-            for load, row in zip(table.T, history[first:]):
-                x[loaded] = load
-                advance(step, x, y)
-                row[:] = y[read]
-                x, y = y, x
-        history[-1] = fact.functionals @ x[:dim]
-        marched = history[1:]
-        marched *= fact.scales
-    return marched.T, fact.coefficients(x[:dim])
+        for first in range(0, n_steps, block):
+            k = min(block, n_steps - first)
+            buffer[1:k + 1, :probed] = 0.0
+            buffer[:k, probed:] = (fact.load_fold @ loads[first:first + k].T).T
+            for x, y in pairs[:k]:
+                csr_matvec(rows, width, indptr, indices, data, x, y)
+                if nv:
+                    # Every argument by position, which the wrappers parse
+                    # faster than keywords: a unit lower band, in place.
+                    dtbsv(reach, lower, y, 1, 0, 1, 0, 1, 1)
+                    info = trs(upper, 0, ku, y, ipiv, 0, nv, ldab, width, 1)[1]
+                    if info:
+                        raise RuntimeError(f"banded back-substitution failed with info {info}")
+            # Scaled on the way out: in place, the history's scaling would
+            # take numpy's iteration buffer of up to 64 KB besides.
+            np.multiply(buffer[1:k + 1, dim:probed], fact.scales, out=history[first:first + k])
+            buffer[0, :dim] = buffer[k, :dim]
+        state = buffer[0, :dim]
+        if n_probes:
+            history[-1] = fact.scales * (fact.functionals @ state)
+    return history[1:].T, fact.coefficients(state)
 
 
 def _solution(

@@ -16,6 +16,7 @@ ProbeRow.evaluate on the recovered coefficients.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -23,6 +24,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
+from scipy.sparse._sparsetools import csr_matvec
 
 import hpheat.condense
 import hpheat.eigenbasis
@@ -52,10 +55,10 @@ from hpheat.timeint import (
     FactorizationError,
     NonFiniteStateError,
     ThetaScheme,
-    advance,
     build_factorization,
     integrate,
     integrate_stack,
+    march,
     prepare,
     step_arrays,
 )
@@ -76,16 +79,33 @@ RISING = TimeFunction(
 )
 
 
+def step_rows(fact, w, load):
+    """Two rows in the layout of march's buffer (StepArrays): the condensed
+    state w, the probe columns and a load on the condensed rows
+    fact.load_rows, then a row of zeros."""
+    dim, n_probes = fact.dim, fact.scales.size
+    rows = np.zeros((2, dim + n_probes + load.size))
+    rows[0, :dim], rows[0, dim + n_probes:] = w, load
+    return rows
+
+
+def kernel_step(step, rows):
+    """The body of march's step loop, a copy: from rows[0] into rows[1],
+    the next state and the probes' functionals on rows[0]'s state."""
+    m, width, (ldab, nv) = step.matrix, rows.shape[1], step.upper.shape
+    csr_matvec(m.shape[0], width, m.indptr, m.indices, m.data, rows[0], rows[1])
+    if nv:
+        dtbsv(step.reach, step.lower, rows[1], 1, 0, 1, 0, 1, 1)
+        info = hpheat.timeint.dgbtrs(step.upper, 0, step.ku, rows[1], step.ipiv, 0, nv, ldab, width, 1)[1]
+        assert info == 0
+
+
 def one_step(fact, w, load):
-    """One step of advance from the condensed state w, with a load on the
-    condensed rows fact.load_rows.  The buffers hold the probes' values
-    too, which the step writes after the state."""
-    dim = fact.dim
-    x = np.zeros(dim + max(load.size, fact.scales.size))
-    x[:dim], x[dim:dim + load.size] = w, load
-    y = np.empty_like(x)
-    advance(step_arrays(fact), x, y)
-    return y[:dim]
+    """One step of march's loop body from the condensed state w, with a
+    load on the condensed rows fact.load_rows."""
+    rows = step_rows(fact, w, load)
+    kernel_step(step_arrays(fact), rows)
+    return rows[1, :fact.dim]
 
 
 def condensed_step(sys, fact, s, load):
@@ -189,15 +209,16 @@ def test_an_illegal_argument_to_the_band_factorization_is_reported(monkeypatch):
         build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
 
 
-def test_a_malformed_back_substitution_is_reported():
+def test_a_malformed_back_substitution_is_reported(monkeypatch):
     # Step arrays that claim more superdiagonals than their upper band
     # holds: dgbtrs rejects the leading dimension of the band.
     sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
-    fact = build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
+    scheme = ThetaScheme(1.0, 1e-3, 1)
+    fact = build_factorization(sys, scheme)
     step = step_arrays(fact)
-    x = np.concatenate((fact.state(np.zeros(sys.dim)), np.zeros(fact.load_rows.size)))
+    monkeypatch.setattr(hpheat.timeint, "step_arrays", lambda _: replace(step, ku=step.ku + 5))
     with pytest.raises(RuntimeError, match="banded back-substitution failed with info -7"):
-        advance(replace(step, ku=step.ku + 5), x, np.empty_like(x))
+        march(fact, prepare(sys, scheme).loads, np.zeros(sys.dim))
 
 
 def public_step(fact, w, load):
@@ -213,7 +234,7 @@ def public_step(fact, w, load):
 
 @pytest.mark.parametrize("members", [["gk"], ["mcv"], ["gk", "mcv"]])
 def test_the_private_kernels_are_bitwise_the_public_products(members):
-    # advance calls scipy.sparse._sparsetools.csr_matvec, a private module:
+    # march calls scipy.sparse._sparsetools.csr_matvec, a private module:
     # a scipy whose `@` ends in another kernel, or whose kernel takes other
     # arguments, fails here or in
     # test_the_step_is_bitwise_the_public_formulation.
@@ -236,17 +257,27 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
     # functionals on the state the step reads.
     dim, n_load, n_probes = fact.dim, fact.load_rows.size, fact.scales.size
     assert n_probes == len(members) * len(ALL_PROBES)
-    x = np.empty(dim + max(n_load, n_probes))
-    y = np.empty_like(x)
     rng = np.random.default_rng(7)
     w = rng.standard_normal(dim)
     for _ in range(5):
         load = rng.standard_normal(n_load)
-        x[:dim], x[dim:dim + n_load] = w, load
-        advance(step, x, y)
-        assert np.array_equal(y[dim:dim + n_probes], fact.functionals @ w)
+        rows = step_rows(fact, w, load)
+        kernel_step(step, rows)
+        assert np.array_equal(rows[1, dim:dim + n_probes], fact.functionals @ w)
         w = public_step(fact, w, load)
-        assert np.array_equal(y[:dim], w)
+        assert np.array_equal(rows[1, :dim], w)
+    # march itself, over blocks of two steps: its probe values are the
+    # public products on each state, and its final state the public step's.
+    alpha0 = rng.standard_normal(dim)
+    loads = rng.standard_normal((5, fact.load_fold.shape[1]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hpheat.timeint, "_BLOCK_STEPS", 2)
+        marched, alpha = march(fact, loads, alpha0)
+    w = fact.state(alpha0)
+    for n, load in enumerate((fact.load_fold @ loads.T).T):
+        w = public_step(fact, w, load)
+        assert np.array_equal(marched[:, n], fact.scales * (fact.functionals @ w))
+    assert np.array_equal(alpha, fact.coefficients(w))
 
 
 def test_the_probe_rows_take_the_kernel_of_the_public_transpose_product(monkeypatch):
@@ -295,7 +326,7 @@ def chained_interchanges():
         row_scale=np.ones(n), col_scale=np.ones(n), order=np.arange(n), n_vertex=n,
         recovery=sp.csr_matrix((0, n)), load_rows=load_rows,
         load_fold=sp.identity(load_rows.size, format="csr"), eigenbasis=(),
-        functionals=sp.csr_matrix((0, n)), scales=np.zeros(0),
+        functionals=None, scales=np.zeros(0),
     )
 
 
@@ -343,7 +374,7 @@ STEP_CASES = [
 
 @pytest.mark.parametrize("case", STEP_CASES)
 def test_the_step_is_bitwise_the_public_formulation(case):
-    # advance takes dgbtrf's interchanges up front, in the order of the step
+    # march takes dgbtrf's interchanges up front, in the order of the step
     # operator's rows, and sweeps forward with one dtbsv where dgbtrs makes
     # one rank-one update per column: every sum is the same, bit for bit.
     fact = step_case(case)
@@ -361,14 +392,12 @@ def test_the_step_is_bitwise_the_public_formulation(case):
         assert swaps and step.reach > fact.kl
     rng = np.random.default_rng(11)
     w = rng.standard_normal(fact.dim)
-    x = np.empty(fact.dim + fact.load_rows.size)
-    y = np.empty_like(x)
     for _ in range(5):
         load = rng.standard_normal(fact.load_rows.size)
-        x[:fact.dim], x[fact.dim:] = w, load
-        advance(step, x, y)
+        rows = step_rows(fact, w, load)
+        kernel_step(step, rows)
         w = public_step(fact, w, load)
-        assert np.array_equal(y[:fact.dim].view(np.uint64), w.view(np.uint64))
+        assert np.array_equal(rows[1, :fact.dim].view(np.uint64), w.view(np.uint64))
 
 
 def test_the_study_systems_keep_the_forward_sweep_within_one_row_of_kl():
@@ -594,7 +623,8 @@ def march_step_by_step(sys, scheme, alpha0, probes):
         load = sys.load_average(t0, t1, prev_average)
         prev_average = np.array([c.value.average(t0, t1) for c in sys.dofmap.constrained])
         s = condensed_step(sys, fact, s, dt * load)
-        free = fact.scales * (fact.functionals @ s)
+        # A system without probes has no rows for them.
+        free = fact.scales * (fact.functionals @ s) if rows else ()
         values[:, n + 1] = [with_prescribed(sys, row, f, t1) for row, f in zip(rows, free)]
         states.append(fact.coefficients(s))
     return values, np.array(states)
@@ -770,6 +800,8 @@ def test_run_without_probes_across_blocks(monkeypatch):
     scheme = ThetaScheme(theta=0.5, dt=1e-3, n_steps=40)
     sol = integrate(sys, scheme, a0)
     _, states = march_step_by_step(sys, scheme, a0, ())
+    # A system condensed without probes has no rows for them.
+    assert build_factorization(sys, scheme).functionals is None
     assert sol.probe_values.shape == (0, 41)
     assert np.array_equal(sol.final_state, states[-1])
 
@@ -896,14 +928,23 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     assert count(alone, 10) == count(alone, 40) == once
     twice = {**{key: 2 for key in once}, ("march", "products"): 2}
     assert count(stacked, 10) == count(stacked, 40) == twice
-    # Nor do the step's arrays and a step itself make any.
+    # Nor do the step's arrays and a step itself make any: a march of two
+    # steps makes those of a march of one.
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
     fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1), rows)
-    x = np.zeros(fact.dim + max(fact.load_rows.size, len(ALL_PROBES)))
-    x[:fact.dim] = fact.state(a0)
     calls.clear()
-    advance(hpheat.timeint.step_arrays(fact), x, np.empty_like(x))
+    hpheat.timeint.step_arrays(fact)
     assert not calls
+    loads = prepare(sys, ThetaScheme(0.5, 1e-3, 2), ALL_PROBES).loads
+
+    def marched(n_steps):
+        calls.clear()
+        hpheat.timeint.march(fact, loads[:n_steps], a0)
+        return dict(calls)
+
+    assert marched(2) == marched(1) == {
+        ("march", "products"): 2, ("march", "apply_inverse"): 1, ("march", "add_basis"): 1,
+    }
 
 
 def interior_entries(fact, n):
@@ -1102,14 +1143,14 @@ def test_non_finite_state_names_its_first_column():
 STACK_SCHEME = ThetaScheme(theta=0.5, dt=1e-3, n_steps=30)
 
 
-def stack_members():
+def stack_members(scheme=STACK_SCHEME):
     """Prepared systems of every vertex bandwidth: 1 for the local models,
     3 for GK (2 on two elements with flux data), with flux and temperature
     data, and with four, two and no probes."""
     return [
         prepare(
             assemble(Mesh.uniform(n, 0.005), mat, model, p, BOUNDARY_DATA[data]),
-            STACK_SCHEME,
+            scheme,
             probes,
         )
         for (mat, model), n, p, data, probes in (
@@ -1123,10 +1164,10 @@ def stack_members():
     ]
 
 
-def integrated_alone(member):
+def integrated_alone(member, scheme=STACK_SCHEME):
     """A prepared member integrated on its own, from rest."""
     probes = [(r.x, r.field) for r in member.probes]
-    return integrate(member.system, STACK_SCHEME, np.zeros(member.system.dim), probes)
+    return integrate(member.system, scheme, np.zeros(member.system.dim), probes)
 
 
 def test_stack_of_both_vertex_bandwidths_is_bitwise_each_member_alone(monkeypatch):
@@ -1137,6 +1178,57 @@ def test_stack_is_bitwise_each_member_alone_across_blocks(monkeypatch):
     # 30 steps in blocks of 7, for the stack and for every member alone.
     monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 7)
     assert_stack_is_bitwise_each_member_alone(monkeypatch)
+
+
+@pytest.mark.parametrize("n_steps", [6, 7, 8, 14, 15])
+def test_the_stacked_march_is_bitwise_each_member_alone_at_every_block_edge(n_steps, monkeypatch):
+    # Blocks of 7 steps: one short block, one full, one full and one step,
+    # two full, and two full and one step, for the stack and for every
+    # member alone.
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 7)
+    scheme = replace(STACK_SCHEME, n_steps=n_steps)
+    members = stack_members(scheme)
+    assert [len(m.probes) for m in members] == [4, 4, 4, 4, 2, 0]
+    for m, got in zip(members, integrate_stack(members, scheme)):
+        want = integrated_alone(m, scheme)
+        assert got.probe_values.shape == (len(m.probes), n_steps + 1)
+        assert np.array_equal(got.probe_values, want.probe_values)
+        assert np.array_equal(got.final_state.view(np.uint64), want.final_state.view(np.uint64))
+    # A stack of members without probes has no rows for them either.
+    bare = [m for m in members if not m.probes]
+    facts = [build_factorization(m.system, scheme, m.probes) for m in bare + bare]
+    assert hpheat.condense.stack(facts).functionals is None
+    (got, again) = integrate_stack(bare + bare, scheme)
+    assert np.array_equal(got.final_state, integrated_alone(bare[0], scheme).final_state)
+    assert np.array_equal(again.final_state, got.final_state)
+
+
+def test_the_march_memory_grows_with_the_steps_only_by_its_history(monkeypatch):
+    # The buffer of rows holds one block of steps whatever the step count,
+    # so a longer march takes more memory only for its (steps, probes)
+    # history; the load table is built before the march.
+    monkeypatch.setattr(hpheat.timeint, "_BLOCK_STEPS", 32)
+    sys = assemble(Mesh.uniform(20, 0.005), GK_MAT, ModelKind.GK, 4, PULSE_BCS)
+    scheme = ThetaScheme(0.5, 1e-3, 2000)
+    prepared = prepare(sys, scheme, ALL_PROBES)
+    fact = build_factorization(sys, scheme, prepared.probes)
+    a0 = np.zeros(sys.dim)
+
+    def peak(n_steps):
+        loads = prepared.loads[:n_steps]
+        tracemalloc.start()
+        try:
+            march(fact, loads, a0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(200), peak(2000)
+    history = (2000 - 200) * len(ALL_PROBES) * 8
+    assert long - short <= history + 4096
+    # And the buffer holds one block of rows: a march of 200 steps peaks
+    # below a buffer of all its steps.
+    assert short < 200 * (sys.dim + len(ALL_PROBES)) * 8
 
 
 def assert_stack_is_bitwise_each_member_alone(monkeypatch):
@@ -1166,10 +1258,12 @@ def assert_stack_is_bitwise_each_member_alone(monkeypatch):
             np.arange(fact.n_vertex) + vertex[k], np.arange(fact.dim - fact.n_vertex) + interior[k]
         ))
         own = fact.functionals
-        entries = slice(f.indptr[rows[k]], f.indptr[rows[k + 1]])
-        assert np.array_equal(f.indptr[rows[k]:rows[k + 1] + 1] - f.indptr[rows[k]], own.indptr)
-        assert np.array_equal(f.indices[entries], cols[own.indices])
-        assert np.array_equal(f.data[entries], own.data)
+        # A member without probes has no rows, alone or in the stack.
+        if own is not None:
+            entries = slice(f.indptr[rows[k]], f.indptr[rows[k + 1]])
+            assert np.array_equal(f.indptr[rows[k]:rows[k + 1] + 1] - f.indptr[rows[k]], own.indptr)
+            assert np.array_equal(f.indices[entries], cols[own.indices])
+            assert np.array_equal(f.data[entries], own.data)
         assert np.array_equal(stacked.scales[rows[k]:rows[k + 1]], fact.scales)
         want = integrated_alone(m)
         assert np.array_equal(got.probe_values, want.probe_values)

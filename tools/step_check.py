@@ -1,12 +1,14 @@
 """Check the theta step against its public formulation, bit for bit.
 
-Marches the four benchmark systems through `hpheat.timeint.march` twice:
-once with the step as it is (`step_arrays` and `advance`), and once with
-every step written as `m_expl @ w`, then `rhs[load_rows] += load`, then
-LAPACK's dgbtrs on the vertex rows with the factors as dgbtrf left them,
-and every probe value as `ProbeRow.evaluate` on the coefficients of the
-state (`CondensedFactorization.coefficients`) in place of the probes' rows
-that `condense` builds and `stack` joins.  The systems are
+Marches the four benchmark systems through `hpheat.timeint` twice: once
+with `march` as it is (the step's three kernel calls on its buffer of
+rows), and once with `march` replaced by a loop that writes every step as
+`m_expl @ w`, then `rhs[load_rows] += load` with the load folded by
+`load_fold @`, then LAPACK's dgbtrs on the vertex rows with the factors as
+dgbtrf left them, and every probe value as `ProbeRow.evaluate` on the
+coefficients of the state (`CondensedFactorization.coefficients`) in place
+of the probes' rows that `condense` builds and `stack` joins.  The systems
+are
 
 - gk_overkill: GK, 100x10, theta 1, 2000 steps;
 - mcv_reference: the MCV 100x10 overkill reference at tau 0.05, whose
@@ -43,7 +45,6 @@ from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
@@ -85,7 +86,7 @@ def public_condense(sys, dt, theta, probes=()):
 def public_stack(facts):
     """The stack of the members' factorizations, with their probe rows moved
     to the stack's free numbering, member after member."""
-    bare = [replace(f, functionals=sp.csr_matrix((0, f.dim)), scales=np.zeros(0)) for f in facts]
+    bare = [replace(f, functionals=None, scales=np.zeros(0)) for f in facts]
     starts = np.cumsum([0] + [f.dim for f in facts])
     rows = [
         replace(r, free_idx=r.free_idx + s)
@@ -95,17 +96,21 @@ def public_stack(facts):
     return public(stack(bare), rows)
 
 
-def public_advance(fact, x, y):
-    """advance's step in the public formulation, on the factorization in
-    place of the step arrays: the next state, and the probe values of the
-    state that the step reads."""
-    dim, nv = fact.dim, fact.n_vertex
-    rhs = fact.m_expl @ x[:dim]
-    rhs[fact.load_rows] += x[dim:dim + fact.load_rows.size]
-    if nv:
-        rhs[:nv] = timeint.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
-    y[dim:dim + fact.scales.size] = fact.functionals @ x[:dim]
-    y[:dim] = rhs
+def public_march(fact, loads, alpha0):
+    """march in the public formulation, one step after the other: the probe
+    values after every step and the final state."""
+    nv = fact.n_vertex
+    w = fact.state(np.array(alpha0, dtype=float))
+    table = fact.load_fold @ loads.T
+    history = np.empty((len(loads), fact.scales.size))
+    for n in range(len(loads)):
+        rhs = fact.m_expl @ w
+        rhs[fact.load_rows] += table[:, n]
+        if nv:
+            rhs[:nv] = timeint.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
+        w = rhs
+        history[n] = fact.functionals @ w
+    return (fact.scales * history).T, fact.coefficients(w)
 
 
 def mcv_sweep_spec(tau: float) -> study.SweepSpec:
@@ -148,9 +153,9 @@ def systems():
 
 def child() -> None:
     """Marches every system both ways and prints one JSON line per system."""
-    names = ("condense", "stack", "step_arrays", "advance")
+    names = ("condense", "stack", "march")
     real = [getattr(timeint, name) for name in names]
-    formulation = (public_condense, public_stack, lambda fact: fact, public_advance)
+    formulation = (public_condense, public_stack, public_march)
     for name, march in systems():
         got_values, got_states = march()
         for attr, value in zip(names, formulation):
