@@ -38,14 +38,12 @@ A_blocks and B_blocks, and builds no global matrix.  No step of the set-up
 loops over elements in Python but the diagonalization, which loops over
 the distinct blocks.  Each map between the state and the coefficients is
 kept once: the recovery -N of the interiors on the vertex columns, and W
-and W^-1 per distinct block.  `stack` joins several condensed systems,
-probe rows included, into one block-diagonal system, from the members'
-CSR arrays as they stand.
+and W^-1 per distinct block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -68,7 +66,8 @@ class FactorizationError(RuntimeError):
 
 @dataclass
 class CondensedFactorization:
-    """The equilibrated (A + dt theta B), condensed onto the vertex DOFs.
+    """The equilibrated (A + dt theta B) of one system, condensed onto the
+    vertex DOFs.
 
     Row scales r and column scales c (free numbering) bring every row and
     column of the implicit matrix M to unit max-norm.  The vertex rows and
@@ -99,13 +98,13 @@ class CondensedFactorization:
     the condensed rows load_rows it reaches.
 
     The interiors are y_i = W u - N v: `recovery` holds -N, one row per
-    interior and one column per vertex DOF of the state, and each run of
-    `eigenbasis` holds W and W^-1 once per distinct block.  They convert
-    between the state and the coefficients, once each way per march, and
-    build the probes' rows on w: scales times the product of `functionals`
-    with a state are the free part of the probe values on it
-    (_functionals).  A system condensed without probes has no
-    `functionals` (None) and no scales.
+    interior and one column per vertex DOF of the state, and `eigenbasis`
+    holds W and W^-1 once per distinct block.  They convert between the
+    coefficients and the state (`state` and `coefficients`, which
+    timeint.integrate calls once each per run), and build the probes' rows
+    on w: scales times the product of `functionals` with a state are the
+    free part of the probe values on it (_functionals).  A system condensed
+    without probes has no `functionals` (None) and no scales.
     """
 
     lu: np.ndarray
@@ -121,7 +120,7 @@ class CondensedFactorization:
     recovery: sp.csr_matrix
     load_rows: np.ndarray
     load_fold: sp.csr_matrix
-    eigenbasis: tuple[EigenbasisRun, ...]
+    eigenbasis: EigenbasisRun
     functionals: sp.csr_matrix | None
     scales: np.ndarray
 
@@ -131,17 +130,16 @@ class CondensedFactorization:
         w = alpha[self.order] / self.col_scale[self.order]
         # y_i + N v, and then W^-1 (y_i + N v).
         w[nv:] -= self.recovery @ w[:nv]
-        for run in self.eigenbasis:
-            run.apply_inverse(w)
+        self.eigenbasis.apply_inverse(w[nv:])
         return w
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """The free coefficient vector of a condensed state."""
+        nv = self.n_vertex
         y = w.copy()
         # -N v, and then W u - N v.
-        y[self.n_vertex:] = self.recovery @ w[:self.n_vertex]
-        for run in self.eigenbasis:
-            run.add_basis(w, y)
+        y[nv:] = self.recovery @ w[:nv]
+        self.eigenbasis.add_basis(w[nv:], y[nv:])
         alpha = np.empty(self.dim)
         alpha[self.order] = self.col_scale[self.order] * y
         return alpha
@@ -168,8 +166,7 @@ def _functionals(
     rec, back = fact.recovery, np.zeros((nv, n))
     csc_matvecs(nv, dim - nv, n, rec.indptr, rec.indices, rec.data, g[nv:].ravel(), back.ravel())
     g[:nv] += back
-    for run in fact.eigenbasis:
-        run.apply_transpose(g)
+    fact.eigenbasis.apply_transpose(g[nv:])
     # The nonzero entries, probe after probe, each probe's in column order.
     col, row = np.divmod(np.flatnonzero(g.ravel() != 0.0), n)
     entry = np.argsort(row, kind="stable")
@@ -435,94 +432,9 @@ def condense(
         lu=lu, ipiv=ipiv, kl=kl, ku=ku, dim=dim, m_expl=m_expl,
         row_scale=r, col_scale=c, order=elements.order, n_vertex=nv,
         recovery=_csr(-across, state[:, v], nv), load_rows=load_rows, load_fold=load_fold,
-        eigenbasis=(EigenbasisRun(nv, basis, to_basis, label),), functionals=None, scales=np.zeros(0),
+        eigenbasis=EigenbasisRun(basis, to_basis, label), functionals=None, scales=np.zeros(0),
     )
     if probes:
         fact.functionals, fact.scales = _functionals(fact, probes)
     return fact
 
-
-def _joined(pieces, n_cols: int) -> sp.csr_matrix:
-    """The CSR matrix of the pieces' rows, one piece after the other: a
-    piece (m, rows, cols) gives the rows `rows`, a slice, of the CSR matrix
-    m, with each column j moved to cols[j].  Every row keeps its column
-    order."""
-    data, indices, counts = [], [], [np.zeros(1, dtype=np.int32)]
-    for m, rows, cols in pieces:
-        entries = slice(m.indptr[rows.start], m.indptr[rows.stop])
-        data.append(m.data[entries])
-        indices.append(cols[m.indices[entries]].astype(np.int32))
-        counts.append(np.diff(m.indptr[rows.start:rows.stop + 1]))
-    indptr = np.cumsum(np.concatenate(counts), dtype=np.int32)
-    return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(indptr.size - 1, n_cols)
-    )
-
-
-def stack(facts: Sequence[CondensedFactorization]) -> CondensedFactorization:
-    """Several condensed systems as one, block-diagonal: the free numbering
-    runs member after member, and the condensed state holds every member's
-    vertex DOFs, then every member's interiors.
-
-    The step operator, `recovery`, load_fold and the probes' rows join the
-    members' CSR arrays: their row pointers offset, their column indices
-    mapped into the stack, each row's entries in their order.  Each
-    member's LU factors move into the widest member's band layout, where
-    the extra diagonals hold exact zeros, and its pivots shift by the
-    vertex DOFs before it.  Every step thus does for each member the
-    operations of its own step, in the same order.
-    """
-    nv = np.array([f.n_vertex for f in facts])
-    dims = np.array([f.dim for f in facts])
-    free_start = np.cumsum(dims) - dims
-    vertex_start = np.cumsum(nv) - nv
-    interior_start = nv.sum() + np.cumsum(dims - nv) - (dims - nv)
-    # Condensed index of every member's state entries, member after member.
-    place = np.concatenate([
-        np.concatenate((np.arange(v) + vs, np.arange(d - v) + is_))
-        for v, d, vs, is_ in zip(nv, dims, vertex_start, interior_start)
-    ])
-    dim = int(dims.sum())
-    # Each member's condensed columns in the stack.
-    cols = [place[s:s + d] for s, d in zip(free_start, dims)]
-    m_expl = _joined(
-        [(f.m_expl, slice(0, f.n_vertex), c) for f, c in zip(facts, cols)]
-        + [(f.m_expl, slice(f.n_vertex, f.dim), c) for f, c in zip(facts, cols)],
-        dim,
-    )
-    recovery = _joined(
-        [(f.recovery, slice(0, f.dim - f.n_vertex), np.arange(f.n_vertex) + vs)
-         for f, vs in zip(facts, vertex_start)],
-        int(nv.sum()),
-    )
-    n_load = np.array([f.load_fold.shape[1] for f in facts])
-    load_fold = _joined(
-        [(f.load_fold, slice(0, f.load_rows.size), np.arange(n) + s)
-         for f, n, s in zip(facts, n_load, np.cumsum(n_load) - n_load)],
-        int(n_load.sum()),
-    )
-    probed = [(f.functionals, slice(0, f.scales.size), c) for f, c in zip(facts, cols) if f.scales.size]
-    functionals = _joined(probed, dim) if probed else None
-    order = np.empty(dim, dtype=int)
-    order[place] = np.concatenate([f.order + s for f, s in zip(facts, free_start)])
-    kl = max(f.kl for f in facts)
-    lu = np.zeros((3 * kl + 1, int(nv.sum())), order="F")
-    for f, vs in zip(facts, vertex_start):
-        lu[2 * (kl - f.kl):2 * kl + f.kl + 1, vs:vs + f.n_vertex] = f.lu
-    return CondensedFactorization(
-        lu=lu,
-        ipiv=np.concatenate([f.ipiv + vs for f, vs in zip(facts, vertex_start)]).astype(np.int32),
-        kl=kl, ku=kl, dim=dim, m_expl=m_expl,
-        row_scale=np.concatenate([f.row_scale for f in facts]),
-        col_scale=np.concatenate([f.col_scale for f in facts]),
-        order=order, n_vertex=int(nv.sum()),
-        recovery=recovery,
-        load_rows=np.concatenate([place[f.load_rows + s] for f, s in zip(facts, free_start)]),
-        load_fold=load_fold,
-        eigenbasis=tuple(
-            replace(run, start=int(run.start - f.n_vertex + s))
-            for f, s in zip(facts, interior_start)
-            for run in f.eigenbasis
-        ),
-        functionals=functionals, scales=np.concatenate([f.scales for f in facts]),
-    )

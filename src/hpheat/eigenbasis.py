@@ -9,7 +9,7 @@ holds one or two entries in the interior columns.  `diagonalize` computes
 T, W and W^-1 with LAPACK dgeev, one block at a time, and falls back to
 W = I where W is ill-conditioned.  The last bits of T and W depend on the
 LAPACK build.  An EigenbasisRun keeps W and W^-1 once per distinct block
-of a run of elements, and converts their interiors both ways.
+of a system's elements, and converts their interiors both ways.
 """
 
 from __future__ import annotations
@@ -28,30 +28,28 @@ MAX_EIGENVECTOR_COND = 1e3
 
 @dataclass(frozen=True)
 class EigenbasisRun:
-    """W and W^-1 for the element interiors of one system, which start at
-    `start` in the condensed state and run element by element: `basis`
-    and `inverse` hold W and W^-1 once per distinct interior block, and
-    `label` the block of each element."""
+    """W and W^-1 for the element interiors of one system, which run
+    element by element in the arrays that its methods take: `basis` and
+    `inverse` hold W and W^-1 once per distinct interior block, and `label`
+    the block of each element."""
 
-    start: int
     basis: np.ndarray
     inverse: np.ndarray
     label: np.ndarray
 
     def _run(self, x: np.ndarray) -> np.ndarray:
-        """The run's interiors of x, element by element, then x's columns."""
-        n, ni = self.label.size, self.basis.shape[1]
-        return x[self.start:self.start + n * ni].reshape(n, ni, -1)
+        """The interiors x, a view element by element, then x's columns."""
+        return x.reshape(self.label.size, self.basis.shape[1], -1)
 
     def apply_inverse(self, w: np.ndarray) -> None:
-        """Turn the run's interiors z of w into W^-1 z, in place."""
+        """Turn w, the interiors z, into W^-1 z, in place."""
         run = self._run(w)
         run[...] = self.inverse[self.label] @ run
 
     def add_basis(self, w: np.ndarray, y: np.ndarray) -> None:
-        """Add W u to the run's entries of y, u the run's interiors of w, one
-        column of W after the other: a reduction over the outermost axis of
-        the C-contiguous `terms` adds its rows, the columns' terms, in turn."""
+        """Add W u to the interiors y, u the interiors w, one column of W
+        after the other: a reduction over the outermost axis of the
+        C-contiguous `terms` adds its rows, the columns' terms, in turn."""
         u, out = self._run(w)[..., 0], self._run(y)[..., 0]
         terms = self.basis.transpose(2, 0, 1).take(self.label, axis=1)
         terms *= u.T[:, :, None]
@@ -59,8 +57,8 @@ class EigenbasisRun:
         np.add.reduce(terms, axis=0, out=out)
 
     def apply_transpose(self, g: np.ndarray) -> None:
-        """Turn the run's interiors z of each column of g into W^T z, in
-        place, one row of W after the other, from z's nonzero entries."""
+        """Turn the interiors z of each column of g into W^T z, in place,
+        one row of W after the other, from z's nonzero entries."""
         run = self._run(g)
         e, k, p = np.unravel_index((run.ravel() != 0.0).nonzero()[0], run.shape)
         terms = self.basis[self.label[e], k] * run[e, k, p, None]

@@ -259,7 +259,8 @@ def run_sweep(
     Every (value, tau) member is prepared as solve_transient prepares it,
     and the members that share a time grid and theta (all of them, in the
     benchmark sweeps) are stacked into one block-diagonal system: each
-    member is condensed on its own, and the stack marches once, with one
+    member is condensed on its own, the step's arrays are joined from the
+    members' (timeint.step_arrays), and the stack marches once, with one
     sparse product, forward sweep and narrow vertex back-substitution per
     step for all of them.  That replaces one Python
     time loop per member by one per stack, and every member's histories stay

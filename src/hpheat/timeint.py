@@ -6,37 +6,37 @@ The theta scheme applied to A alpha' + B alpha = f(t) reads
 
 `build_factorization` condenses the implicit matrix onto the vertex DOFs
 once per system (module `condense`), with the probes' rows on the
-condensed state.  The step loop is `march`, a core that knows nothing of
-SemiDiscreteSystem.  Its inputs are built once, before the loop: the
-CondensedFactorization, which also folds a load on the rows that boundary
-data load (SemiDiscreteSystem.load_rows) onto the condensed rows it
-reaches, a table of dt f_n* on those rows for every step, and the initial
-state.  It returns the free part of the probe values after every step and
-the final state.  Once per march, it derives the step's arrays from the
-factorization (StepArrays): the step operator with its vertex rows in the
-order that the band factorization's row interchanges leave them in, one
-column per folded load row and the probes' rows, the unit lower band of
-the forward sweep, and the upper band.  Each block of _BLOCK_STEPS steps
-runs through one buffer of rows, row n holding state n, the probe values
-on state n - 1 and the folded load of step n; a step is three kernel calls
-that take row n into row n + 1: one sparse product of the state and the
-load, one forward sweep and one back-substitution on the narrow vertex
-band, in place.  No step copies an array: the loads go into the buffer,
-and the probe values out of it, a block at a time.  The step's bits are
-those of the product with the step operator, the addition of the load and
-LAPACK's dgbtrs on the factors, taken one after the other
+condensed state.  `step_arrays` joins the factorizations of one or more
+systems into the arrays of one step (StepArrays), in one pass over the
+members' own arrays: the step operator with its vertex rows in the order
+that the band factorization's row interchanges leave them in, one column
+per folded load row and the probes' rows, the unit lower band of the
+forward sweep, and the upper band.  The step loop is `march`, a core that
+knows nothing of SemiDiscreteSystem: from those arrays, a table of dt f_n*
+on the rows that boundary data load (SemiDiscreteSystem.load_rows) for
+every step, and a condensed state, it returns the free part of the probe
+values after every step and the final condensed state.  Each block of
+_BLOCK_STEPS steps runs through one buffer of rows, row n holding state n,
+the probe values on state n - 1 and the folded load of step n; a step is
+three kernel calls that take row n into row n + 1: one sparse product of
+the state and the load, one forward sweep and one back-substitution on the
+narrow vertex band, in place.  No step copies an array: the loads go into
+the buffer, and the probe values out of it, a block at a time.  The step's
+bits are those of the product with the step operator, the addition of the
+load and LAPACK's dgbtrs on the factors, taken one after the other
 (test_the_step_is_bitwise_the_public_formulation, tests/test_timeint.py).
 The state holds each element's interiors' right-hand side in the
 eigenbasis of its interior block of the step operator (module
-`eigenbasis`); the march converts the initial state into it and the final
-state out of it.
+`eigenbasis`); march converts nothing into it or out of it.
 
 `integrate` is a thin adapter over the core for one system: it builds the
-inputs with `prepare` and `build_factorization`, and afterwards adds the
-probe values at t = 0, ProbeRow.evaluate's free part on the initial
-state, and the prescribed part on the whole time grid, and checks that
-the result is finite.  `integrate_stack` marches several systems on one
-grid as a single block-diagonal system through the same core.
+inputs with `prepare` and `build_factorization`, converts the initial
+state into the condensed state and the final state out of it with the
+factorization, and afterwards adds the probe values at t = 0,
+ProbeRow.evaluate's free part on the initial state, and the prescribed
+part on the whole time grid, and checks that the result is finite.
+`integrate_stack` marches several systems on one grid as a single
+block-diagonal system through the same core.
 
 The step's sparse product calls scipy's CSR kernel csr_matvec, from the
 private module scipy.sparse._sparsetools, into a zeroed output: the call
@@ -70,7 +70,7 @@ from scipy.linalg.lapack import dgbtrs
 from scipy.sparse._sparsetools import csr_matvec
 
 from .assembly import Field, ProbeRow, SemiDiscreteSystem, probe_row
-from .condense import CondensedFactorization, FactorizationError, condense, stack
+from .condense import CondensedFactorization, FactorizationError, condense
 from .timefun import NonFiniteStateError, on_grid, step_averages
 
 
@@ -114,39 +114,50 @@ def build_factorization(
 
 @dataclass(frozen=True)
 class StepArrays:
-    """The arrays of one theta step, derived from a CondensedFactorization
-    by step_arrays.
+    """The arrays of one theta step of one or more condensed systems, the
+    members, built by step_arrays from their factorizations.
 
-    A row of march's buffer holds the condensed state, then one entry per
-    probe, then the step's folded load, one per row of fact.load_rows.  A
-    step reads a row x's state and load, and writes the next state and the
-    probes' functionals on x's state into the next row y, zeroed there:
+    The members march side by side as one block-diagonal system, whose
+    state holds every member's vertex DOFs, member after member, and then
+    every member's interiors; parts[k] holds the indices of member k's
+    condensed state in it.  A row of march's buffer holds that state, then
+    one entry per probe, then the step's folded load, one per row of each
+    member's load_rows.  A step reads a row x's state and load, and writes
+    the next state and the probes' functionals on x's state into the next
+    row y, zeroed there:
 
-    - y = matrix @ x.  matrix holds the rows of fact.m_expl, with the
-      vertex rows in the order that dgbtrf's row interchanges leave them
-      in, and after the entries of each row in fact.load_rows one entry
+    - y = matrix @ x.  matrix holds the rows of the members' m_expl, with
+      the vertex rows in the order that dgbtrf's row interchanges leave
+      them in, and after the entries of each row in load_rows one entry
       1.0 in the column that reads its load from x.  So each row sums the
       products of m_expl and then adds its load, from +0.  The rows of
-      fact.functionals follow; no row reads the probe columns.
+      `functionals` follow; no row reads the probe columns.
     - The forward sweep with the unit lower band `lower`, of half-bandwidth
-      reach, on y's vertex rows: one dtbsv.  Its column j holds dgbtrf's
-      multipliers of column j, each in the row where the later interchanges
-      carry it, so reach can exceed fact.kl, up to n_vertex - 1 when
-      the interchanges chain down every row.
+      reach, on y's vertex rows: one dtbsv.  A member's column j holds
+      dgbtrf's multipliers of column j, each in the row where the later
+      interchanges carry it, so reach can exceed kl, up to n_vertex - 1
+      when the interchanges chain down every row.
     - The back-substitution with the upper band `upper` of the factors, of
-      half-bandwidth ku = fact.kl + fact.ku: one dgbtrs with kl = 0, which
-      reads no pivot; ipiv is there for its wrapper's signature.
+      half-bandwidth ku, the largest kl + ku of the members: one dgbtrs
+      with kl = 0, which reads no pivot; ipiv is there for its wrapper's
+      signature.
 
-    dgbtrs on the full factors makes the same products and sums in the
-    same order: it takes each interchange just before its column's
-    elimination, and does the elimination as a rank-one update, which
-    OpenBLAS runs through the axpy kernel that dtbsv runs too.  Where
-    reach exceeds the rows that dgbtrs updates, the lower band holds exact
-    zeros.  Their products, +-0, change no finite sum, since no sum is -0
-    when the product starts every row from +0; and they make NaN only of
-    entries below a non-finite one, which dgbtrs makes non-finite too.
+    Each member's bands sit in the layout of the widest, where the extra
+    diagonals hold exact zeros.  dgbtrs on a member's full factors makes
+    the same products and sums in the same order: it takes each
+    interchange just before its column's elimination, and does the
+    elimination as a rank-one update, which OpenBLAS runs through the axpy
+    kernel that dtbsv runs too.  Where the bands hold more than the rows
+    that dgbtrs updates, they hold exact zeros.  Their products, +-0,
+    change no finite sum, since no sum is -0 when the product starts every
+    row from +0; and they make NaN only of entries beside a non-finite
+    one: within a member, of entries that dgbtrs makes non-finite too.
 
-    reach and ku repeat lower.shape[0] - 1 and upper.shape[0] - 1.
+    load_fold folds the members' loads, member after member, onto their
+    load_rows.  scales times the product of `functionals`, the members'
+    probe rows on the state, with a state are the free part of the probe
+    values on it; with no probes, functionals is None.  reach and ku repeat
+    lower.shape[0] - 1 and upper.shape[0] - 1.
     """
 
     matrix: sp.csr_matrix
@@ -155,12 +166,22 @@ class StepArrays:
     upper: np.ndarray
     ku: int
     ipiv: np.ndarray
+    load_fold: sp.csr_matrix
+    functionals: sp.csr_matrix | None
+    scales: np.ndarray
+    parts: list[np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        """The size of the condensed state."""
+        return self.matrix.shape[0] - self.scales.size
 
 
-def step_arrays(fact: CondensedFactorization) -> StepArrays:
-    """The step's arrays for a factorization.  Only the rows that dgbtrf
-    interchanged take a Python iteration each."""
-    nv, kl, dim = fact.n_vertex, fact.kl, fact.dim
+def _forward_sweep(fact: CondensedFactorization) -> tuple[np.ndarray, np.ndarray]:
+    """The order in which dgbtrf's row interchanges leave the vertex rows,
+    and the unit lower band of the forward sweep in that order.  Only the
+    rows that dgbtrf interchanged take a Python iteration each."""
+    nv, kl = fact.n_vertex, fact.kl
     # dgbtrs swaps rows k and ipiv[k] just before it eliminates column k,
     # and the swap moves the entries that the columns before k have
     # updated.  Applied up front, the swaps take the vertex rows in the
@@ -183,39 +204,94 @@ def step_arrays(fact: CondensedFactorization) -> StepArrays:
     cols = np.broadcast_to(np.arange(nv), rows.shape)
     inside = rows < nv
     offset = rows[inside] - cols[inside]
-    reach = int(offset.max(initial=0))
-    lower = np.zeros((reach + 1, nv), order="F")
+    lower = np.zeros((int(offset.max(initial=0)) + 1, nv), order="F")
     lower[offset, cols[inside]] = fact.lu[kl + fact.ku + 1:][inside]
+    return perm, lower
 
-    # The rows of m_expl in the new order, each followed by its load entry,
-    # and then the probes' rows.
-    m, functionals = fact.m_expl, fact.functionals
-    order = np.concatenate((perm, np.arange(nv, dim)))
-    at = np.empty(dim, dtype=int)
-    at[order] = np.arange(dim)
-    loaded = at[fact.load_rows]
-    n_load, n_probes = loaded.size, fact.scales.size
-    counts, starts = np.diff(m.indptr)[order], m.indptr[order]
+
+def _joined(mats: Sequence[sp.csr_matrix], cols: Sequence[np.ndarray], n_cols: int) -> sp.csr_matrix:
+    """The rows of the CSR matrices mats, one matrix after the other, with
+    each column j of mats[k] moved to cols[k][j], an int32 array.  Every
+    row keeps the order of its entries."""
+    counts = np.concatenate([np.diff(m.indptr) for m in mats])
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.concatenate([m.data for m in mats])
+    indices = np.concatenate([c.take(m.indices) for m, c in zip(mats, cols)])
+    return sp.csr_matrix((data, indices, indptr), shape=(counts.size, n_cols))
+
+
+def step_arrays(facts: Sequence[CondensedFactorization]) -> StepArrays:
+    """The step's arrays for the factorizations of one or more systems,
+    joined in one pass from the members' own arrays."""
+    nv = np.array([f.n_vertex for f in facts])
+    dims = np.array([f.dim for f in facts])
+    n_vertex, dim = int(nv.sum()), int(dims.sum())
+    vertex_start = np.cumsum(nv) - nv
+    interior_start = n_vertex + np.cumsum(dims - nv) - (dims - nv)
+    parts = [
+        np.concatenate((np.arange(s, s + v), np.arange(t, t + d - v)), dtype=np.int32)
+        for v, d, s, t in zip(nv, dims, vertex_start, interior_start)
+    ]
+    sweeps = [_forward_sweep(f) for f in facts]
+    reach = max(band.shape[0] for _, band in sweeps) - 1
+    ku = max(f.kl + f.ku for f in facts)
+    lower = np.zeros((reach + 1, n_vertex), order="F")
+    upper = np.zeros((ku + 1, n_vertex), order="F")
+    # The joined row of every member's rows: a member's vertex row perm[i]
+    # goes to its vertex row i.
+    where = []
+    for f, part, s, (perm, band) in zip(facts, parts, vertex_start, sweeps):
+        vertex = slice(s, s + f.n_vertex)
+        lower[:band.shape[0], vertex] = band
+        upper[ku - f.kl - f.ku:, vertex] = f.lu[:f.kl + f.ku + 1]
+        row = part.copy()
+        row[perm] = part[:f.n_vertex]
+        where.append(row)
+    where = np.concatenate(where)
+
+    # The rows of m_expl in the joined order, each followed by its load
+    # entry, and then the probes' rows.
+    probed = [k for k, f in enumerate(facts) if f.functionals is not None]
+    functionals = None
+    if probed:
+        functionals = _joined([facts[k].functionals for k in probed], [parts[k] for k in probed], dim)
+    loaded = where[np.concatenate([f.load_rows + s for f, s in zip(facts, np.cumsum(dims) - dims)])]
+    scales = np.concatenate([f.scales for f in facts])
+    n_load, n_probes = loaded.size, scales.size
+    nnz = np.cumsum([0] + [f.m_expl.nnz for f in facts])
+    counts = np.empty(dim + n_probes, dtype=np.int32)
+    starts = np.empty(dim + n_probes, dtype=np.int32)
+    counts[where] = np.concatenate([np.diff(f.m_expl.indptr) for f in facts])
+    starts[where] = np.concatenate([f.m_expl.indptr[:-1] + s for f, s in zip(facts, nnz)])
     # The load columns follow the state's and the probes'.
-    loads = np.arange(dim + n_probes, dim + n_probes + n_load, dtype=m.indices.dtype)
-    data, indices = [m.data, np.ones(n_load)], [m.indices, loads]
+    loads = np.arange(dim + n_probes, dim + n_probes + n_load, dtype=np.int32)
+    data = [f.m_expl.data for f in facts] + [np.ones(n_load)]
+    indices = [part.take(f.m_expl.indices) for f, part in zip(facts, parts)] + [loads]
     if functionals is not None:
-        counts = np.concatenate((counts, np.diff(functionals.indptr)))
-        starts = np.concatenate((starts, m.nnz + n_load + functionals.indptr[:-1]))
+        counts[dim:] = np.diff(functionals.indptr)
+        starts[dim:] = nnz[-1] + n_load + functionals.indptr[:-1]
         data.append(functionals.data)
         indices.append(functionals.indices)
     counts[loaded] += 1
-    indptr = np.zeros(counts.size + 1, dtype=m.indptr.dtype)
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     source = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-    source[indptr[loaded + 1] - 1] = m.nnz + np.arange(n_load)
+    source[indptr[loaded + 1] - 1] = nnz[-1] + np.arange(n_load)
     matrix = sp.csr_matrix(
         (np.concatenate(data)[source], np.concatenate(indices)[source], indptr),
         shape=(counts.size, dim + n_probes + n_load),
     )
+    n_loads = np.array([f.load_fold.shape[1] for f in facts])
     return StepArrays(
-        matrix=matrix, lower=lower, reach=reach,
-        upper=np.asfortranarray(fact.lu[:kl + fact.ku + 1]), ku=kl + fact.ku, ipiv=fact.ipiv,
+        matrix=matrix, lower=lower, reach=reach, upper=upper, ku=ku,
+        ipiv=np.concatenate([f.ipiv + s for f, s in zip(facts, vertex_start)]).astype(np.int32),
+        load_fold=_joined(
+            [f.load_fold for f in facts],
+            [np.arange(s, s + n, dtype=np.int32) for n, s in zip(n_loads, np.cumsum(n_loads) - n_loads)],
+            int(n_loads.sum()),
+        ),
+        functionals=functionals, scales=scales, parts=parts,
     )
 
 
@@ -286,13 +362,11 @@ def prepare(
     return Prepared(system=sys, probes=rows, loads=_step_loads(sys, scheme))
 
 
-def march(
-    fact: CondensedFactorization, loads: np.ndarray, alpha0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The step loop: one step per row of loads, which holds dt f_n* on the
-    free rows that fact.load_fold folds.  Returns the free part of the probe
-    values after every step, as a (probes, steps) array, and the final
-    state.
+def march(step: StepArrays, loads: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step loop from the condensed state w: one step per row of loads,
+    which holds dt f_n* on the free rows that step.load_fold folds.
+    Returns the free part of the probe values after every step, as a
+    (probes, steps) array, and the final condensed state.
 
     Each block of _BLOCK_STEPS steps runs through one buffer of rows in the
     layout of StepArrays, row n holding state n.  Per block, the step's
@@ -300,15 +374,7 @@ def march(
     probe values come out of rows 1..k, and the last row's state moves into
     row 0.  The last state is read once after the loop, with the
     functionals alone."""
-    alpha = np.array(alpha0, dtype=float, copy=True)
-    if alpha.shape != (fact.dim,):
-        raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
-    n_steps, n_probes = len(loads), fact.scales.size
-    if not n_steps:
-        return np.empty((n_probes, 0)), alpha
-
-    step = step_arrays(fact)
-    dim = fact.dim
+    n_steps, n_probes, dim = len(loads), step.scales.size, step.dim
     probed = dim + n_probes
     m, lower, reach, upper, ku, ipiv = step.matrix, step.lower, step.reach, step.upper, step.ku, step.ipiv
     (rows, width), nv, ldab = m.shape, lower.shape[1], upper.shape[0]
@@ -317,18 +383,19 @@ def march(
     # perfbench/spans.py wraps.
     trs = dgbtrs
     history = np.empty((n_steps + 1, n_probes))
-    block = min(_BLOCK_STEPS, n_steps)
+    # A march of no steps runs no block.
+    block = max(min(_BLOCK_STEPS, n_steps), 1)
     buffer = np.empty((block + 1, width))
     views = list(buffer)
     pairs = list(zip(views, views[1:]))
-    buffer[0, :dim] = fact.state(alpha)
+    buffer[0, :dim] = w
     # A state that overflows is reported after the march, by the first step
     # whose probe values or final state are not finite, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_steps, block):
             k = min(block, n_steps - first)
             buffer[1:k + 1, :probed] = 0.0
-            buffer[:k, probed:] = (fact.load_fold @ loads[first:first + k].T).T
+            buffer[:k, probed:] = (step.load_fold @ loads[first:first + k].T).T
             for x, y in pairs[:k]:
                 csr_matvec(rows, width, indptr, indices, data, x, y)
                 if nv:
@@ -340,12 +407,12 @@ def march(
                         raise RuntimeError(f"banded back-substitution failed with info {info}")
             # Scaled on the way out: in place, the history's scaling would
             # take numpy's iteration buffer of up to 64 KB besides.
-            np.multiply(buffer[1:k + 1, dim:probed], fact.scales, out=history[first:first + k])
+            np.multiply(buffer[1:k + 1, dim:probed], step.scales, out=history[first:first + k])
             buffer[0, :dim] = buffer[k, :dim]
-        state = buffer[0, :dim]
+        state = buffer[0, :dim].copy()
         if n_probes:
-            history[-1] = fact.scales * (fact.functionals @ state)
-    return history[1:].T, fact.coefficients(state)
+            history[-1] = step.scales * (step.functionals @ state)
+    return history[1:].T, state
 
 
 def _solution(
@@ -380,7 +447,15 @@ def _solution(
 def _solve(
     prepared: Prepared, fact: CondensedFactorization, scheme: ThetaScheme, alpha0: np.ndarray
 ) -> TransientSolution:
-    marched, alpha = march(fact, prepared.loads, alpha0)
+    """March one factorized system from alpha0, converted into the condensed
+    state and back out of it.  A march of no steps keeps alpha0 itself."""
+    alpha = np.array(alpha0, dtype=float, copy=True)
+    if alpha.shape != (fact.dim,):
+        raise ValueError(f"initial state has shape {alpha.shape}, expected ({fact.dim},)")
+    marched = np.empty((0, 0))
+    if scheme.n_steps:
+        marched, w = march(step_arrays([fact]), prepared.loads, fact.state(alpha))
+        alpha = fact.coefficients(w)
     return _solution(prepared, scheme.times, alpha0, marched, alpha)
 
 
@@ -408,14 +483,16 @@ def integrate_stack(
     """March several prepared systems from rest (the zero state) on one time
     grid as a single block-diagonal system, and split the result per member.
 
-    Every member is condensed on its own, with its probes' rows, and the
-    stack joins the condensed operators and the rows (condense.stack):
-    every step is one sparse product, one forward sweep and one
-    back-substitution on the narrow vertex band for all members, and the
-    product's probe rows read each member's probes off its own part of the
-    state.  A member's histories and final state are bit for bit those of
-    integrate on its own, since a probe's row holds the same entries in the
-    same column order in the stack as in its member alone.
+    Every member is condensed on its own, with its probes' rows, and
+    step_arrays joins the members' arrays into one step: every step is one
+    sparse product, one forward sweep and one back-substitution on the
+    narrow vertex band for all members, and the product's probe rows read
+    each member's probes off its own part of the state.  The march starts
+    from the zero state, which is the condensed state of zero coefficients,
+    and each member's part of the final state is converted out with the
+    member's own factorization.  A member's histories and final state are
+    bit for bit those of integrate on its own, since each of its rows holds
+    the same entries in the same column order in the stack as alone.
 
     Failures stay per member.  A member whose factorization fails keeps its
     FactorizationError and the rest march.  A NaN or infinity in one block
@@ -434,22 +511,17 @@ def integrate_stack(
             results[k] = exc
     if not facts:
         return results
-    fact = stack(list(facts.values()))
-    starts = np.cumsum([0] + [f.dim for f in facts.values()])
-    blocks = [(k, members[k], int(start)) for k, start in zip(facts, starts)]
-    marched, alpha = march(fact, np.hstack([m.loads for _, m, _ in blocks]), np.zeros(fact.dim))
-    first = 0
+    step = step_arrays(list(facts.values()))
+    marched, w = march(step, np.hstack([members[k].loads for k in facts]), np.zeros(step.dim))
+    probes = np.cumsum([0] + [f.scales.size for f in facts.values()])
     try:
-        for k, m, start in blocks:
-            rows = slice(first, first + facts[k].scales.size)
-            first = rows.stop
-            dim = m.system.dim
-            state = alpha[start:start + dim].copy()
-            results[k] = _solution(m, scheme.times, np.zeros(dim), marched[rows], state)
+        for (k, fact), part, first, stop in zip(facts.items(), step.parts, probes, probes[1:]):
+            alpha = fact.coefficients(w[part])
+            results[k] = _solution(members[k], scheme.times, np.zeros(fact.dim), marched[first:stop], alpha)
     except NonFiniteStateError:
-        for k, m, _ in blocks:
+        for k, fact in facts.items():
             try:
-                results[k] = _solve(m, facts[k], scheme, np.zeros(m.system.dim))
+                results[k] = _solve(members[k], fact, scheme, np.zeros(fact.dim))
             except NonFiniteStateError as exc:
                 results[k] = exc
     return results

@@ -79,11 +79,11 @@ RISING = TimeFunction(
 )
 
 
-def step_rows(fact, w, load):
+def step_rows(step, w, load):
     """Two rows in the layout of march's buffer (StepArrays): the condensed
-    state w, the probe columns and a load on the condensed rows
-    fact.load_rows, then a row of zeros."""
-    dim, n_probes = fact.dim, fact.scales.size
+    state w, the probe columns and a load on the members' condensed rows
+    load_rows, then a row of zeros."""
+    dim, n_probes = step.dim, step.scales.size
     rows = np.zeros((2, dim + n_probes + load.size))
     rows[0, :dim], rows[0, dim + n_probes:] = w, load
     return rows
@@ -103,9 +103,10 @@ def kernel_step(step, rows):
 def one_step(fact, w, load):
     """One step of march's loop body from the condensed state w, with a
     load on the condensed rows fact.load_rows."""
-    rows = step_rows(fact, w, load)
-    kernel_step(step_arrays(fact), rows)
-    return rows[1, :fact.dim]
+    step = step_arrays([fact])
+    rows = step_rows(step, w, load)
+    kernel_step(step, rows)
+    return rows[1, :step.dim]
 
 
 def condensed_step(sys, fact, s, load):
@@ -209,16 +210,14 @@ def test_an_illegal_argument_to_the_band_factorization_is_reported(monkeypatch):
         build_factorization(sys, ThetaScheme(1.0, 1e-3, 1))
 
 
-def test_a_malformed_back_substitution_is_reported(monkeypatch):
+def test_a_malformed_back_substitution_is_reported():
     # Step arrays that claim more superdiagonals than their upper band
     # holds: dgbtrs rejects the leading dimension of the band.
     sys = assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 2, PULSE_BCS)
     scheme = ThetaScheme(1.0, 1e-3, 1)
-    fact = build_factorization(sys, scheme)
-    step = step_arrays(fact)
-    monkeypatch.setattr(hpheat.timeint, "step_arrays", lambda _: replace(step, ku=step.ku + 5))
+    step = step_arrays([build_factorization(sys, scheme)])
     with pytest.raises(RuntimeError, match="banded back-substitution failed with info -7"):
-        march(fact, prepare(sys, scheme).loads, np.zeros(sys.dim))
+        march(replace(step, ku=step.ku + 5), prepare(sys, scheme).loads, np.zeros(sys.dim))
 
 
 def public_step(fact, w, load):
@@ -230,6 +229,18 @@ def public_step(fact, w, load):
     if nv:
         rhs[:nv] = scipy.linalg.lapack.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
     return rhs
+
+
+def public_steps(facts, step, w, load):
+    """One public_step of each member alone, on its part of the joined
+    state w and its rows of the load, joined through step.parts."""
+    out = np.empty_like(w)
+    first = 0
+    for fact, part in zip(facts, step.parts):
+        stop = first + fact.load_rows.size
+        out[part] = public_step(fact, w[part], load[first:stop])
+        first = stop
+    return out
 
 
 @pytest.mark.parametrize("members", [["gk"], ["mcv"], ["gk", "mcv"]])
@@ -248,36 +259,35 @@ def test_the_private_kernels_are_bitwise_the_public_products(members):
         sys = systems[name]
         rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
         facts.append(build_factorization(sys, scheme, rows))
-    fact = facts[0] if len(facts) == 1 else hpheat.condense.stack(facts)
-    step = step_arrays(fact)
+    step = step_arrays(facts)
     # Index arrays of one type: the kernel then converts no input per call.
-    for m in (fact.m_expl, fact.recovery, fact.functionals, step.matrix):
+    for m in [m for f in facts for m in (f.m_expl, f.recovery, f.functionals)] + [step.matrix]:
         assert m.indptr.dtype == m.indices.dtype
     # The step matrix with the probes' rows: the next state, and the probe
     # functionals on the state the step reads.
-    dim, n_load, n_probes = fact.dim, fact.load_rows.size, fact.scales.size
+    dim, n_load, n_probes = step.dim, step.load_fold.shape[0], step.scales.size
     assert n_probes == len(members) * len(ALL_PROBES)
     rng = np.random.default_rng(7)
     w = rng.standard_normal(dim)
     for _ in range(5):
         load = rng.standard_normal(n_load)
-        rows = step_rows(fact, w, load)
+        rows = step_rows(step, w, load)
         kernel_step(step, rows)
-        assert np.array_equal(rows[1, dim:dim + n_probes], fact.functionals @ w)
-        w = public_step(fact, w, load)
+        assert np.array_equal(rows[1, dim:dim + n_probes], step.functionals @ w)
+        w = public_steps(facts, step, w, load)
         assert np.array_equal(rows[1, :dim], w)
     # march itself, over blocks of two steps: its probe values are the
     # public products on each state, and its final state the public step's.
-    alpha0 = rng.standard_normal(dim)
-    loads = rng.standard_normal((5, fact.load_fold.shape[1]))
+    w0 = rng.standard_normal(dim)
+    loads = rng.standard_normal((5, step.load_fold.shape[1]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hpheat.timeint, "_BLOCK_STEPS", 2)
-        marched, alpha = march(fact, loads, alpha0)
-    w = fact.state(alpha0)
-    for n, load in enumerate((fact.load_fold @ loads.T).T):
-        w = public_step(fact, w, load)
-        assert np.array_equal(marched[:, n], fact.scales * (fact.functionals @ w))
-    assert np.array_equal(alpha, fact.coefficients(w))
+        marched, final = march(step, loads, w0)
+    w = w0
+    for n, load in enumerate((step.load_fold @ loads.T).T):
+        w = public_steps(facts, step, w, load)
+        assert np.array_equal(marched[:, n], step.scales * (step.functionals @ w))
+    assert np.array_equal(final, w)
 
 
 def test_the_probe_rows_take_the_kernel_of_the_public_transpose_product(monkeypatch):
@@ -325,7 +335,8 @@ def chained_interchanges():
         m_expl=sp.csr_matrix(rng.standard_normal((n, n)) * (dense != 0.0)),
         row_scale=np.ones(n), col_scale=np.ones(n), order=np.arange(n), n_vertex=n,
         recovery=sp.csr_matrix((0, n)), load_rows=load_rows,
-        load_fold=sp.identity(load_rows.size, format="csr"), eigenbasis=(),
+        load_fold=sp.identity(load_rows.size, format="csr"),
+        eigenbasis=hpheat.eigenbasis.EigenbasisRun(*np.zeros((2, 0, 0, 0)), np.zeros(0, dtype=int)),
         functionals=None, scales=np.zeros(0),
     )
 
@@ -342,33 +353,38 @@ def benchmark_factorization(model, tau, n, p, theta=1.0):
 
 
 def step_case(case):
+    """The factorizations of the members of a step."""
     if case == "gk_100x10":
-        return benchmark_factorization(ModelKind.GK, 0.3, 100, 10)
+        return [benchmark_factorization(ModelKind.GK, 0.3, 100, 10)]
     if case == "mcv_100x10":
-        return benchmark_factorization(ModelKind.MCV, 0.05, 100, 10)
+        return [benchmark_factorization(ModelKind.MCV, 0.05, 100, 10)]
     if case == "mcv_p_sweep_stack":
-        return hpheat.condense.stack(
+        return (
             [benchmark_factorization(ModelKind.MCV, 0.05, 4, p, 0.5) for p in (1, 2, 4, 8)]
             + [benchmark_factorization(ModelKind.MCV, 0.05, 100, 10, 0.5)]
         )
     if case == "gk_mcv_stack":
-        # Members of kl 3 and 1: the MCV member's factors sit in the
-        # stack's wider band with its extra diagonals zero, and it
-        # interchanges one row.
-        return hpheat.condense.stack(
-            [benchmark_factorization(ModelKind.GK, 0.3, 100, 10)]
-            + [benchmark_factorization(ModelKind.MCV, 0.05, 100, 10)]
-        )
+        # Members of kl 3 and 1: the MCV member's upper factor sits in the
+        # wider band with its extra diagonals zero, and it interchanges one
+        # row.
+        return [benchmark_factorization(ModelKind.GK, 0.3, 100, 10)] + [
+            benchmark_factorization(ModelKind.MCV, 0.05, 100, 10)
+        ]
+    if case == "chained_gk_stack":
+        # A member of kl 2 whose forward sweep reaches 5 rows beside one of
+        # kl 3 that reaches 3: the first member's upper band and the
+        # second's lower band are padded with zeros.
+        return [chained_interchanges(), benchmark_factorization(ModelKind.GK, 0.3, 100, 10)]
     if case == "no_free_vertex":
         mat, model, n, p = DENSE_CASES["fourier_one_element"]
         sys = assemble(Mesh.uniform(n, 0.005), mat, model, p, DENSE_DATA["dirichlet_both"])
-        return build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))
-    return chained_interchanges()
+        return [build_factorization(sys, ThetaScheme(0.5, 1e-3, 1))]
+    return [chained_interchanges()]
 
 
 STEP_CASES = [
-    "gk_100x10", "mcv_100x10", "mcv_p_sweep_stack", "gk_mcv_stack", "no_free_vertex",
-    "chained_interchanges",
+    "gk_100x10", "mcv_100x10", "mcv_p_sweep_stack", "gk_mcv_stack", "chained_gk_stack",
+    "no_free_vertex", "chained_interchanges",
 ]
 
 
@@ -377,27 +393,30 @@ def test_the_step_is_bitwise_the_public_formulation(case):
     # march takes dgbtrf's interchanges up front, in the order of the step
     # operator's rows, and sweeps forward with one dtbsv where dgbtrs makes
     # one rank-one update per column: every sum is the same, bit for bit.
-    fact = step_case(case)
-    step = step_arrays(fact)
-    swaps = np.count_nonzero(fact.ipiv != np.arange(fact.n_vertex))
+    facts = step_case(case)
+    step = step_arrays(facts)
+    swaps = np.count_nonzero(step.ipiv != np.arange(step.lower.shape[1]))
     expected = {
         "gk_100x10": (0, 3),
         "mcv_100x10": (1, 2),
-        "gk_mcv_stack": (1, 4),
+        "gk_mcv_stack": (1, 3),
+        "chained_gk_stack": (8, 5),
         "no_free_vertex": (0, 0),
     }
     if case in expected:
         assert (swaps, step.reach) == expected[case]
     else:
-        assert swaps and step.reach > fact.kl
+        assert swaps and step.reach > facts[0].kl
+    if case == "chained_gk_stack":
+        assert [f.kl for f in facts] == [2, 3] and step.ku == 6
     rng = np.random.default_rng(11)
-    w = rng.standard_normal(fact.dim)
+    w = rng.standard_normal(step.dim)
     for _ in range(5):
-        load = rng.standard_normal(fact.load_rows.size)
-        rows = step_rows(fact, w, load)
+        load = rng.standard_normal(step.load_fold.shape[0])
+        rows = step_rows(step, w, load)
         kernel_step(step, rows)
-        w = public_step(fact, w, load)
-        assert np.array_equal(rows[1, :fact.dim].view(np.uint64), w.view(np.uint64))
+        w = public_steps(facts, step, w, load)
+        assert np.array_equal(rows[1, :step.dim].view(np.uint64), w.view(np.uint64))
 
 
 def test_the_study_systems_keep_the_forward_sweep_within_one_row_of_kl():
@@ -413,7 +432,7 @@ def test_the_study_systems_keep_the_forward_sweep_within_one_row_of_kl():
             _, lowered, _ = discretize(spec.scenario_factory(tau), n, p)
             fact = build_factorization(lowered, ThetaScheme(theta, 1e-3, 1))
             assert np.count_nonzero(fact.ipiv != np.arange(fact.n_vertex)) <= 1
-            widest = max(widest, step_arrays(fact).reach - fact.kl)
+            widest = max(widest, step_arrays([fact]).reach - fact.kl)
     assert widest == 1
 
 
@@ -719,7 +738,7 @@ def test_every_probe_functional_row_has_unit_max_norm():
     sys = assemble(Mesh.uniform(5, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
     fact = build_factorization(sys, ThetaScheme(0.5, 1e-3, 1), rows)
-    step = step_arrays(fact)
+    step = step_arrays([fact])
     f = fact.functionals
     assert f.shape == (len(rows), fact.dim)
     assert rows[0].free_w.size and not rows[0].free_w.any()
@@ -855,30 +874,32 @@ def test_per_step_helpers_are_not_called_per_step(monkeypatch):
 
 
 def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
-    # Every factorization that timeint builds or stacks counts the products
-    # with its recovery -N of the interiors from the vertex DOFs, and every
-    # eigenbasis run the conversions into the basis (W^-1), out of it (W)
-    # and the probes' rows (W^T), each under the call that makes it:
-    # condense, step_arrays or the rest of the march.
+    # Every factorization that timeint builds counts the products with its
+    # recovery -N of the interiors from the vertex DOFs, and its eigenbasis
+    # run the conversions into the basis (W^-1), out of it (W) and the
+    # probes' rows (W^T), each under the member whose factorization makes
+    # it and under the call that makes it: condense, step_arrays, march, or
+    # the adapter, integrate or integrate_stack, outside them.
     calls = Counter()
-    within = ["march"]
+    within = ["none"]
+    built = []
 
     class Counted(sp.csr_matrix):
         # csr_matrix.dot also ends here.
         def __matmul__(self, other):
-            calls[within[-1], "products"] += 1
+            calls[within[-1], id(self.run), "products"] += 1
             return super().__matmul__(other)
 
         def __rmatmul__(self, other):
-            calls[within[-1], "products"] += 1
+            calls[within[-1], id(self.run), "products"] += 1
             return super().__rmatmul__(other)
 
-    def counted(build):
-        def wrapped(*args):
-            fact = build(*args)
-            return replace(fact, recovery=Counted(fact.recovery))
-
-        return wrapped
+    def counted(*args):
+        fact = build_factorization(*args)
+        built.append(fact)
+        recovery = Counted(fact.recovery)
+        recovery.run = fact.eigenbasis
+        return replace(fact, recovery=recovery)
 
     def inside(name, function):
         def wrapped(*args):
@@ -893,58 +914,61 @@ def test_the_interior_recovery_is_off_the_step_path(monkeypatch):
     run_class = hpheat.eigenbasis.EigenbasisRun
     for name in ("apply_inverse", "add_basis", "apply_transpose"):
 
-        def converted(*args, _name=name, _original=getattr(run_class, name)):
-            calls[within[-1], _name] += 1
-            _original(*args)
+        def converted(self, *args, _name=name, _original=getattr(run_class, name)):
+            calls[within[-1], id(self), _name] += 1
+            _original(self, *args)
 
         monkeypatch.setattr(run_class, name, converted)
-    monkeypatch.setattr(hpheat.timeint, "condense", inside("condense", hpheat.timeint.condense))
-    monkeypatch.setattr(hpheat.timeint, "step_arrays", inside("step_arrays", step_arrays))
-    monkeypatch.setattr(hpheat.timeint, "build_factorization", counted(build_factorization))
-    monkeypatch.setattr(hpheat.timeint, "stack", counted(hpheat.timeint.stack))
+    for name in ("condense", "step_arrays", "march"):
+        monkeypatch.setattr(hpheat.timeint, name, inside(name, getattr(hpheat.timeint, name)))
+    monkeypatch.setattr(hpheat.timeint, "build_factorization", counted)
     sys = assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, BOUNDARY_DATA["dirichlet"])
     a0 = apply_initial_conditions(sys, 293.0, 0.0)
 
     def count(run, n_steps):
+        """The calls, by member in the order its factorization was built."""
         calls.clear()
+        built.clear()
         run(ThetaScheme(0.5, 1e-3, n_steps))
-        return dict(calls)
+        member = {id(fact.eigenbasis): k for k, fact in enumerate(built)}
+        return {(where, member[run], name): n for (where, run, name), n in calls.items()}
 
-    def alone(scheme):
-        integrate(sys, scheme, a0, probes=ALL_PROBES)
+    alone = inside("integrate", lambda scheme: integrate(sys, scheme, a0, probes=ALL_PROBES))
 
     def stacked(scheme):
         members = [prepare(sys, scheme, ALL_PROBES), prepare(sys, scheme, ALL_PROBES[2:])]
-        integrate_stack(members, scheme)
+        inside("integrate_stack", integrate_stack)(members, scheme)
 
-    # The probes' rows take W^T once per member, inside condense.  The march
-    # converts once into the state, as the product -N v and one conversion
-    # W^-1 (y_i + N v) per member, and once back out, -N v and then W u per
-    # member.  Whatever the step count.
-    once = {
-        ("condense", "apply_transpose"): 1,
-        ("march", "products"): 2, ("march", "apply_inverse"): 1, ("march", "add_basis"): 1,
+    # The probes' rows take W^T once per member, inside condense.  integrate
+    # converts once into the state, as the product -N v and W^-1 (y_i + N v),
+    # and once back out, -N v and then W u.  Whatever the step count.
+    assert count(alone, 10) == count(alone, 40) == {
+        ("condense", 0, "apply_transpose"): 1,
+        ("integrate", 0, "products"): 2, ("integrate", 0, "apply_inverse"): 1,
+        ("integrate", 0, "add_basis"): 1,
     }
-    assert count(alone, 10) == count(alone, 40) == once
-    twice = {**{key: 2 for key in once}, ("march", "products"): 2}
-    assert count(stacked, 10) == count(stacked, 40) == twice
-    # Nor do the step's arrays and a step itself make any: a march of two
-    # steps makes those of a march of one.
+    # A stack marches from the zero state, which it does not convert, and
+    # each member converts out once, with its own factorization.
+    assert count(stacked, 10) == count(stacked, 40) == {
+        (where, k, name): 1
+        for k in (0, 1)
+        for where, name in (
+            ("condense", "apply_transpose"), ("integrate_stack", "products"),
+            ("integrate_stack", "add_basis"),
+        )
+    }
+    # Nor do the step's arrays and a stacked march make any, whatever the
+    # step count.
     rows = [probe_row(sys.dofmap, x, fld) for x, fld in ALL_PROBES]
-    fact = hpheat.timeint.build_factorization(sys, ThetaScheme(0.5, 1e-3, 1), rows)
+    scheme = ThetaScheme(0.5, 1e-3, 2)
+    facts = [hpheat.timeint.build_factorization(sys, scheme, rows[:k]) for k in (4, 2)]
     calls.clear()
-    hpheat.timeint.step_arrays(fact)
+    step = hpheat.timeint.step_arrays(facts)
     assert not calls
-    loads = prepare(sys, ThetaScheme(0.5, 1e-3, 2), ALL_PROBES).loads
-
-    def marched(n_steps):
-        calls.clear()
-        hpheat.timeint.march(fact, loads[:n_steps], a0)
-        return dict(calls)
-
-    assert marched(2) == marched(1) == {
-        ("march", "products"): 2, ("march", "apply_inverse"): 1, ("march", "add_basis"): 1,
-    }
+    loads = np.hstack([prepare(sys, scheme, ALL_PROBES).loads] * 2)
+    for n_steps in (1, 2):
+        hpheat.timeint.march(step, loads[:n_steps], np.zeros(step.dim))
+        assert not calls
 
 
 def interior_entries(fact, n):
@@ -987,7 +1011,7 @@ def test_interior_blocks_are_diagonalized_once_per_distinct_block(monkeypatch, m
     # columns: the diagonal, and the 2x2 block [[a, b], [-b, a]] of each
     # complex pair, stored where b != 0 and nowhere else.
     element, row, col, value, ni = interior_entries(fact, n)
-    (run,) = fact.eigenbasis
+    run = fact.eigenbasis
     assert not np.any([np.array_equal(b, np.eye(ni)) for b in run.inverse])
     pair = row != col
     assert np.all(np.abs(row - col) <= 1)
@@ -1043,7 +1067,7 @@ def test_ill_conditioned_interior_blocks_march_as_they_stand():
     fact = build_factorization(sys, scheme)
     element, _, _, _, ni = interior_entries(fact, 2)
     assert element.size == 2 * ni * ni
-    (run,) = fact.eigenbasis
+    run = fact.eigenbasis
     assert all(np.array_equal(b, np.eye(ni)) for b in (*run.basis, *run.inverse))
     # Ten times the largest gap to the dense march measured with the
     # fallback (3.3e-11, on q_mid).
@@ -1064,35 +1088,40 @@ ROUND_TRIP_GAP = 2e-13
 
 
 def test_a_coefficient_vector_round_trips_through_the_condensed_state():
-    # A stack of a GK and an MCV system, whose interiors march in their
-    # eigenbases, and of the ill-conditioned GK system, whose interiors
-    # march as they stand (W = I).
+    # A GK and an MCV system, whose interiors march in their eigenbases, and
+    # the ill-conditioned GK system, whose interiors march as they stand
+    # (W = I).  Each vector is drawn for the three side by side.
     ill, ill_scheme = ill_conditioned_gk()
     scheme = ThetaScheme(0.5, 1e-3, 1)
-    fact = hpheat.condense.stack([
+    facts = [
         build_factorization(assemble(Mesh.uniform(4, 0.005), GK_MAT, ModelKind.GK, 3, PULSE_BCS), scheme),
         build_factorization(assemble(Mesh.uniform(3, 0.005), MCV_MAT, ModelKind.MCV, 4, PULSE_BCS), scheme),
         build_factorization(ill, ill_scheme),
-    ])
+    ]
+    runs = [fact.eigenbasis for fact in facts]
     eye = [np.array_equal(run.basis, np.broadcast_to(np.eye(run.basis.shape[1]), run.basis.shape))
-           for run in fact.eigenbasis]
+           for run in runs]
     assert eye == [False, False, True]
+    starts = np.cumsum([0] + [fact.dim for fact in facts])
     rng = np.random.default_rng(29)
     for _ in range(20):
-        alpha = rng.standard_normal(fact.dim)
-        back = fact.coefficients(fact.state(alpha))
+        alpha = rng.standard_normal(starts[-1])
+        back = np.concatenate([
+            fact.coefficients(fact.state(alpha[s:e])) for fact, s, e in zip(facts, starts, starts[1:])
+        ])
         assert np.max(np.abs(back - alpha)) <= ROUND_TRIP_GAP * np.max(np.abs(alpha))
-    zero = np.zeros(fact.dim)
-    for w in (fact.state(zero), fact.coefficients(zero)):
-        assert np.array_equal(w, zero) and not np.signbit(w).any()
+    for fact in facts:
+        zero = np.zeros(fact.dim)
+        for w in (fact.state(zero), fact.coefficients(zero)):
+            assert np.array_equal(w, zero) and not np.signbit(w).any()
     # A run adds W u one column of W after the other, bit for bit.
-    for run in fact.eigenbasis:
-        w, y = rng.standard_normal((2, fact.dim))
+    for run in runs:
         n, ni = run.label.size, run.basis.shape[1]
-        u = w[run.start:run.start + n * ni].reshape(n, ni)
+        w, y = rng.standard_normal((2, n * ni))
+        u = w.reshape(n, ni)
         want = y.copy()
         for j in range(ni):
-            want[run.start:run.start + n * ni] += (run.basis[run.label, :, j] * u[:, j, None]).ravel()
+            want += (run.basis[run.label, :, j] * u[:, j, None]).ravel()
         run.add_basis(w, y)
         assert np.array_equal(y, want)
 
@@ -1197,7 +1226,7 @@ def test_the_stacked_march_is_bitwise_each_member_alone_at_every_block_edge(n_st
     # A stack of members without probes has no rows for them either.
     bare = [m for m in members if not m.probes]
     facts = [build_factorization(m.system, scheme, m.probes) for m in bare + bare]
-    assert hpheat.condense.stack(facts).functionals is None
+    assert step_arrays(facts).functionals is None
     (got, again) = integrate_stack(bare + bare, scheme)
     assert np.array_equal(got.final_state, integrated_alone(bare[0], scheme).final_state)
     assert np.array_equal(again.final_state, got.final_state)
@@ -1211,14 +1240,14 @@ def test_the_march_memory_grows_with_the_steps_only_by_its_history(monkeypatch):
     sys = assemble(Mesh.uniform(20, 0.005), GK_MAT, ModelKind.GK, 4, PULSE_BCS)
     scheme = ThetaScheme(0.5, 1e-3, 2000)
     prepared = prepare(sys, scheme, ALL_PROBES)
-    fact = build_factorization(sys, scheme, prepared.probes)
-    a0 = np.zeros(sys.dim)
+    step = step_arrays([build_factorization(sys, scheme, prepared.probes)])
+    w0 = np.zeros(sys.dim)
 
     def peak(n_steps):
         loads = prepared.loads[:n_steps]
         tracemalloc.start()
         try:
-            march(fact, loads, a0)
+            march(step, loads, w0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1239,9 +1268,9 @@ def assert_stack_is_bitwise_each_member_alone(monkeypatch):
     marched = []
     real_march = hpheat.timeint.march
 
-    def march(fact, *args):
-        marched.append(fact)
-        return real_march(fact, *args)
+    def march(step, *args):
+        marched.append(step)
+        return real_march(step, *args)
 
     monkeypatch.setattr(hpheat.timeint, "march", march)
     results = integrate_stack(members, STACK_SCHEME)
@@ -1257,6 +1286,7 @@ def assert_stack_is_bitwise_each_member_alone(monkeypatch):
         cols = np.concatenate((
             np.arange(fact.n_vertex) + vertex[k], np.arange(fact.dim - fact.n_vertex) + interior[k]
         ))
+        assert np.array_equal(stacked.parts[k], cols)
         own = fact.functionals
         # A member without probes has no rows, alone or in the stack.
         if own is not None:

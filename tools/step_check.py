@@ -1,14 +1,17 @@
 """Check the theta step against its public formulation, bit for bit.
 
 Marches the four benchmark systems through `hpheat.timeint` twice: once
-with `march` as it is (the step's three kernel calls on its buffer of
-rows), and once with `march` replaced by a loop that writes every step as
-`m_expl @ w`, then `rhs[load_rows] += load` with the load folded by
-`load_fold @`, then LAPACK's dgbtrs on the vertex rows with the factors as
-dgbtrf left them, and every probe value as `ProbeRow.evaluate` on the
-coefficients of the state (`CondensedFactorization.coefficients`) in place
-of the probes' rows that `condense` builds and `stack` joins.  The systems
-are
+with `step_arrays` and `march` as they are (the step's three kernel calls
+on its buffer of rows, for all the members of a stack at once), and once
+with `step_arrays` replaced by one that keeps the members' factorizations
+and `march` by a loop that marches each member alone and joins the
+members' states through their parts of the joined state.  The loop writes
+every step as `m_expl @ w`, then `rhs[load_rows] += load` with the load
+folded by `load_fold @`, then LAPACK's dgbtrs on the vertex rows with the
+factors as dgbtrf left them, and every probe value as `ProbeRow.evaluate`
+on the coefficients of the state (`CondensedFactorization.coefficients`),
+in place of the probes' rows that `condense` builds: `condense` is
+replaced too, by one that keeps the probes' ProbeRows.  The systems are
 
 - gk_overkill: GK, 100x10, theta 1, 2000 steps;
 - mcv_reference: the MCV 100x10 overkill reference at tau 0.05, whose
@@ -42,7 +45,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +53,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from hpheat import scenario, study, timeint  # noqa: E402
-from hpheat.condense import condense, stack  # noqa: E402
+from hpheat.condense import condense  # noqa: E402
 from hpheat.materials import ModelKind  # noqa: E402
 
 CORETYPES = ("default", "Haswell", "SandyBridge", "Prescott")
@@ -71,36 +74,42 @@ class PublicProbes:
         return np.array([r.evaluate(None, alpha, 0.0) for r in self.probes])
 
 
-def public(fact, probes):
-    """fact with PublicProbes of the probe rows in place of its own."""
-    fact = replace(fact, scales=np.ones(len(probes)))
+def public_condense(sys, dt, theta, probes=()):
+    """condense with PublicProbes of the probe rows in place of the
+    probes' rows."""
+    fact = replace(condense(sys, dt, theta), scales=np.ones(len(probes)))
     fact.functionals = PublicProbes(fact, probes)
     return fact
 
 
-def public_condense(sys, dt, theta, probes=()):
-    """condense with PublicProbes in place of the probes' rows."""
-    return public(condense(sys, dt, theta), probes)
+@dataclass(frozen=True)
+class PublicStep:
+    """The members' factorizations in place of the step's joined arrays,
+    with each member's part of the joined state: its vertex DOFs after
+    those of the members before it, and its interiors after all the vertex
+    DOFs and the interiors of the members before it."""
+
+    facts: list
+    parts: list
+    dim: int
+    scales: np.ndarray
 
 
-def public_stack(facts):
-    """The stack of the members' factorizations, with their probe rows moved
-    to the stack's free numbering, member after member."""
-    bare = [replace(f, functionals=None, scales=np.zeros(0)) for f in facts]
-    starts = np.cumsum([0] + [f.dim for f in facts])
-    rows = [
-        replace(r, free_idx=r.free_idx + s)
-        for f, s in zip(facts, starts)
-        for r in f.functionals.probes
+def public_step_arrays(facts):
+    """PublicStep of the factorizations."""
+    vertex = np.cumsum([0] + [f.n_vertex for f in facts])
+    interior = vertex[-1] + np.cumsum([0] + [f.dim - f.n_vertex for f in facts])
+    parts = [
+        np.concatenate((np.arange(vertex[k], vertex[k + 1]), np.arange(interior[k], interior[k + 1])))
+        for k in range(len(facts))
     ]
-    return public(stack(bare), rows)
+    return PublicStep(facts, parts, int(interior[-1]), np.concatenate([f.scales for f in facts]))
 
 
-def public_march(fact, loads, alpha0):
-    """march in the public formulation, one step after the other: the probe
-    values after every step and the final state."""
+def public_member_march(fact, loads, w):
+    """One member's march in the public formulation, one step after the
+    other: the probe values after every step and the final state."""
     nv = fact.n_vertex
-    w = fact.state(np.array(alpha0, dtype=float))
     table = fact.load_fold @ loads.T
     history = np.empty((len(loads), fact.scales.size))
     for n in range(len(loads)):
@@ -110,7 +119,19 @@ def public_march(fact, loads, alpha0):
             rhs[:nv] = timeint.dgbtrs(fact.lu, fact.kl, fact.ku, rhs[:nv], fact.ipiv)[0]
         w = rhs
         history[n] = fact.functionals @ w
-    return (fact.scales * history).T, fact.coefficients(w)
+    return (fact.scales * history).T, w
+
+
+def public_march(step, loads, w):
+    """march in the public formulation: each member marched alone, and the
+    members' probe values and final states joined."""
+    values, state, first = [], np.empty(step.dim), 0
+    for fact, part in zip(step.facts, step.parts):
+        stop = first + fact.load_fold.shape[1]
+        history, state[part] = public_member_march(fact, loads[:, first:stop], w[part])
+        values.append(history)
+        first = stop
+    return np.vstack(values), state
 
 
 def mcv_sweep_spec(tau: float) -> study.SweepSpec:
@@ -153,9 +174,9 @@ def systems():
 
 def child() -> None:
     """Marches every system both ways and prints one JSON line per system."""
-    names = ("condense", "stack", "march")
+    names = ("condense", "step_arrays", "march")
     real = [getattr(timeint, name) for name in names]
-    formulation = (public_condense, public_stack, public_march)
+    formulation = (public_condense, public_step_arrays, public_march)
     for name, march in systems():
         got_values, got_states = march()
         for attr, value in zip(names, formulation):
